@@ -172,18 +172,49 @@ void BM_HeaderRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_HeaderRoundTrip);
 
+// Send side of the simulated IP layer: one datagram cut into MTU frame
+// payloads (IP header + slice of the UDP segment, each in its own arena
+// block), all held and then released, as the NIC queue does.
 void BM_FragmentDatagram(benchmark::State& state) {
-  inet::Datagram d;
-  d.src = {net::Ipv4Addr(10, 0, 0, 1), 1};
-  d.dst = {net::Ipv4Addr(10, 0, 0, 2), 2};
-  d.payload.assign(static_cast<std::size_t>(state.range(0)), 0x5A);
+  const net::Endpoint src{net::Ipv4Addr(10, 0, 0, 1), 1};
+  const net::Endpoint dst{net::Ipv4Addr(10, 0, 0, 2), 2};
+  const Buffer payload(static_cast<std::size_t>(state.range(0)), 0x5A);
+  std::vector<net::PayloadRef> fragments;
   for (auto _ : state) {
-    auto fragments = inet::fragment_datagram(d, 1);
-    benchmark::DoNotOptimize(fragments);
+    fragments.clear();
+    inet::fragment_datagram(src, dst, BytesView(payload.data(), payload.size()), 1,
+                            [&](net::PayloadRef f) { fragments.push_back(std::move(f)); });
+    benchmark::DoNotOptimize(fragments.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_FragmentDatagram)->Arg(1500)->Arg(8000)->Arg(50000);
+
+// Receive side, per host: parse each frame payload of one datagram,
+// reassemble the UDP payload into a pooled block and deliver it.
+void BM_ReassembleDatagram(benchmark::State& state) {
+  const net::Endpoint src{net::Ipv4Addr(10, 0, 0, 1), 1};
+  const net::Endpoint dst{net::Ipv4Addr(10, 0, 0, 2), 2};
+  const Buffer payload(static_cast<std::size_t>(state.range(0)), 0x5A);
+  std::vector<net::PayloadRef> fragments;
+  inet::fragment_datagram(src, dst, BytesView(payload.data(), payload.size()), 1,
+                          [&](net::PayloadRef f) { fragments.push_back(std::move(f)); });
+  sim::Simulator sim;
+  std::int64_t delivered = 0;
+  inet::Reassembler reassembler(sim, sim::seconds(1.0), [&](inet::Datagram d, std::size_t) {
+    benchmark::DoNotOptimize(d.payload.data());
+    ++delivered;
+  });
+  for (auto _ : state) {
+    for (const net::PayloadRef& f : fragments) reassembler.accept(f);
+  }
+  if (delivered != static_cast<std::int64_t>(state.iterations())) {
+    state.SkipWithError("datagram not reassembled");
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ReassembleDatagram)->Arg(1000)->Arg(8000)->Arg(50000);
 
 void BM_WindowCycle(benchmark::State& state) {
   for (auto _ : state) {

@@ -88,6 +88,31 @@ else
   echo "posix-parity: skipped (build/tests/parity_test missing)"
 fi
 
+# Ledger-correctness lane: the benchmark's traced pass on the two simulated
+# workloads that move the most payload bytes through the datagram path.
+# Every delivery is byte-checked, and the traced replica of each transfer
+# must reproduce run_multicast's simulated seconds, events and data
+# packets exactly; two seconds of each exercise all of it.
+echo "=== ledger-correctness lane ==="
+if [ -n "$PYTHON" ]; then
+  for workload in sim_paper sim_lossy; do
+    ledger_out="$("$PYTHON" bench/ledger/run.py --workload "$workload" --seed 1 \
+      --seconds 2 --trace 1)"
+    "$PYTHON" - "$workload" "$ledger_out" <<'EOF'
+import json, sys
+
+workload, out = sys.argv[1], sys.argv[2]
+result = json.loads(out.strip().splitlines()[-1])
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit(f"ledger-correctness: {workload}: correct={result.get('correct')} "
+             f"failed={result.get('failed')}")
+print(f"ledger-correctness: {workload} ok ({result['attempted']} transfers)")
+EOF
+  done
+else
+  echo "ledger-correctness: skipped (python3 missing)"
+fi
+
 # Event-core throughput regression gate, across runs. bench/smoke.sh holds
 # the pooled core to 2x the in-process legacy heap (machine-independent);
 # this gate additionally compares the pooled core's absolute events/sec

@@ -19,7 +19,11 @@ void Socket::leave(net::Ipv4Addr group) {
 }
 
 void Socket::send_to(const net::Endpoint& dst, BytesView payload) {
-  host_->send_datagram(*this, dst, Buffer(payload.begin(), payload.end()));
+  host_->send_datagram(*this, dst, net::PayloadRef::copy_of(payload));
+}
+
+void Socket::send_ref(const net::Endpoint& dst, net::PayloadRef payload) {
+  host_->send_datagram(*this, dst, std::move(payload));
 }
 
 net::Endpoint Socket::local_endpoint() const { return {host_->addr(), port_}; }
@@ -123,23 +127,24 @@ std::size_t datagram_wire_bytes(std::size_t payload_size) {
 
 }  // namespace
 
-void Host::send_datagram(Socket& socket, const net::Endpoint& dst, Buffer payload) {
+void Host::send_datagram(Socket& socket, const net::Endpoint& dst,
+                         net::PayloadRef payload) {
   RMC_ENSURE(payload.size() <= kMaxUdpPayload, "datagram exceeds UDP maximum");
   RMC_ENSURE(dst.port != 0, "destination port required");
   if (socket.port_ == 0) socket.port_ = ephemeral_port();
 
-  Datagram datagram{socket.local_endpoint(), dst, std::move(payload)};
-  const std::size_t n_fragments = fragment_count(datagram.payload.size());
+  const std::size_t n_fragments = fragment_count(payload.size());
   const sim::Time cost =
       params_.send_syscall +
-      static_cast<sim::Time>(params_.send_per_byte_ns *
-                             static_cast<double>(datagram.payload.size())) +
+      static_cast<sim::Time>(params_.send_per_byte_ns * static_cast<double>(payload.size())) +
       static_cast<sim::Time>(n_fragments) * params_.send_per_fragment;
   ++socket.stats_.datagrams_sent;
-  const std::size_t wire_bytes = datagram_wire_bytes(datagram.payload.size());
+  const std::size_t wire_bytes = datagram_wire_bytes(payload.size());
 
   const std::uint16_t ident = next_ident_++;
-  enqueue_cpu(CpuTask{cost, [this, datagram = std::move(datagram), ident] {
+  Datagram datagram{socket.local_endpoint(), dst, std::move(payload), {}};
+  datagram.payload = datagram.block.view();
+  enqueue_cpu(CpuTask{cost, [this, datagram = std::move(datagram), ident, n_fragments] {
     if (down_) {
       // The process died (or was paused) before this send took effect:
       // nothing reaches the wire.
@@ -148,7 +153,7 @@ void Host::send_datagram(Socket& socket, const net::Endpoint& dst, Buffer payloa
     }
     if (datagram.dst.addr == addr_) {
       // Local delivery: no NIC involved.
-      deliver(datagram, fragment_count(datagram.payload.size()));
+      deliver(datagram, n_fragments);
       return;
     }
     net::MacAddr dst_mac;
@@ -162,14 +167,14 @@ void Host::send_datagram(Socket& socket, const net::Endpoint& dst, Buffer payloa
         tracer_ == nullptr ? 0u
                            : tracer_->tag_packet(datagram.payload.data(),
                                                  datagram.payload.size());
-    for (IpFragment& fragment : fragment_datagram(datagram, ident)) {
-      ++stats_.frames_out;
-      if (frame_output_) {
-        net::Frame frame = net::make_frame(dst_mac, mac_, fragment.serialize_arena());
-        frame.trace_tag = tag;
-        frame_output_(std::move(frame));
-      }
-    }
+    fragment_datagram(datagram.src, datagram.dst, datagram.payload, ident,
+                      [&](net::PayloadRef fragment) {
+                        ++stats_.frames_out;
+                        if (!frame_output_) return;
+                        net::Frame frame = net::make_frame(dst_mac, mac_, std::move(fragment));
+                        frame.trace_tag = tag;
+                        frame_output_(std::move(frame));
+                      });
   }, wire_bytes});
 }
 
@@ -193,15 +198,14 @@ void Host::handle_frame(const net::Frame& frame) {
   cpu_horizon_ = std::max(cpu_horizon_, sim_.now()) + params_.interrupt_per_frame;
   stats_.cpu_busy += params_.interrupt_per_frame;
 
-  auto fragment = IpFragment::parse(frame.payload.view());
-  if (!fragment) return;
-  reassembler_.accept(*fragment);
+  reassembler_.accept(frame.payload);
 }
 
 void Host::deliver(Datagram datagram, std::size_t n_fragments) {
   // Multicast datagrams fan out to every socket joined to the group on the
-  // destination port; unicast delivers to the first matching socket.
-  bool matched = false;
+  // destination port, all sharing one block; unicast delivers to the first
+  // matching socket. The last match takes the datagram itself.
+  Socket* previous = nullptr;
   for (auto& socket : sockets_) {
     if (socket->port_ != datagram.dst.port) continue;
     if (datagram.dst.addr.is_multicast()) {
@@ -209,40 +213,44 @@ void Host::deliver(Datagram datagram, std::size_t n_fragments) {
     } else if (datagram.dst.addr != addr_) {
       continue;
     }
-    matched = true;
-
-    Socket* s = socket.get();
-    if (s->pending_bytes_ + datagram.payload.size() > s->rcvbuf_bytes_) {
-      ++s->stats_.rcvbuf_drops;
-      if (tracer_) {
-        tracer_->drop(sim_.now(), trace_track_,
-                      tracer_->tag_packet(datagram.payload.data(),
-                                          datagram.payload.size()),
-                      trace::DropCause::kRcvbufOverflow);
-      }
-      RMC_TRACE("%s: rcvbuf overflow on port %u", name_.c_str(), s->port_);
-      continue;
-    }
-    s->pending_bytes_ += datagram.payload.size();
-    s->queue_.push_back(Socket::Queued{datagram, n_fragments});
-
-    const sim::Time cost =
-        params_.recv_syscall +
-        static_cast<sim::Time>(params_.recv_per_byte_ns *
-                               static_cast<double>(datagram.payload.size())) +
-        static_cast<sim::Time>(n_fragments) * params_.recv_per_fragment;
-    run_on_cpu(cost, [this, s] {
-      RMC_ENSURE(!s->queue_.empty(), "socket delivery with empty queue");
-      Socket::Queued item = std::move(s->queue_.front());
-      s->queue_.pop_front();
-      s->pending_bytes_ -= item.datagram.payload.size();
-      ++s->stats_.datagrams_delivered;
-      if (s->handler_) s->handler_(item.datagram);
-    });
-
+    if (previous != nullptr) enqueue_datagram(*previous, datagram, n_fragments);
+    previous = socket.get();
     if (!datagram.dst.addr.is_multicast()) break;
   }
-  if (!matched) ++stats_.datagrams_no_socket;
+  if (previous == nullptr) {
+    ++stats_.datagrams_no_socket;
+    return;
+  }
+  enqueue_datagram(*previous, std::move(datagram), n_fragments);
+}
+
+void Host::enqueue_datagram(Socket& s, Datagram datagram, std::size_t n_fragments) {
+  const std::size_t bytes = datagram.payload.size();
+  if (s.pending_bytes_ + bytes > s.rcvbuf_bytes_) {
+    ++s.stats_.rcvbuf_drops;
+    if (tracer_) {
+      tracer_->drop(sim_.now(), trace_track_,
+                    tracer_->tag_packet(datagram.payload.data(), bytes),
+                    trace::DropCause::kRcvbufOverflow);
+    }
+    RMC_TRACE("%s: rcvbuf overflow on port %u", name_.c_str(), s.port_);
+    return;
+  }
+  s.pending_bytes_ += bytes;
+  s.queue_.push_back(Socket::Queued{std::move(datagram), n_fragments});
+
+  const sim::Time cost =
+      params_.recv_syscall +
+      static_cast<sim::Time>(params_.recv_per_byte_ns * static_cast<double>(bytes)) +
+      static_cast<sim::Time>(n_fragments) * params_.recv_per_fragment;
+  run_on_cpu(cost, [this, sp = &s] {
+    RMC_ENSURE(!sp->queue_.empty(), "socket delivery with empty queue");
+    Socket::Queued item = std::move(sp->queue_.front());
+    sp->queue_.pop_front();
+    sp->pending_bytes_ -= item.datagram.payload.size();
+    ++sp->stats_.datagrams_delivered;
+    if (sp->handler_) sp->handler_(item.datagram);
+  });
 }
 
 void Host::on_join(net::Ipv4Addr group) {

@@ -56,6 +56,9 @@ class Socket {
   // Sends a datagram; the payload is copied. Charges the host CPU and then
   // hands fragments to the NIC.
   void send_to(const net::Endpoint& dst, BytesView payload);
+  // Same, taking over an arena payload instead of copying one: the
+  // fragments are cut straight out of `payload`.
+  void send_ref(const net::Endpoint& dst, net::PayloadRef payload);
 
   net::Endpoint local_endpoint() const;
   const Stats& stats() const { return stats_; }
@@ -72,7 +75,7 @@ class Socket {
   std::size_t rcvbuf_bytes_;
   std::size_t pending_bytes_ = 0;
   struct Queued {
-    Datagram datagram;
+    Datagram datagram;  // shares the delivered block; no bytes copied
     std::size_t n_fragments;
   };
   std::deque<Queued> queue_;
@@ -170,10 +173,13 @@ class Host {
     std::size_t send_wire_bytes = 0;
   };
 
-  void send_datagram(Socket& socket, const net::Endpoint& dst, Buffer payload);
+  void send_datagram(Socket& socket, const net::Endpoint& dst, net::PayloadRef payload);
   void handle_frame(const net::Frame& frame);
   bool accepts_mac(net::MacAddr dst) const;
   void deliver(Datagram datagram, std::size_t n_fragments);
+  // Queues `datagram` on `socket` (or drops it on a full receive buffer)
+  // and schedules the application's receive behind its modelled cost.
+  void enqueue_datagram(Socket& socket, Datagram datagram, std::size_t n_fragments);
   void on_join(net::Ipv4Addr group);
   void on_leave(net::Ipv4Addr group);
   std::uint16_t ephemeral_port();

@@ -1,6 +1,8 @@
 #include "inet/ip.h"
 
 #include <algorithm>
+#include <cstring>
+#include <iterator>
 
 #include "common/panic.h"
 
@@ -25,25 +27,9 @@ void store_u32(std::uint8_t* p, std::uint32_t v) {
   p[3] = static_cast<std::uint8_t>(v);
 }
 
-}  // namespace
-
-Buffer IpFragment::serialize() const {
-  Writer w(kIpHeaderBytes + data.size());
-  w.u8(kProtoUdp);
-  w.u8(more_fragments ? kFlagMoreFragments : 0);
-  w.u16(ident);
-  w.u32(src.bits());
-  w.u32(dst.bits());
-  w.u32(offset);
-  w.u32(total_bytes);
-  w.bytes(data);
-  RMC_ENSURE(w.size() == kIpHeaderBytes + data.size(), "IP header layout drifted");
-  return w.take();
-}
-
-net::PayloadRef IpFragment::serialize_arena() const {
-  net::PayloadRef ref = net::PayloadRef::allocate(kIpHeaderBytes + data.size());
-  std::uint8_t* p = ref.mutable_data();  // freshly allocated: always unique
+void store_header(std::uint8_t* p, const net::Ipv4Addr& src, const net::Ipv4Addr& dst,
+                  std::uint16_t ident, std::uint32_t offset, bool more_fragments,
+                  std::uint32_t total_bytes) {
   p[0] = kProtoUdp;
   p[1] = more_fragments ? kFlagMoreFragments : 0;
   store_u16(p + 2, ident);
@@ -51,6 +37,23 @@ net::PayloadRef IpFragment::serialize_arena() const {
   store_u32(p + 8, dst.bits());
   store_u32(p + 12, offset);
   store_u32(p + 16, total_bytes);
+}
+
+std::uint16_t load_u16(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
+}
+
+// Fragments of a UDP segment of `segment_bytes`.
+std::size_t segment_fragments(std::size_t segment_bytes) {
+  return (segment_bytes + kIpPayloadPerFrame - 1) / kIpPayloadPerFrame;
+}
+
+}  // namespace
+
+net::PayloadRef IpFragment::serialize() const {
+  net::PayloadRef ref = net::PayloadRef::allocate(kIpHeaderBytes + data.size());
+  std::uint8_t* p = ref.mutable_data();  // freshly allocated: always unique
+  store_header(p, src, dst, ident, offset, more_fragments, total_bytes);
   if (!data.empty()) std::memcpy(p + kIpHeaderBytes, data.data(), data.size());
   return ref;
 }
@@ -67,116 +70,124 @@ std::optional<IpFragment> IpFragment::parse(BytesView frame_payload) {
   f.total_bytes = r.u32();
   if (!r.ok() || proto != kProtoUdp) return std::nullopt;
   f.more_fragments = (flags & kFlagMoreFragments) != 0;
-  BytesView body = r.bytes(r.remaining());
-  f.data.assign(body.begin(), body.end());
-  if (f.offset + f.data.size() > f.total_bytes) return std::nullopt;
+  f.data = r.bytes(r.remaining());
   return f;
 }
 
-std::vector<IpFragment> fragment_datagram(const Datagram& datagram, std::uint16_t ident) {
-  RMC_ENSURE(datagram.payload.size() <= kMaxUdpPayload, "UDP payload too large");
+net::PayloadRef make_fragment(const net::Endpoint& src, const net::Endpoint& dst,
+                              BytesView payload, std::uint16_t ident, std::size_t index) {
+  RMC_ENSURE(payload.size() <= kMaxUdpPayload, "UDP payload too large");
+  const std::size_t total = kUdpHeaderBytes + payload.size();
+  const std::size_t offset = index * kIpPayloadPerFrame;
+  RMC_ENSURE(offset < total, "fragment index past the datagram");
+  const std::size_t chunk = std::min(kIpPayloadPerFrame, total - offset);
 
-  // Build the UDP segment: 8-byte header + payload.
-  Writer w(kUdpHeaderBytes + datagram.payload.size());
-  w.u16(datagram.src.port);
-  w.u16(datagram.dst.port);
-  w.u16(static_cast<std::uint16_t>(kUdpHeaderBytes + datagram.payload.size()));
-  w.u16(0);  // checksum: corruption is modelled at the link layer
-  w.bytes(datagram.payload);
-  Buffer segment = w.take();
-
-  std::vector<IpFragment> fragments;
-  const std::size_t total = segment.size();
-  fragments.reserve((total + kIpPayloadPerFrame - 1) / kIpPayloadPerFrame);
-  std::size_t offset = 0;
-  do {
-    std::size_t chunk = std::min(kIpPayloadPerFrame, total - offset);
-    IpFragment f;
-    f.src = datagram.src.addr;
-    f.dst = datagram.dst.addr;
-    f.ident = ident;
-    f.offset = static_cast<std::uint32_t>(offset);
-    f.total_bytes = static_cast<std::uint32_t>(total);
-    f.more_fragments = offset + chunk < total;
-    f.data.assign(segment.begin() + static_cast<std::ptrdiff_t>(offset),
-                  segment.begin() + static_cast<std::ptrdiff_t>(offset + chunk));
-    fragments.push_back(std::move(f));
-    offset += chunk;
-  } while (offset < total);
-  return fragments;
+  net::PayloadRef ref = net::PayloadRef::allocate(kIpHeaderBytes + chunk);
+  std::uint8_t* p = ref.mutable_data();  // freshly allocated: always unique
+  store_header(p, src.addr, dst.addr, ident, static_cast<std::uint32_t>(offset),
+               offset + chunk < total, static_cast<std::uint32_t>(total));
+  p += kIpHeaderBytes;
+  std::size_t from = 0;  // payload offset of the bytes after any UDP header
+  std::size_t len = chunk;
+  if (index == 0) {
+    store_u16(p, src.port);
+    store_u16(p + 2, dst.port);
+    store_u16(p + 4, static_cast<std::uint16_t>(total));
+    store_u16(p + 6, 0);  // checksum: corruption is modelled at the link layer
+    p += kUdpHeaderBytes;
+    len -= kUdpHeaderBytes;
+  } else {
+    from = offset - kUdpHeaderBytes;
+  }
+  if (len > 0) std::memcpy(p, payload.data() + from, len);
+  return ref;
 }
 
 std::size_t fragment_count(std::size_t payload_bytes) {
-  std::size_t segment = kUdpHeaderBytes + payload_bytes;
-  return (segment + kIpPayloadPerFrame - 1) / kIpPayloadPerFrame;
+  return segment_fragments(kUdpHeaderBytes + payload_bytes);
 }
 
 Reassembler::Reassembler(sim::Simulator& simulator, sim::Time timeout,
                          DatagramHandler on_datagram)
     : sim_(simulator), timeout_(timeout), on_datagram_(std::move(on_datagram)) {}
 
-void Reassembler::accept(const IpFragment& fragment) {
-  const Key key{fragment.src.bits(), fragment.dst.bits(), fragment.ident};
-  auto [it, inserted] = pending_.try_emplace(key);
-  Pending& p = it->second;
-  if (inserted) {
-    p.segment.resize(fragment.total_bytes);
-    p.first_seen = sim_.now();
-    if (!sweep_scheduled_) {
-      sweep_scheduled_ = true;
-      sim_.schedule_after(timeout_, [this] { expire_stale(); });
+void Reassembler::accept(const net::PayloadRef& frame_payload) {
+  const std::optional<IpFragment> parsed = IpFragment::parse(frame_payload.view());
+  if (!parsed) return;
+  const IpFragment& f = *parsed;
+  const std::size_t total = f.total_bytes;
+  if (total < kUdpHeaderBytes || total > kUdpHeaderBytes + kMaxUdpPayload) return;
+  if (f.offset % kIpPayloadPerFrame != 0 || f.offset >= total) return;
+  if (f.data.size() != std::min<std::size_t>(kIpPayloadPerFrame, total - f.offset)) return;
+
+  // The newest pending datagrams are the likeliest match.
+  auto it = std::find_if(pending_.rbegin(), pending_.rend(), [&](const Pending& p) {
+    return p.src == f.src.bits() && p.dst == f.dst.bits() && p.ident == f.ident;
+  });
+  if (it == pending_.rend()) {
+    arm_sweep();
+    if (f.data.size() == total) {
+      // The whole datagram rides in this frame: deliver a view of it.
+      const std::uint8_t* udp = f.data.data();
+      if (load_u16(udp + 4) != total) return;
+      Datagram d{net::Endpoint{f.src, load_u16(udp)}, net::Endpoint{f.dst, load_u16(udp + 2)},
+                 frame_payload, f.data.subspan(kUdpHeaderBytes)};
+      if (on_datagram_) on_datagram_(std::move(d), 1);
+      return;
     }
+    Pending fresh;
+    fresh.src = f.src.bits();
+    fresh.dst = f.dst.bits();
+    fresh.ident = f.ident;
+    fresh.total_bytes = f.total_bytes;
+    fresh.payload = net::PayloadRef::allocate(total - kUdpHeaderBytes);
+    fresh.first_seen = sim_.now();
+    pending_.push_back(std::move(fresh));
+    it = pending_.rbegin();
   }
-  if (p.segment.size() != fragment.total_bytes) return;  // inconsistent; ignore
+  Pending& p = *it;
+  if (p.total_bytes != f.total_bytes) return;  // inconsistent; ignore
 
-  // Duplicate or overlapping fragments are ignored (they cannot occur with
-  // unique idents, but a malformed peer must not corrupt state).
-  auto [range_it, fresh] = p.ranges.try_emplace(
-      fragment.offset, static_cast<std::uint32_t>(fragment.data.size()));
-  if (!fresh) return;
-
-  std::copy(fragment.data.begin(), fragment.data.end(),
-            p.segment.begin() + fragment.offset);
-  p.bytes_received += fragment.data.size();
-  ++p.n_fragments;
-
-  if (p.bytes_received == p.segment.size()) {
-    finish(key, p);
-    pending_.erase(it);
+  const std::uint64_t bit = std::uint64_t{1} << (f.offset / kIpPayloadPerFrame);
+  if ((p.received & bit) != 0) return;  // duplicate
+  p.received |= bit;
+  std::uint8_t* out = p.payload.mutable_data();  // unique: never handed out yet
+  if (f.offset == 0) {
+    p.src_port = load_u16(f.data.data());
+    p.dst_port = load_u16(f.data.data() + 2);
+    p.length = load_u16(f.data.data() + 4);
+    std::memcpy(out, f.data.data() + kUdpHeaderBytes, f.data.size() - kUdpHeaderBytes);
+  } else {
+    std::memcpy(out + (f.offset - kUdpHeaderBytes), f.data.data(), f.data.size());
   }
+
+  const std::size_t n = segment_fragments(total);
+  if (p.received != (std::uint64_t{1} << n) - 1) return;
+  Pending done = std::move(p);
+  pending_.erase(std::next(it).base());
+  if (done.length != done.total_bytes) return;
+  Datagram d{net::Endpoint{net::Ipv4Addr(done.src), done.src_port},
+             net::Endpoint{net::Ipv4Addr(done.dst), done.dst_port}, std::move(done.payload),
+             {}};
+  d.payload = d.block.view();
+  if (on_datagram_) on_datagram_(std::move(d), n);
 }
 
-void Reassembler::finish(const Key& key, Pending& p) {
-  Reader r(BytesView(p.segment.data(), p.segment.size()));
-  std::uint16_t src_port = r.u16();
-  std::uint16_t dst_port = r.u16();
-  std::uint16_t length = r.u16();
-  r.u16();  // checksum
-  if (!r.ok() || length != p.segment.size()) return;
-
-  Datagram d;
-  d.src = net::Endpoint{net::Ipv4Addr(key.src), src_port};
-  d.dst = net::Endpoint{net::Ipv4Addr(key.dst), dst_port};
-  BytesView body = r.bytes(r.remaining());
-  d.payload.assign(body.begin(), body.end());
-  if (on_datagram_) on_datagram_(std::move(d), p.n_fragments);
+void Reassembler::arm_sweep() {
+  if (sweep_scheduled_) return;
+  sweep_scheduled_ = true;
+  sim_.schedule_after(timeout_, [this] { expire_stale(); });
 }
 
 void Reassembler::expire_stale() {
   sweep_scheduled_ = false;
   const sim::Time now = sim_.now();
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (now - it->second.first_seen >= timeout_) {
-      ++timeouts_;
-      it = pending_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (!pending_.empty() && !sweep_scheduled_) {
-    sweep_scheduled_ = true;
-    sim_.schedule_after(timeout_, [this] { expire_stale(); });
-  }
+  const auto stale = std::remove_if(pending_.begin(), pending_.end(), [&](const Pending& p) {
+    return now - p.first_seen >= timeout_;
+  });
+  timeouts_ += static_cast<std::uint64_t>(pending_.end() - stale);
+  pending_.erase(stale, pending_.end());
+  if (!pending_.empty()) arm_sweep();
 }
 
 }  // namespace rmc::inet

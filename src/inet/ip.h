@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -30,14 +29,22 @@ inline constexpr std::size_t kUdpHeaderBytes = 8;
 // IP payload per 1500-byte MTU frame.
 inline constexpr std::size_t kIpPayloadPerFrame = 1500 - kIpHeaderBytes;  // 1480
 
+// A UDP datagram as sockets receive it. `payload` views the UDP payload
+// inside `block`, which keeps those bytes alive: the sender's own block
+// for local delivery, the frame payload itself for a single-fragment
+// datagram (shared with every other host the frame reached), or the
+// reassembly block for a fragmented one. Copying a Datagram shares the
+// block; no bytes move.
 struct Datagram {
   net::Endpoint src;
   net::Endpoint dst;
-  Buffer payload;
+  net::PayloadRef block;
+  BytesView payload;
 };
 
-// One IP fragment as carried in an Ethernet frame payload. `data` holds a
-// slice of the UDP segment (UDP header + application payload).
+// One IP fragment as carried in an Ethernet frame payload. `data` is a
+// slice of the UDP segment (UDP header + application payload) and views
+// the bytes it was parsed from.
 struct IpFragment {
   net::Ipv4Addr src;
   net::Ipv4Addr dst;
@@ -45,60 +52,78 @@ struct IpFragment {
   std::uint32_t offset = 0;  // byte offset into the UDP segment
   bool more_fragments = false;
   std::uint32_t total_bytes = 0;  // UDP segment size, repeated in every fragment
-  Buffer data;
+  BytesView data;
 
-  // Serializes to exactly kIpHeaderBytes of header followed by data.
-  Buffer serialize() const;
-  // Same bytes, written straight into an arena block — the zero-copy path
-  // hosts use to build frame payloads (no intermediate Buffer).
-  net::PayloadRef serialize_arena() const;
+  // kIpHeaderBytes of header followed by data, in one arena block.
+  net::PayloadRef serialize() const;
   static std::optional<IpFragment> parse(BytesView frame_payload);
 };
 
-// Splits a datagram into MTU-sized fragments. `ident` must be unique per
-// (src, dst) for the lifetime of any reassembly. The UDP header (ports,
-// length) rides at the front of the segment, as on a real wire.
-std::vector<IpFragment> fragment_datagram(const Datagram& datagram, std::uint16_t ident);
+// Fragment `index` of the UDP datagram src -> dst carrying `payload`,
+// serialized into its own arena block: the IP header, then the fragment's
+// slice of the UDP segment (the UDP header rides at the front of the
+// segment, as on a real wire), copied straight out of `payload`.
+net::PayloadRef make_fragment(const net::Endpoint& src, const net::Endpoint& dst,
+                              BytesView payload, std::uint16_t ident, std::size_t index);
 
 // Count of frames a UDP payload of `payload_bytes` occupies; used by host
 // cost accounting and by tests that reason about wire time.
 std::size_t fragment_count(std::size_t payload_bytes);
 
-// Reassembles fragments back into datagrams. Incomplete reassemblies are
-// discarded `timeout` after their first fragment.
+// Splits a datagram into MTU-sized fragments and hands each frame payload
+// to `emit` in offset order. `ident` must be unique per (src, dst) for the
+// lifetime of any reassembly.
+template <typename Emit>
+void fragment_datagram(const net::Endpoint& src, const net::Endpoint& dst,
+                       BytesView payload, std::uint16_t ident, Emit&& emit) {
+  const std::size_t n = fragment_count(payload.size());
+  for (std::size_t i = 0; i < n; ++i) emit(make_fragment(src, dst, payload, ident, i));
+}
+
+// Reassembles fragments back into datagrams. A fragmented datagram's UDP
+// payload is written once, straight into a pooled arena block, with a
+// bitmap of the fragment indices received; a datagram that fits one frame
+// skips reassembly and is delivered as a view of the frame. Incomplete
+// reassemblies are discarded `timeout` after their first fragment.
 class Reassembler {
  public:
   using DatagramHandler = std::function<void(Datagram, std::size_t n_fragments)>;
 
   Reassembler(sim::Simulator& simulator, sim::Time timeout, DatagramHandler on_datagram);
 
-  void accept(const IpFragment& fragment);
+  // Takes one frame payload. Malformed fragments are dropped: truncated
+  // headers, offsets off the kIpPayloadPerFrame grid, lengths that do not
+  // match their offset and total, and totals that disagree with the
+  // datagram already pending under the same (src, dst, ident).
+  void accept(const net::PayloadRef& frame_payload);
 
   std::uint64_t timeouts() const { return timeouts_; }
   std::size_t pending() const { return pending_.size(); }
 
  private:
-  struct Key {
-    std::uint32_t src;
-    std::uint32_t dst;
-    std::uint16_t ident;
-    auto operator<=>(const Key&) const = default;
-  };
   struct Pending {
-    Buffer segment;                                 // UDP header + payload
-    std::map<std::uint32_t, std::uint32_t> ranges;  // offset -> length received
-    std::size_t bytes_received = 0;
-    std::size_t n_fragments = 0;
+    std::uint32_t src = 0;
+    std::uint32_t dst = 0;
+    std::uint16_t ident = 0;
+    std::uint32_t total_bytes = 0;  // UDP segment size
+    net::PayloadRef payload;        // UDP payload under assembly
+    std::uint64_t received = 0;     // bit i: fragment i arrived
+    // UDP header, from fragment 0.
+    std::uint16_t src_port = 0;
+    std::uint16_t dst_port = 0;
+    std::uint16_t length = 0;
     sim::Time first_seen = 0;
   };
 
-  void finish(const Key& key, Pending& pending);
+  void arm_sweep();
   void expire_stale();
 
   sim::Simulator& sim_;
   sim::Time timeout_;
   DatagramHandler on_datagram_;
-  std::map<Key, Pending> pending_;
+  // A handful at most (only fragmented datagrams wait here), so a vector
+  // searched linearly: no per-datagram node allocation.
+  std::vector<Pending> pending_;
   std::uint64_t timeouts_ = 0;
   bool sweep_scheduled_ = false;
 };

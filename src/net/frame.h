@@ -56,7 +56,7 @@ inline Frame make_frame(MacAddr dst, MacAddr src, PayloadRef payload) {
 
 // Convenience for call sites that already materialized a Buffer (tests,
 // mostly): copies the bytes into an arena block. The zero-copy path is to
-// serialize straight into a PayloadRef (see IpFragment::serialize_arena).
+// serialize straight into a PayloadRef (see inet::make_fragment).
 inline Frame make_frame(MacAddr dst, MacAddr src, const Buffer& payload) {
   return Frame{dst, src, 0x0800,
                PayloadRef::copy_of(BytesView(payload.data(), payload.size()))};

@@ -1,6 +1,6 @@
 #include "net/frame_arena.h"
 
-#include <algorithm>
+#include <bit>
 
 namespace rmc::net {
 
@@ -9,27 +9,63 @@ FrameArena& FrameArena::instance() {
   return arena;
 }
 
+namespace {
+
+constexpr std::size_t kMinCapacity = 64;
+
+// Size class of a block holding `size` bytes. Class 0 holds up to 64
+// bytes; above that, each doubling (2^(b-1), 2^b] splits into eight
+// classes of width 2^(b-4).
+std::size_t class_of(std::size_t size) {
+  if (size <= kMinCapacity) return 0;
+  const auto b = static_cast<std::size_t>(std::bit_width(size - 1));
+  const std::size_t eighth = (size - 1) >> (b - 4);  // 8..15
+  return (b - 7) * 8 + (eighth - 8) + 1;
+}
+
+// Largest size class `cls` holds.
+std::size_t class_capacity(std::size_t cls) {
+  if (cls == 0) return kMinCapacity;
+  const std::size_t b = (cls - 1) / 8 + 7;
+  const std::size_t eighth = (cls - 1) % 8 + 8;
+  return (eighth + 1) << (b - 4);
+}
+
+void destroy(detail::PayloadBlock* block) {
+  block->~PayloadBlock();
+  ::operator delete(static_cast<void*>(block));
+}
+
+}  // namespace
+
 FrameArena::~FrameArena() {
-  for (detail::PayloadBlock* block : free_) {
-    ::operator delete(static_cast<void*>(block));
+  for (const auto& list : free_) {
+    for (detail::PayloadBlock* block : list) destroy(block);
   }
 }
 
+std::size_t FrameArena::free_blocks() const {
+  std::size_t n = 0;
+  for (const auto& list : free_) n += list.size();
+  return n;
+}
+
 detail::PayloadBlock* FrameArena::acquire(std::size_t size) {
-  RMC_ENSURE(size <= UINT32_MAX, "payload exceeds block addressing");
+  RMC_ENSURE(size <= kMaxCapacity, "payload exceeds the largest arena block");
+  std::vector<detail::PayloadBlock*>& list = free_[class_of(size)];
   detail::PayloadBlock* block = nullptr;
-  if (size <= kStandardCapacity && !free_.empty()) {
-    block = free_.back();
-    free_.pop_back();
+  if (!list.empty()) {
+    block = list.back();
+    list.pop_back();
+    idle_bytes_ -= block->capacity;
     ++stats_.blocks_reused;
   } else {
-    const std::size_t capacity = std::max(size, kStandardCapacity);
+    const std::size_t capacity = class_capacity(class_of(size));
     void* raw = ::operator new(sizeof(detail::PayloadBlock) + capacity);
     block = ::new (raw) detail::PayloadBlock;
     block->capacity = static_cast<std::uint32_t>(capacity);
     block->arena = this;
     ++stats_.blocks_created;
-    if (capacity > kStandardCapacity) ++stats_.oversize_blocks;
   }
   block->refs = 1;
   block->size = static_cast<std::uint32_t>(size);
@@ -39,14 +75,12 @@ detail::PayloadBlock* FrameArena::acquire(std::size_t size) {
 
 void FrameArena::recycle(detail::PayloadBlock* block) {
   --outstanding_;
-  if (block->capacity == kStandardCapacity) {
-    free_.push_back(block);
-  } else {
-    // Oversize blocks are rare (jumbo payloads only exist in tests); keep
-    // the free list homogeneous so acquire() never has to size-match.
-    block->~PayloadBlock();
-    ::operator delete(static_cast<void*>(block));
+  if (idle_bytes_ + block->capacity > kMaxIdleBytes) {
+    destroy(block);
+    return;
   }
+  idle_bytes_ += block->capacity;
+  free_[class_of(block->capacity)].push_back(block);
 }
 
 PayloadRef PayloadRef::allocate(std::size_t size) {

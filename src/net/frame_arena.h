@@ -7,11 +7,16 @@
 // source, a full Buffer copy out of the serializer. The simulation is
 // single-threaded by construction, so all of that is pure overhead.
 //
-// A PayloadBlock is a fixed 1500-byte-capacity (one MTU) slab with an
-// intrusive, non-atomic refcount, recycled through a per-thread free list:
-// steady-state frame traffic does no allocation at all, and handing a
-// frame from TxPort through EthernetSwitch/SharedBus to inet::Host is a
-// pointer copy plus an integer increment.
+// A PayloadBlock is a slab with an intrusive, non-atomic refcount,
+// recycled through per-thread free lists, one per size class. Classes run
+// from 64 bytes to 64 KiB, eight per doubling, so a block wastes at most
+// an eighth of its size: a control packet's frame does not pin an MTU's
+// worth of memory while it waits in a socket queue, and whole datagrams
+// (protocol packets serialized by the sender, UDP payloads reassembled at
+// the receivers) recycle like frames do. Steady-state traffic does no
+// allocation at all, and handing a payload from TxPort through
+// EthernetSwitch/SharedBus to inet::Host and on to a socket is a pointer
+// copy plus an integer increment.
 //
 // Frames are immutable once transmitted — except when a fault hook
 // tampers with one. mutable_data() implements copy-on-write for exactly
@@ -23,6 +28,7 @@
 // thread's arena.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -54,17 +60,26 @@ struct PayloadBlock {
 
 }  // namespace detail
 
-// Per-thread pool of payload blocks. Blocks at the standard capacity (one
-// MTU — every real frame) are recycled; rare oversize payloads get an
-// exact-sized block that is freed on release.
+// Per-thread pool of payload blocks in size classes. A request is served
+// from the smallest class that holds it, and a released block returns to
+// its class's free list, so steady traffic recycles the same blocks. The
+// free lists together hold at most kMaxIdleBytes; a block released beyond
+// that goes back to the heap. A burst that needs more (1023 receivers
+// each holding a couple of 8 KB datagrams) then leaves the heap free for
+// whatever peaks after it instead of pinning its high-water mark for the
+// rest of the thread.
 class FrameArena {
  public:
-  static constexpr std::size_t kStandardCapacity = 1500;  // Ethernet MTU
+  // Largest block: a maximum UDP datagram plus the protocol headers
+  // serialized around it.
+  static constexpr std::size_t kMaxCapacity = 64 * 1024;
+  // Up to 64 bytes, then eight classes per doubling up to kMaxCapacity.
+  static constexpr std::size_t kClasses = 1 + 8 * 10;
+  static constexpr std::size_t kMaxIdleBytes = 8 << 20;
 
   struct Stats {
     std::uint64_t blocks_created = 0;   // fresh heap allocations
-    std::uint64_t blocks_reused = 0;    // served from the free list
-    std::uint64_t oversize_blocks = 0;  // exact-sized, not pooled
+    std::uint64_t blocks_reused = 0;    // served from a free list
     std::uint64_t copies_on_write = 0;  // mutable_data() on a shared block
   };
 
@@ -76,7 +91,7 @@ class FrameArena {
   ~FrameArena();
 
   const Stats& stats() const { return stats_; }
-  std::size_t free_blocks() const { return free_.size(); }
+  std::size_t free_blocks() const;
   std::size_t outstanding_blocks() const { return outstanding_; }
 
  private:
@@ -85,7 +100,8 @@ class FrameArena {
   detail::PayloadBlock* acquire(std::size_t size);
   void recycle(detail::PayloadBlock* block);
 
-  std::vector<detail::PayloadBlock*> free_;
+  std::array<std::vector<detail::PayloadBlock*>, kClasses> free_;
+  std::size_t idle_bytes_ = 0;  // capacity held in free_
   std::size_t outstanding_ = 0;
   Stats stats_;
 };

@@ -1,11 +1,14 @@
 #include "rmcast/receiver.h"
 
 #include <algorithm>
+#include <utility>
 
+#include "common/buffer_recycler.h"
 #include "common/flight_recorder.h"
 #include "common/log.h"
 #include "common/panic.h"
 #include "inet/host_params.h"
+#include "inet/ip.h"
 #include "rmcast/engine/registry.h"
 
 namespace rmc::rmcast {
@@ -44,6 +47,7 @@ MulticastReceiver::~MulticastReceiver() {
   disarm_inactivity_timer();
   disarm_child_monitor();
   for (auto& [seq, timer] : repair_timers_) rt_.cancel(timer);
+  BufferRecycler::instance().release(std::move(buffer_));
 }
 
 void MulticastReceiver::reset_full_structure() {
@@ -151,9 +155,26 @@ void MulticastReceiver::on_packet(const net::Endpoint& src, BytesView payload) {
   }
 }
 
+namespace {
+
+// An ALLOC_REQ whose packetization does not add up would size the message
+// buffer for one message and index it for another (and, with a recycled
+// buffer, could deliver bytes a previous session left there).
+bool well_formed(const AllocRequest& a) {
+  if (a.packet_bytes == 0 ||
+      std::uint64_t{a.packet_bytes} + kHeaderBytes > inet::kMaxUdpPayload) {
+    return false;
+  }
+  const std::uint64_t packets =
+      a.message_bytes / a.packet_bytes + (a.message_bytes % a.packet_bytes != 0 ? 1 : 0);
+  return a.total_packets == std::max<std::uint64_t>(1, packets);
+}
+
+}  // namespace
+
 void MulticastReceiver::handle_alloc_request(const Header& h, Reader& r) {
   auto req = read_alloc_request(r);
-  if (!req) return;
+  if (!req || !well_formed(*req)) return;
   ++stats_.alloc_requests_received;
 
   if (h.session == session_ && session_active_) {
@@ -171,7 +192,12 @@ void MulticastReceiver::handle_alloc_request(const Header& h, Reader& r) {
   session_active_ = true;
   session_started_ = rt_.now();
   alloc_ = *req;
-  buffer_.assign(alloc_.message_bytes, 0);
+  // Recycled, not zero-filled: every byte is overwritten by exactly one
+  // data packet (handle_data admits only bodies of the exact block length)
+  // before delivery.
+  BufferRecycler& recycler = BufferRecycler::instance();
+  recycler.release(std::exchange(buffer_, {}));
+  buffer_ = recycler.acquire(alloc_.message_bytes);
   expected_ = 0;
   delivered_ = false;
   last_nak_ = -1;
@@ -247,7 +273,9 @@ void MulticastReceiver::handle_data(const Header& h, BytesView body) {
     ++stats_.stale_packets;
     return;
   }
-  if (h.seq >= alloc_.total_packets) {
+  if (h.seq >= alloc_.total_packets || body.size() != fec_block_len(h.seq)) {
+    // Beyond the message, or a body that would overflow its slot or leave
+    // a hole in it: nothing the sender of this session sent.
     ++stats_.stale_packets;
     return;
   }

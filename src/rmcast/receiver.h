@@ -162,7 +162,9 @@ class MulticastReceiver : private ReceiverOps {
   // from a later group); a group whose erasures exceed its held parity
   // falls back to a GROUP_NAK naming the missing blocks.
   std::size_t fec_group_data(std::uint32_t group) const;   // blocks in group
-  std::size_t fec_block_len(std::uint32_t seq) const;      // bytes in block
+  // Bytes packet `seq` carries (only the last may be short); every data
+  // body must be exactly this long.
+  std::size_t fec_block_len(std::uint32_t seq) const;
   std::uint64_t fec_missing_bitmap(std::uint32_t group, std::size_t* n_missing) const;
   // Schedules a decode of `group` behind its modelled GF(2^8) CPU cost
   // when it is decodable; the completion re-verifies (state may shift
@@ -220,7 +222,7 @@ class MulticastReceiver : private ReceiverOps {
   bool session_active_ = false;
   sim::Time session_started_ = 0;  // when this session's ALLOC_REQ was accepted
   AllocRequest alloc_;
-  Buffer buffer_;
+  Buffer buffer_;  // the message, from BufferRecycler
   std::uint32_t expected_ = 0;  // in-order point: holds all seq < expected_
   bool delivered_ = false;
   sim::Time last_nak_ = -1;

@@ -1,7 +1,10 @@
 #include "rmcast/sender.h"
 
 #include <algorithm>
+#include <cstring>
+#include <utility>
 
+#include "common/buffer_recycler.h"
 #include "common/flight_recorder.h"
 #include "common/log.h"
 #include "common/panic.h"
@@ -40,6 +43,7 @@ MulticastSender::~MulticastSender() {
   disarm_rto();
   if (alloc_timer_ != rt::kInvalidTimerId) rt_.cancel(alloc_timer_);
   if (rate_timer_ != rt::kInvalidTimerId) rt_.cancel(rate_timer_);
+  BufferRecycler::instance().release(std::move(message_));
 }
 
 void MulticastSender::set_session_base(std::uint32_t base) {
@@ -54,7 +58,9 @@ void MulticastSender::send(BytesView message, CompletionHandler on_complete) {
     // into protocol buffers so retransmissions stay valid even if the
     // caller reuses its buffer. The modelled cost is charged per packet at
     // transmit time, where the original implementation's copy happened.
-    message_.assign(message.begin(), message.end());
+    // The snapshot buffer is recycled (see common/buffer_recycler.h).
+    message_ = BufferRecycler::instance().acquire(message.size());
+    if (!message.empty()) std::memcpy(message_.data(), message.data(), message.size());
     message_view_ = BytesView(message_.data(), message_.size());
   } else {
     message_view_ = message;
@@ -682,7 +688,7 @@ void MulticastSender::complete() {
     tracer_->record(rt_.now(), trace::EventKind::kComplete, trace_track_, session_);
   }
   flight_recorder().record(rt_.now(), "sender", "complete", kSenderNodeId, session_);
-  message_.clear();
+  BufferRecycler::instance().release(std::exchange(message_, {}));
   message_view_ = {};
   if (on_complete_) {
     // Clear before invoking so the handler may immediately start the next

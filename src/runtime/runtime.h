@@ -50,9 +50,9 @@ class UdpSocket {
   virtual void send_to(const net::Endpoint& dst, BytesView payload) = 0;
   // Zero-copy variant: the caller hands over a refcounted arena payload
   // (see net::ArenaWriter) instead of bytes to copy. The simulated
-  // backend forwards to send_to — its network model snapshots payloads
-  // anyway — while PosixUdpSocket queues the block itself on its TX ring
-  // so the bytes the protocol serialized are the bytes the kernel reads.
+  // backend cuts its IP fragments straight out of the block, and
+  // PosixUdpSocket queues the block itself on its TX ring so the bytes
+  // the protocol serialized are the bytes the kernel reads.
   virtual void send_ref(const net::Endpoint& dst, net::PayloadRef payload) {
     send_to(dst, payload.view());
   }

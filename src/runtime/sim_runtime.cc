@@ -11,10 +11,13 @@ class SimUdpSocket final : public UdpSocket {
   void send_to(const net::Endpoint& dst, BytesView payload) override {
     socket_->send_to(dst, payload);
   }
+  void send_ref(const net::Endpoint& dst, net::PayloadRef payload) override {
+    socket_->send_ref(dst, std::move(payload));
+  }
 
   void set_handler(Handler handler) override {
     socket_->set_handler([handler = std::move(handler)](const inet::Datagram& d) {
-      handler(d.src, BytesView(d.payload.data(), d.payload.size()));
+      handler(d.src, d.payload);
     });
   }
 

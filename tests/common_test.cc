@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 
+#include "common/buffer_recycler.h"
 #include "common/rng.h"
 #include "common/serial.h"
 #include "common/stats.h"
@@ -65,6 +66,62 @@ TEST(Serial, EmptyReaderIsOkUntilRead) {
   EXPECT_EQ(r.remaining(), 0u);
   r.u8();
   EXPECT_FALSE(r.ok());
+}
+
+TEST(BufferRecycler, ReusesBuffersWithoutRefilling) {
+  BufferRecycler recycler;
+  Buffer a = recycler.acquire(4096);
+  ASSERT_EQ(a.size(), 4096u);
+  a[100] = 0xAB;
+  const std::uint8_t* storage = a.data();
+  recycler.release(std::move(a));
+  EXPECT_EQ(recycler.outstanding(), 0u);
+  EXPECT_EQ(recycler.pooled(), 1u);
+  // The same storage comes back, contents as left: nothing was zeroed.
+  Buffer b = recycler.acquire(1000);
+  EXPECT_EQ(b.data(), storage);
+  EXPECT_EQ(b.size(), 1000u);
+  EXPECT_EQ(b[100], 0xAB);
+  recycler.release(std::move(b));
+}
+
+TEST(BufferRecycler, PrefersTheTightestFit) {
+  BufferRecycler recycler;
+  Buffer big = recycler.acquire(10'000);
+  Buffer small = recycler.acquire(2'000);
+  const std::uint8_t* small_storage = small.data();
+  recycler.release(std::move(big));
+  recycler.release(std::move(small));
+  Buffer got = recycler.acquire(1'500);
+  EXPECT_EQ(got.data(), small_storage);
+  recycler.release(std::move(got));
+}
+
+TEST(BufferRecycler, KeepsNoMoreThanTheLastTransferHeld) {
+  BufferRecycler recycler;
+  std::vector<Buffer> held;
+  for (int i = 0; i < 5; ++i) held.push_back(recycler.acquire(1000));
+  for (Buffer& b : held) recycler.release(std::move(b));
+  EXPECT_EQ(recycler.pooled(), 5u);
+  // A transfer holding two buffers at once: when it ends, the pool
+  // shrinks to those two.
+  Buffer x = recycler.acquire(1000);
+  Buffer y = recycler.acquire(1000);
+  recycler.release(std::move(x));
+  EXPECT_EQ(recycler.pooled(), 4u);  // y still out: no trim mid-transfer
+  recycler.release(std::move(y));
+  EXPECT_EQ(recycler.pooled(), 2u);
+  EXPECT_EQ(recycler.outstanding(), 0u);
+}
+
+TEST(BufferRecycler, EmptyBuffersAreNotTracked) {
+  BufferRecycler recycler;
+  Buffer empty = recycler.acquire(0);
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(recycler.outstanding(), 0u);
+  recycler.release(std::move(empty));
+  recycler.release(Buffer{});
+  EXPECT_EQ(recycler.pooled(), 0u);
 }
 
 TEST(Rng, DeterministicForSeed) {

@@ -7,10 +7,12 @@
 #include <string>
 #include <utility>
 
+#include "common/buffer_recycler.h"
 #include "harness/experiment.h"
 #include "harness/table.h"
 #include "harness/testbed.h"
 #include "harness/trace.h"
+#include "net/frame_arena.h"
 #include "rmcast/receiver.h"
 #include "rmcast/sender.h"
 
@@ -84,6 +86,33 @@ TEST(RunMulticast, DeterministicForSeed) {
   ASSERT_TRUE(b.completed);
   EXPECT_EQ(a.seconds, b.seconds);
   EXPECT_EQ(a.sender.data_packets_sent, b.sender.data_packets_sent);
+}
+
+TEST(RunMulticast, RepeatedTransferAllocatesNoPayloadMemory) {
+  // Steady state: a second identical transfer on this thread is served
+  // entirely by the frame arena's free lists and the buffer recycler.
+  MulticastRunSpec spec;
+  spec.n_receivers = 8;
+  spec.message_bytes = 200'000;
+  spec.protocol.kind = rmcast::ProtocolKind::kNakPolling;
+  spec.protocol.packet_size = 8000;
+  spec.protocol.window_size = 16;
+  spec.protocol.poll_interval = 12;
+  const net::FrameArena& arena = net::FrameArena::instance();
+  const BufferRecycler& recycler = BufferRecycler::instance();
+  ASSERT_TRUE(run_multicast(spec).completed);
+  const std::uint64_t created = arena.stats().blocks_created;
+  RunResult r = run_multicast(spec);
+  ASSERT_TRUE(r.completed) << r.error;
+  EXPECT_EQ(arena.stats().blocks_created, created);
+  EXPECT_EQ(arena.outstanding_blocks(), 0u);
+  // Eight receivers' messages and the sender's snapshot, nothing more.
+  EXPECT_EQ(recycler.outstanding(), 0u);
+  EXPECT_EQ(recycler.pooled(), 9u);
+  // A smaller transfer afterwards leaves only what it held.
+  spec.n_receivers = 3;
+  ASSERT_TRUE(run_multicast(spec).completed);
+  EXPECT_EQ(recycler.pooled(), 4u);
 }
 
 TEST(MeanSeconds, AveragesTrials) {

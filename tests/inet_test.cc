@@ -19,15 +19,40 @@ Buffer pattern(std::size_t n) {
   return b;
 }
 
+const net::Endpoint kSrc{net::Ipv4Addr(10, 0, 0, 1), 1111};
+const net::Endpoint kDst{net::Ipv4Addr(10, 0, 0, 2), 2222};
+
+// The frame payloads of one datagram, in offset order.
+std::vector<net::PayloadRef> fragments_of(const Buffer& payload, std::uint16_t ident) {
+  std::vector<net::PayloadRef> out;
+  fragment_datagram(kSrc, kDst, BytesView(payload.data(), payload.size()), ident,
+                    [&](net::PayloadRef f) { out.push_back(std::move(f)); });
+  return out;
+}
+
+Buffer bytes_of(const Datagram& d) { return Buffer(d.payload.begin(), d.payload.end()); }
+
+// A hand-built fragment of datagram `ident` from kSrc to kDst, for
+// feeding the reassembler what a well-behaved sender never would.
+net::PayloadRef forged(std::uint16_t ident, std::uint32_t offset, std::uint32_t total,
+                       const Buffer& data) {
+  IpFragment f;
+  f.src = kSrc.addr;
+  f.dst = kDst.addr;
+  f.ident = ident;
+  f.offset = offset;
+  f.total_bytes = total;
+  f.more_fragments = offset + data.size() < total;
+  f.data = BytesView(data.data(), data.size());
+  return f.serialize();
+}
+
 class FragmentationTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FragmentationTest, RoundTripsThroughReassembly) {
   const std::size_t size = GetParam();
   sim::Simulator sim;
-  Datagram in;
-  in.src = {net::Ipv4Addr(10, 0, 0, 1), 1111};
-  in.dst = {net::Ipv4Addr(10, 0, 0, 2), 2222};
-  in.payload = pattern(size);
+  const Buffer in = pattern(size);
 
   std::vector<Datagram> out;
   std::size_t out_fragments = 0;
@@ -36,19 +61,20 @@ TEST_P(FragmentationTest, RoundTripsThroughReassembly) {
     out_fragments = nf;
   });
 
-  auto fragments = fragment_datagram(in, 42);
+  auto fragments = fragments_of(in, 42);
   EXPECT_EQ(fragments.size(), fragment_count(size));
-  for (const auto& f : fragments) {
-    // Serialize and re-parse, as the wire does.
-    Buffer bytes = f.serialize();
-    auto parsed = IpFragment::parse(BytesView(bytes.data(), bytes.size()));
+  for (std::size_t i = 0; i < fragments.size(); ++i) {
+    auto parsed = IpFragment::parse(fragments[i].view());
     ASSERT_TRUE(parsed.has_value());
-    reassembler.accept(*parsed);
+    EXPECT_EQ(parsed->offset, i * kIpPayloadPerFrame);
+    EXPECT_EQ(parsed->total_bytes, kUdpHeaderBytes + size);
+    EXPECT_EQ(parsed->more_fragments, i + 1 < fragments.size());
+    reassembler.accept(fragments[i]);
   }
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].src, in.src);
-  EXPECT_EQ(out[0].dst, in.dst);
-  EXPECT_EQ(out[0].payload, in.payload);
+  EXPECT_EQ(out[0].src, kSrc);
+  EXPECT_EQ(out[0].dst, kDst);
+  EXPECT_EQ(bytes_of(out[0]), in);
   EXPECT_EQ(out_fragments, fragments.size());
   EXPECT_EQ(reassembler.pending(), 0u);
 }
@@ -57,17 +83,36 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FragmentationTest,
                          ::testing::Values(0, 1, 100, 1471, 1472, 1473, 2960, 8192,
                                            50000, 65507));
 
-TEST(Fragmentation, SerializeArenaMatchesBufferSerialize) {
-  Datagram in;
-  in.src = {net::Ipv4Addr(10, 0, 0, 1), 1111};
-  in.dst = {net::Ipv4Addr(10, 0, 0, 2), 2222};
-  in.payload = pattern(3000);
-  for (const auto& f : fragment_datagram(in, 99)) {
-    Buffer via_buffer = f.serialize();
-    net::PayloadRef via_arena = f.serialize_arena();
-    ASSERT_EQ(via_arena.size(), via_buffer.size());
-    EXPECT_EQ(0, std::memcmp(via_arena.data(), via_buffer.data(), via_buffer.size()));
-  }
+TEST(Fragmentation, ParseInvertsSerialize) {
+  const Buffer data = pattern(700);
+  net::PayloadRef wire = forged(99, 1480, 3008, data);
+  ASSERT_EQ(wire.size(), kIpHeaderBytes + data.size());
+  auto parsed = IpFragment::parse(wire.view());
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->src, kSrc.addr);
+  EXPECT_EQ(parsed->dst, kDst.addr);
+  EXPECT_EQ(parsed->ident, 99);
+  EXPECT_EQ(parsed->offset, 1480u);
+  EXPECT_EQ(parsed->total_bytes, 3008u);
+  EXPECT_TRUE(parsed->more_fragments);
+  // The parsed data is a view of the wire bytes, not a copy.
+  EXPECT_EQ(parsed->data.data(), wire.data() + kIpHeaderBytes);
+  EXPECT_EQ(Buffer(parsed->data.begin(), parsed->data.end()), data);
+}
+
+TEST(Fragmentation, SingleFragmentDatagramIsAViewOfItsFrame) {
+  sim::Simulator sim;
+  const Buffer in = pattern(1000);
+  std::vector<Datagram> out;
+  Reassembler reassembler(sim, sim::milliseconds(100),
+                          [&](Datagram d, std::size_t) { out.push_back(std::move(d)); });
+  auto fragments = fragments_of(in, 5);
+  ASSERT_EQ(fragments.size(), 1u);
+  reassembler.accept(fragments[0]);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].payload.data(),
+            fragments[0].data() + kIpHeaderBytes + kUdpHeaderBytes);
+  EXPECT_EQ(bytes_of(out[0]), in);
 }
 
 TEST(Fragmentation, FragmentCounts) {
@@ -79,16 +124,13 @@ TEST(Fragmentation, FragmentCounts) {
 
 TEST(Fragmentation, OutOfOrderFragmentsStillReassemble) {
   sim::Simulator sim;
-  Datagram in;
-  in.src = {net::Ipv4Addr(10, 0, 0, 1), 1};
-  in.dst = {net::Ipv4Addr(10, 0, 0, 2), 2};
-  in.payload = pattern(5000);
+  const Buffer in = pattern(5000);
   int delivered = 0;
   Reassembler reassembler(sim, sim::milliseconds(100), [&](Datagram d, std::size_t) {
     ++delivered;
-    EXPECT_EQ(d.payload, in.payload);
+    EXPECT_EQ(bytes_of(d), in);
   });
-  auto fragments = fragment_datagram(in, 7);
+  auto fragments = fragments_of(in, 7);
   ASSERT_GE(fragments.size(), 3u);
   std::swap(fragments.front(), fragments.back());
   for (const auto& f : fragments) reassembler.accept(f);
@@ -97,14 +139,11 @@ TEST(Fragmentation, OutOfOrderFragmentsStillReassemble) {
 
 TEST(Fragmentation, DuplicateFragmentIgnored) {
   sim::Simulator sim;
-  Datagram in;
-  in.src = {net::Ipv4Addr(10, 0, 0, 1), 1};
-  in.dst = {net::Ipv4Addr(10, 0, 0, 2), 2};
-  in.payload = pattern(3000);
+  const Buffer in = pattern(3000);
   int delivered = 0;
   Reassembler reassembler(sim, sim::milliseconds(100),
                           [&](Datagram, std::size_t) { ++delivered; });
-  auto fragments = fragment_datagram(in, 9);
+  auto fragments = fragments_of(in, 9);
   reassembler.accept(fragments[0]);
   reassembler.accept(fragments[0]);  // duplicate must not double-count
   for (std::size_t i = 1; i < fragments.size(); ++i) reassembler.accept(fragments[i]);
@@ -113,14 +152,11 @@ TEST(Fragmentation, DuplicateFragmentIgnored) {
 
 TEST(Fragmentation, IncompleteReassemblyTimesOut) {
   sim::Simulator sim;
-  Datagram in;
-  in.src = {net::Ipv4Addr(10, 0, 0, 1), 1};
-  in.dst = {net::Ipv4Addr(10, 0, 0, 2), 2};
-  in.payload = pattern(5000);
+  const Buffer in = pattern(5000);
   int delivered = 0;
   Reassembler reassembler(sim, sim::milliseconds(50),
                           [&](Datagram, std::size_t) { ++delivered; });
-  auto fragments = fragment_datagram(in, 11);
+  auto fragments = fragments_of(in, 11);
   reassembler.accept(fragments[0]);  // lose the rest
   EXPECT_EQ(reassembler.pending(), 1u);
   sim.run();
@@ -134,6 +170,62 @@ TEST(Fragmentation, MalformedBytesRejected) {
   EXPECT_FALSE(IpFragment::parse(BytesView(junk.data(), junk.size())).has_value());
   Buffer empty;
   EXPECT_FALSE(IpFragment::parse(BytesView(empty.data(), empty.size())).has_value());
+}
+
+// 3000 B of payload: a 3008 B segment in fragments of 1480, 1480 and 48.
+class ReassemblyValidation : public ::testing::Test {
+ protected:
+  ReassemblyValidation()
+      : in_(pattern(3000)),
+        genuine_(fragments_of(in_, 21)),
+        reassembler_(sim_, sim::milliseconds(100),
+                     [this](Datagram d, std::size_t) { out_.push_back(bytes_of(d)); }) {}
+
+  sim::Simulator sim_;
+  Buffer in_;
+  std::vector<net::PayloadRef> genuine_;
+  std::vector<Buffer> out_;
+  Reassembler reassembler_;
+};
+
+TEST_F(ReassemblyValidation, OverlappingFragmentOffGridRejected) {
+  // 1480 bytes at offset 740 overlap both full fragments. Counted, they
+  // would "complete" the datagram together with fragments 0 and 2 while
+  // bytes 2220..2960 were never written by anyone.
+  reassembler_.accept(forged(21, 740, 3008, Buffer(1480, 0xEE)));
+  reassembler_.accept(genuine_[0]);
+  reassembler_.accept(genuine_[2]);
+  EXPECT_TRUE(out_.empty());
+  reassembler_.accept(genuine_[1]);
+  ASSERT_EQ(out_.size(), 1u);
+  EXPECT_EQ(out_[0], in_);
+}
+
+TEST_F(ReassemblyValidation, LengthMustMatchOffsetAndTotal) {
+  reassembler_.accept(forged(21, 1480, 3008, Buffer(100, 0xEE)));   // short
+  reassembler_.accept(forged(21, 2960, 3008, Buffer(1480, 0xEE)));  // past the total
+  reassembler_.accept(forged(21, 4440, 3008, Buffer(48, 0xEE)));    // offset past it
+  EXPECT_EQ(reassembler_.pending(), 0u);
+  for (const auto& f : genuine_) reassembler_.accept(f);
+  ASSERT_EQ(out_.size(), 1u);
+  EXPECT_EQ(out_[0], in_);
+}
+
+TEST_F(ReassemblyValidation, TotalMustAgreeWithPendingDatagram) {
+  reassembler_.accept(genuine_[0]);
+  // Same (src, dst, ident), different total: not part of this datagram.
+  reassembler_.accept(forged(21, 1480, 4008, Buffer(1480, 0xEE)));
+  reassembler_.accept(genuine_[1]);
+  reassembler_.accept(genuine_[2]);
+  ASSERT_EQ(out_.size(), 1u);
+  EXPECT_EQ(out_[0], in_);
+}
+
+TEST_F(ReassemblyValidation, TotalBeyondTheUdpMaximumRejected) {
+  reassembler_.accept(forged(22, 0, 100'000, Buffer(1480, 0xEE)));
+  reassembler_.accept(forged(23, 0, 4, Buffer(4, 0xEE)));  // shorter than a UDP header
+  EXPECT_EQ(reassembler_.pending(), 0u);
+  EXPECT_TRUE(out_.empty());
 }
 
 // A two-host cluster for socket-level tests.
@@ -163,7 +255,7 @@ TEST_F(HostPairTest, UnicastDatagramDelivery) {
   cluster_.simulator().run();
 
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].payload, payload);
+  EXPECT_EQ(bytes_of(got[0]), payload);
   EXPECT_EQ(got[0].dst.port, 7000);
   EXPECT_EQ(got[0].src.addr, Cluster::host_addr(0));
   EXPECT_NE(got[0].src.port, 0);  // ephemeral port assigned
@@ -293,12 +385,12 @@ TEST_F(HostPairTest, MaxSizeDatagramExceedsSndbufYetDelivers) {
   Socket* rx = cluster_.host(1).open_socket();
   rx->bind(7000);
   rx->set_rcvbuf(256 * 1024);
+  const Buffer payload = pattern(kMaxUdpPayload);
   int got = 0;
   rx->set_handler([&](const Datagram& d) {
-    EXPECT_EQ(d.payload.size(), kMaxUdpPayload);
+    EXPECT_EQ(bytes_of(d), payload);
     ++got;
   });
-  Buffer payload = pattern(kMaxUdpPayload);
   tx->send_to({Cluster::host_addr(1), 7000}, BytesView(payload.data(), payload.size()));
   tx->send_to({Cluster::host_addr(1), 7000}, BytesView(payload.data(), payload.size()));
   cluster_.simulator().run();
@@ -329,36 +421,37 @@ TEST_F(HostPairTest, SharedMulticastPortDeliversToEveryJoinedSocket) {
     s->bind(7000);
     s->join(group);
   }
-  int got_a = 0, got_b = 0;
-  a->set_handler([&](const Datagram&) { ++got_a; });
-  b->set_handler([&](const Datagram&) { ++got_b; });
+  std::vector<Datagram> got_a, got_b;
+  a->set_handler([&](const Datagram& d) { got_a.push_back(d); });
+  b->set_handler([&](const Datagram& d) { got_b.push_back(d); });
 
+  // A fragmented datagram: both sockets see its exact bytes, in one
+  // shared reassembly block.
   Socket* tx = cluster_.host(0).open_socket();
-  Buffer payload = pattern(64);
+  const Buffer payload = pattern(5000);
   tx->send_to({group, 7000}, BytesView(payload.data(), payload.size()));
   cluster_.simulator().run();
-  EXPECT_EQ(got_a, 1);
-  EXPECT_EQ(got_b, 1);
+  ASSERT_EQ(got_a.size(), 1u);
+  ASSERT_EQ(got_b.size(), 1u);
+  EXPECT_EQ(bytes_of(got_a[0]), payload);
+  EXPECT_EQ(bytes_of(got_b[0]), payload);
+  EXPECT_EQ(got_a[0].payload.data(), got_b[0].payload.data());
 
   // Unicast to the shared port goes to exactly one socket.
   tx->send_to({Cluster::host_addr(1), 7000}, BytesView(payload.data(), payload.size()));
   cluster_.simulator().run();
-  EXPECT_EQ(got_a + got_b, 3);
+  EXPECT_EQ(got_a.size() + got_b.size(), 3u);
 }
 
 TEST(Reassembly, InterleavedDatagramsDoNotCorrupt) {
   sim::Simulator sim;
-  Datagram first, second;
-  first.src = second.src = {net::Ipv4Addr(10, 0, 0, 1), 1};
-  first.dst = second.dst = {net::Ipv4Addr(10, 0, 0, 2), 2};
-  first.payload = pattern(4000);
-  second.payload = pattern(6000);
+  const Buffer first = pattern(4000);
+  const Buffer second = pattern(6000);
   std::vector<Buffer> out;
-  Reassembler reassembler(sim, sim::milliseconds(100), [&](Datagram d, std::size_t) {
-    out.push_back(std::move(d.payload));
-  });
-  auto f1 = fragment_datagram(first, 1);
-  auto f2 = fragment_datagram(second, 2);
+  Reassembler reassembler(sim, sim::milliseconds(100),
+                          [&](Datagram d, std::size_t) { out.push_back(bytes_of(d)); });
+  auto f1 = fragments_of(first, 1);
+  auto f2 = fragments_of(second, 2);
   // Interleave the two fragment streams.
   std::size_t i = 0, j = 0;
   while (i < f1.size() || j < f2.size()) {
@@ -366,8 +459,8 @@ TEST(Reassembly, InterleavedDatagramsDoNotCorrupt) {
     if (j < f2.size()) reassembler.accept(f2[j++]);
   }
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0], first.payload);
-  EXPECT_EQ(out[1], second.payload);
+  EXPECT_EQ(out[0], first);
+  EXPECT_EQ(out[1], second);
 }
 
 TEST(Cluster, TwoSwitchTopologyMatchesFigure7) {

@@ -91,7 +91,7 @@ TEST(PayloadRef, CopyOnWriteIsolatesMutation) {
 TEST(FrameArena, RecyclesStandardBlocks) {
   FrameArena& arena = FrameArena::instance();
   // Warm the free list, then churn: no fresh allocations in steady state.
-  PayloadRef::allocate(1000).reset();
+  PayloadRef::allocate(1500).reset();
   const std::uint64_t created = arena.stats().blocks_created;
   const std::uint64_t reused_before = arena.stats().blocks_reused;
   for (int i = 0; i < 100; ++i) {
@@ -103,12 +103,35 @@ TEST(FrameArena, RecyclesStandardBlocks) {
 }
 
 TEST(FrameArena, OversizePayloadsWork) {
-  const std::uint64_t oversize_before = FrameArena::instance().stats().oversize_blocks;
-  Buffer big(4000, 0xCD);
-  PayloadRef ref = PayloadRef::copy_of(BytesView(big.data(), big.size()));
-  EXPECT_EQ(ref.size(), 4000u);
-  EXPECT_EQ(ref.view()[3999], 0xCD);
-  EXPECT_EQ(FrameArena::instance().stats().oversize_blocks, oversize_before + 1);
+  // Payloads beyond the MTU (whole datagrams) recycle through their own
+  // size classes, up to the 64 KiB maximum, just like frame payloads.
+  FrameArena& arena = FrameArena::instance();
+  for (std::size_t size : {std::size_t{1501}, std::size_t{4000}, std::size_t{8012},
+                           FrameArena::kMaxCapacity}) {
+    Buffer big(size, 0xCD);
+    PayloadRef::copy_of(BytesView(big.data(), big.size())).reset();  // warm the class
+    const std::uint64_t created = arena.stats().blocks_created;
+    for (int i = 0; i < 10; ++i) {
+      big.back() = static_cast<std::uint8_t>(i);
+      PayloadRef ref = PayloadRef::copy_of(BytesView(big.data(), big.size()));
+      ASSERT_EQ(ref.size(), size);
+      EXPECT_EQ(ref.view()[0], 0xCD);
+      EXPECT_EQ(ref.view()[size - 1], i);
+    }
+    EXPECT_EQ(arena.stats().blocks_created, created) << size;
+  }
+}
+
+TEST(FrameArena, EverySizeUpToTheMaximumFits) {
+  // Each size class's blocks hold every size the class serves (a sanitizer
+  // build turns an undersized block into a heap overflow here).
+  for (std::size_t size = 1; size <= FrameArena::kMaxCapacity; ++size) {
+    PayloadRef ref = PayloadRef::allocate(size);
+    ASSERT_EQ(ref.size(), size);
+    std::uint8_t* bytes = ref.mutable_data();
+    bytes[0] = 1;
+    bytes[size - 1] = 2;
+  }
 }
 
 TEST(Frame, SizeAccounting) {

@@ -5,6 +5,7 @@
 // luck, asserted here deterministically.
 #include <gtest/gtest.h>
 
+#include "common/buffer_recycler.h"
 #include "fake_runtime.h"
 #include "rmcast/receiver.h"
 
@@ -337,6 +338,125 @@ TEST(ReceiverRobustness, GarbageAndTruncatedPacketsIgnored) {
   u.data_socket_.inject(u.membership_.sender_control, truncated);
   EXPECT_TRUE(u.control_sent().empty());
   EXPECT_TRUE(u.delivered_.empty());
+}
+
+TEST(ReceiverRobustness, OversizedLastBodyCountedStale) {
+  // 250 bytes in 100-byte packets: the last slot holds 50. A full-size
+  // body there would write past the message.
+  ReceiverUnit u(ProtocolKind::kAck, 0);
+  u.data_socket_.inject(u.membership_.sender_control, alloc_packet(1, 250, 100, 3));
+  u.inject_data(1, 0);
+  u.inject_data(1, 1);
+  u.clear_sent();
+  u.inject_data(1, 2, rmcast::kFlagLast, 100);
+  EXPECT_EQ(u.receiver_->stats().stale_packets, 1u);
+  EXPECT_TRUE(u.control_sent().empty());
+  EXPECT_TRUE(u.delivered_.empty());
+  u.inject_data(1, 2, rmcast::kFlagLast, 50);
+  ASSERT_EQ(u.delivered_.size(), 1u);
+  EXPECT_EQ(u.delivered_[0].message.size(), 250u);
+}
+
+TEST(ReceiverRobustness, ShortBodyCountedStale) {
+  // A short body would leave a hole of stale bytes in the message.
+  ReceiverUnit u(ProtocolKind::kAck, 0);
+  u.start_session(1, 2);
+  u.clear_sent();
+  u.inject_data(1, 0, 0, 60);
+  EXPECT_EQ(u.receiver_->stats().stale_packets, 1u);
+  EXPECT_EQ(u.receiver_->stats().data_packets_received, 0u);
+  EXPECT_TRUE(u.control_sent().empty());
+  u.inject_data(1, 0);
+  u.inject_data(1, 1, rmcast::kFlagLast);
+  EXPECT_EQ(u.delivered_.size(), 1u);
+}
+
+TEST(ReceiverRobustness, MalformedAllocRequestsIgnored) {
+  ReceiverUnit u(ProtocolKind::kAck, 0);
+  const net::Endpoint from = u.membership_.sender_control;
+  u.data_socket_.inject(from, alloc_packet(1, 300, 0, 3));   // zero packet size
+  u.data_socket_.inject(from, alloc_packet(1, 300, 100, 4)); // 4 packets of 100 != 300 B
+  u.data_socket_.inject(from, alloc_packet(1, 300, 100, 2));
+  u.data_socket_.inject(from, alloc_packet(1, 0, 100, 0));   // even empty needs one
+  u.data_socket_.inject(from, alloc_packet(1, 1 << 20, 70'000, 15));  // beyond UDP
+  EXPECT_TRUE(u.control_sent().empty());
+  EXPECT_EQ(u.receiver_->stats().alloc_requests_received, 0u);
+  u.inject_data(1, 0);  // no session was opened
+  EXPECT_EQ(u.receiver_->stats().stale_packets, 1u);
+  // The well-formed request still works, including the empty message.
+  u.data_socket_.inject(from, alloc_packet(1, 0, 100, 1));
+  EXPECT_EQ(u.receiver_->stats().alloc_requests_received, 1u);
+  u.inject_data(1, 0, rmcast::kFlagLast, 0);
+  ASSERT_EQ(u.delivered_.size(), 1u);
+  EXPECT_TRUE(u.delivered_[0].message.empty());
+}
+
+// --- recycled message buffers ------------------------------------------------
+
+// Session `s`'s message: a pattern distinct per session.
+Buffer session_message(std::uint32_t s, std::size_t bytes) {
+  Buffer m(bytes);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    m[i] = static_cast<std::uint8_t>(i * 31 + s * 101 + (i >> 9));
+  }
+  return m;
+}
+
+// Runs one complete session of `message` in `packet`-byte packets.
+void deliver_session(ReceiverUnit& u, std::uint32_t s, const Buffer& message,
+                     std::uint32_t packet) {
+  const auto total = static_cast<std::uint32_t>(
+      std::max<std::size_t>(1, (message.size() + packet - 1) / packet));
+  u.data_socket_.inject(u.membership_.sender_control,
+                        alloc_packet(s, message.size(), packet, total));
+  for (std::uint32_t seq = 0; seq < total; ++seq) {
+    const std::size_t off = std::size_t{seq} * packet;
+    const std::size_t len = std::min<std::size_t>(packet, message.size() - off);
+    Writer w;
+    rmcast::write_header(w, Header{PacketType::kData,
+                                   seq + 1 == total ? rmcast::kFlagLast : std::uint8_t{0},
+                                   rmcast::kSenderNodeId, s, seq});
+    w.bytes(BytesView(message.data() + off, len));
+    u.data_socket_.inject(u.membership_.sender_control, w.take());
+  }
+}
+
+TEST(ReceiverRecycling, SessionsOfChangingSizeDeliverExactBytes) {
+  // The buffer is reused across sessions and never zeroed: the 1 KB
+  // session runs in the 2 MB session's storage, and the second 2 MB
+  // session grows back into it. Every byte must still be this session's.
+  ReceiverUnit u(ProtocolKind::kAck, 0);
+  const std::vector<Buffer> messages = {session_message(1, 2'000'000),
+                                        session_message(2, 1'000),
+                                        session_message(3, 2'000'000)};
+  for (std::uint32_t s = 1; s <= messages.size(); ++s) {
+    deliver_session(u, s, messages[s - 1], 8000);
+  }
+  ASSERT_EQ(u.delivered_.size(), messages.size());
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    EXPECT_EQ(u.delivered_[i].message, messages[i]) << "session " << i + 1;
+  }
+}
+
+TEST(ReceiverRecycling, FreshReceiversAfterALargerTransferDeliverExactBytes) {
+  {
+    ReceiverUnit big(ProtocolKind::kAck, 0);
+    deliver_session(big, 1, session_message(1, 2'000'000), 8000);
+    ASSERT_EQ(big.delivered_.size(), 1u);
+  }
+  // The 2 MB buffer, full of session 1's bytes, is now pooled on this
+  // thread; fresh receivers of smaller messages take from the pool.
+  EXPECT_GE(BufferRecycler::instance().pooled(), 1u);
+  std::vector<std::unique_ptr<ReceiverUnit>> fresh;
+  for (std::size_t node = 0; node < 3; ++node) {
+    fresh.push_back(std::make_unique<ReceiverUnit>(ProtocolKind::kAck, node));
+  }
+  const Buffer message = session_message(7, 300'001);
+  for (auto& u : fresh) {
+    deliver_session(*u, 7, message, 1000);
+    ASSERT_EQ(u->delivered_.size(), 1u);
+    EXPECT_EQ(u->delivered_[0].message, message);
+  }
 }
 
 // --- flat-tree chain behaviour ---------------------------------------------
