@@ -6,9 +6,7 @@
 // nothing. Protocol time is unchanged on a switched LAN — the win is the
 // bystanders' links and NICs.
 #include "bench_util.h"
-#include "rmcast/receiver.h"
-#include "rmcast/sender.h"
-#include "runtime/sim_runtime.h"
+#include "rmcast/session.h"
 
 namespace rmc {
 namespace {
@@ -28,45 +26,17 @@ Outcome run_once(bool snooping, std::uint64_t seed) {
   params.seed = seed;
   inet::Cluster cluster(params);
 
-  rmcast::GroupMembership membership;
-  membership.group = {net::Ipv4Addr(239, 0, 0, 1), 5000};
-  membership.sender_control = {inet::Cluster::host_addr(0), 5001};
-  for (std::size_t i = 0; i < kReceivers; ++i) {
-    membership.receiver_control.push_back({inet::Cluster::host_addr(i + 1), 5002});
-  }
+  rmcast::SessionPlacement placement;
+  for (std::size_t i = 0; i < kReceivers; ++i) placement.receiver_hosts.push_back(i + 1);
+  placement.group = {net::Ipv4Addr(239, 0, 0, 1), 5000};
 
   rmcast::ProtocolConfig config;
   config.kind = rmcast::ProtocolKind::kNakPolling;
   config.packet_size = 8000;
   config.window_size = 25;
   config.poll_interval = 21;
+  rmcast::Session session(cluster, placement, config);
 
-  std::vector<std::unique_ptr<rt::SimRuntime>> runtimes;
-  for (std::size_t h = 0; h < kHosts; ++h) {
-    runtimes.push_back(std::make_unique<rt::SimRuntime>(cluster.host(h)));
-  }
-
-  inet::Socket* raw_tx = cluster.host(0).open_socket();
-  raw_tx->bind(5001);
-  auto tx_socket = runtimes[0]->wrap(raw_tx);
-  rmcast::MulticastSender sender(*runtimes[0], *tx_socket, membership, config);
-
-  std::vector<std::unique_ptr<rt::UdpSocket>> sockets;
-  std::vector<std::unique_ptr<rmcast::MulticastReceiver>> receivers;
-  for (std::size_t i = 0; i < kReceivers; ++i) {
-    inet::Host& host = cluster.host(i + 1);
-    inet::Socket* data = host.open_socket();
-    data->bind(5000);
-    data->join(membership.group.addr);
-    inet::Socket* control = host.open_socket();
-    control->bind(5002);
-    sockets.push_back(runtimes[i + 1]->wrap(data));
-    auto* data_socket = sockets.back().get();
-    sockets.push_back(runtimes[i + 1]->wrap(control));
-    auto* control_socket = sockets.back().get();
-    receivers.push_back(std::make_unique<rmcast::MulticastReceiver>(
-        *runtimes[i + 1], *data_socket, *control_socket, membership, i, config));
-  }
   // Bystanders run an unrelated service: a bound socket, no join.
   for (std::size_t h = kReceivers + 1; h < kHosts; ++h) {
     cluster.host(h).open_socket()->bind(9999);
@@ -76,15 +46,11 @@ Outcome run_once(bool snooping, std::uint64_t seed) {
   for (std::size_t i = 0; i < message.size(); ++i) {
     message[i] = static_cast<std::uint8_t>(i);
   }
-  bool done = false;
-  sender.send(BytesView(message.data(), message.size()),
-              [&](const rmcast::SendOutcome&) { done = true; });
-  while (!done && cluster.simulator().now() < sim::seconds(60.0)) {
-    if (!cluster.simulator().step()) break;
-  }
-
   Outcome outcome;
-  if (!done) return outcome;
+  if (!session.send_and_wait(BytesView(message.data(), message.size()), sim::seconds(60.0))
+           .has_value()) {
+    return outcome;
+  }
   outcome.seconds = sim::to_seconds(cluster.simulator().now());
   for (std::size_t h = kReceivers + 1; h < kHosts; ++h) {
     outcome.bystander_frames += cluster.host(h).stats().frames_in +

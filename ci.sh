@@ -89,13 +89,16 @@ else
 fi
 
 # Ledger-correctness lane: the benchmark's traced pass on the two simulated
-# workloads that move the most payload bytes through the datagram path.
-# Every delivery is byte-checked, and the traced replica of each transfer
-# must reproduce run_multicast's simulated seconds, events and data
-# packets exactly; two seconds of each exercise all of it.
+# workloads that move the most payload bytes through the datagram path,
+# and on the bulk real-socket workload. Every delivery is byte-checked;
+# the traced replica of each simulated transfer must reproduce
+# run_multicast's simulated seconds, events and data packets exactly, and
+# the traced socket pass (the ledger's copy of Session's socket wiring)
+# must send as many data packets per message as the untraced
+# PosixSession. Two seconds of each exercise all of it.
 echo "=== ledger-correctness lane ==="
 if [ -n "$PYTHON" ]; then
-  for workload in sim_paper sim_lossy; do
+  for workload in sim_paper sim_lossy posix_bulk; do
     ledger_out="$("$PYTHON" bench/ledger/run.py --workload "$workload" --seed 1 \
       --seconds 2 --trace 1)"
     "$PYTHON" - "$workload" "$ledger_out" <<'EOF'

@@ -13,12 +13,11 @@
 #include <memory>
 #include <vector>
 
+#include "collectives/allgather.h"
 #include "collectives/allreduce.h"
 #include "common/strings.h"
 #include "inet/cluster.h"
-#include "rmcast/receiver.h"
-#include "rmcast/sender.h"
-#include "runtime/sim_runtime.h"
+#include "rmcast/session.h"
 
 namespace {
 
@@ -27,60 +26,40 @@ constexpr std::size_t kSliceElems = 2048;
 constexpr int kMaxSweeps = 50;
 constexpr double kTolerance = 1e-6;
 
-// One multicast group per rank: group g carries rank g's broadcasts.
+rmc::rmcast::ProtocolConfig protocol() {
+  rmc::rmcast::ProtocolConfig config;
+  config.kind = rmc::rmcast::ProtocolKind::kNakPolling;
+  config.packet_size = 8192;
+  config.window_size = 8;
+  config.poll_interval = 6;
+  return config;
+}
+
+// One multicast group per rank: group g carries rank g's broadcasts from
+// host g to every other rank.
 struct Fabric {
   Fabric() : cluster(make_params()) {
     using namespace rmc;
-    for (std::size_t r = 0; r < kRanks; ++r) {
-      runtimes.push_back(std::make_unique<rt::SimRuntime>(cluster.host(r)));
-    }
-    rmcast::ProtocolConfig config;
-    config.kind = rmcast::ProtocolKind::kNakPolling;
-    config.packet_size = 8192;
-    config.window_size = 8;
-    config.poll_interval = 6;
-
     for (std::size_t g = 0; g < kRanks; ++g) {
-      rmcast::GroupMembership m;
-      m.group = {net::Ipv4Addr(239, 0, 0, static_cast<std::uint8_t>(g + 1)),
-                 static_cast<std::uint16_t>(5000 + g)};
-      m.sender_control = {inet::Cluster::host_addr(g),
-                          static_cast<std::uint16_t>(6000 + g)};
+      rmcast::SessionPlacement placement;
+      placement.sender_host = g;
       for (std::size_t r = 0; r < kRanks; ++r) {
-        if (r != g) {
-          m.receiver_control.push_back(
-              {inet::Cluster::host_addr(r), static_cast<std::uint16_t>(7000 + g)});
-        }
+        if (r != g) placement.receiver_hosts.push_back(r);
       }
-      memberships.push_back(m);
+      placement.group = {net::Ipv4Addr(239, 0, 0, static_cast<std::uint8_t>(g + 1)),
+                         static_cast<std::uint16_t>(5000 + g)};
+      placement.sender_control_port = static_cast<std::uint16_t>(6000 + g);
+      placement.receiver_control_port = static_cast<std::uint16_t>(7000 + g);
+      groups.push_back(std::make_unique<rmcast::Session>(cluster, placement, protocol()));
     }
-
     for (std::size_t r = 0; r < kRanks; ++r) {
-      inet::Socket* raw = cluster.host(r).open_socket();
-      raw->bind(memberships[r].sender_control.port);
-      sockets.push_back(runtimes[r]->wrap(raw));
-      senders.push_back(std::make_unique<rmcast::MulticastSender>(
-          *runtimes[r], *sockets.back(), memberships[r], config));
-
+      // Rank r is node r of lower ranks' groups and node r - 1 of higher ones.
       std::vector<rmcast::MulticastReceiver*> per_group(kRanks, nullptr);
       for (std::size_t g = 0; g < kRanks; ++g) {
-        if (g == r) continue;
-        inet::Socket* data = cluster.host(r).open_socket();
-        data->bind(memberships[g].group.port);
-        data->join(memberships[g].group.addr);
-        sockets.push_back(runtimes[r]->wrap(data));
-        auto* data_socket = sockets.back().get();
-        inet::Socket* control = cluster.host(r).open_socket();
-        control->bind(static_cast<std::uint16_t>(7000 + g));
-        sockets.push_back(runtimes[r]->wrap(control));
-        auto* control_socket = sockets.back().get();
-        receivers.push_back(std::make_unique<rmcast::MulticastReceiver>(
-            *runtimes[r], *data_socket, *control_socket, memberships[g],
-            r < g ? r : r - 1, config));
-        per_group[g] = receivers.back().get();
+        if (g != r) per_group[g] = &groups[g]->receiver(r < g ? r : r - 1);
       }
-      gathers.push_back(std::make_unique<collectives::AllgatherNode>(
-          r, *senders[r], per_group));
+      gathers.push_back(
+          std::make_unique<collectives::AllgatherNode>(r, groups[r]->sender(), per_group));
       reducers.push_back(std::make_unique<collectives::AllreduceNode>(*gathers[r]));
     }
   }
@@ -93,11 +72,7 @@ struct Fabric {
   }
 
   rmc::inet::Cluster cluster;
-  std::vector<std::unique_ptr<rmc::rt::SimRuntime>> runtimes;
-  std::vector<rmc::rmcast::GroupMembership> memberships;
-  std::vector<std::unique_ptr<rmc::rt::UdpSocket>> sockets;
-  std::vector<std::unique_ptr<rmc::rmcast::MulticastSender>> senders;
-  std::vector<std::unique_ptr<rmc::rmcast::MulticastReceiver>> receivers;
+  std::vector<std::unique_ptr<rmc::rmcast::Session>> groups;
   std::vector<std::unique_ptr<rmc::collectives::AllgatherNode>> gathers;
   std::vector<std::unique_ptr<rmc::collectives::AllreduceNode>> reducers;
 };

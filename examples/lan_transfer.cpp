@@ -8,14 +8,16 @@
 // process — for an actual LAN deployment.
 //
 // Pass --runtime=sim to run the identical transfer (same protocol, same
-// payload, same group size) on the discrete-event simulator instead —
-// handy for comparing the two backends' packet counts side by side, which
-// is exactly what the harness::run_parity checker automates.
+// payload, same group size, same transfer code — only the Session is
+// built differently) on the discrete-event simulator instead — handy for
+// comparing the two backends' packet counts side by side, which is
+// exactly what the harness::run_parity checker automates.
 //
 //   ./build/examples/lan_transfer                 # real loopback sockets
 //   ./build/examples/lan_transfer --runtime=sim   # simulated cluster
 #include <cstdio>
 #include <cstring>
+#include <memory>
 
 #include "common/strings.h"
 #include "rmcast/session.h"
@@ -41,20 +43,15 @@ rmc::Buffer make_payload() {
   return payload;
 }
 
-void print_done(double seconds, const rmc::rmcast::SenderStats& stats) {
-  std::printf("done in %s (%s), %llu data packets, %llu acks, %llu retransmissions\n",
-              rmc::format_seconds(seconds).c_str(),
-              rmc::format_rate(kPayloadBytes * 8.0 / seconds).c_str(),
-              (unsigned long long)stats.data_packets_sent,
-              (unsigned long long)stats.acks_received,
-              (unsigned long long)stats.retransmissions);
-}
-
-int run_posix() {
+std::unique_ptr<rmc::rmcast::Session> make_session(bool posix) {
   using namespace rmc;
-
+  if (!posix) {
+    rmcast::SessionParams params;
+    params.n_receivers = kReceivers;
+    params.protocol = protocol();
+    return std::make_unique<rmcast::Session>(params);
+  }
   constexpr std::uint16_t kBasePort = 47000;
-
   rmcast::GroupMembership membership;
   membership.group = {net::Ipv4Addr(239, 77, 1, 1), kBasePort};
   membership.sender_control = {net::Ipv4Addr(127, 0, 0, 1), kBasePort + 1};
@@ -62,74 +59,14 @@ int run_posix() {
     membership.receiver_control.push_back(
         {net::Ipv4Addr(127, 0, 0, 1), static_cast<std::uint16_t>(kBasePort + 2 + i)});
   }
-
-  rmcast::PosixSession session(membership, protocol());
-  if (!session.ok()) {
-    std::printf("sockets unavailable (sandbox?); skipping the live demo\n");
-    return 0;
-  }
-
-  std::size_t delivered = 0;
-  session.set_message_handler(
-      [&delivered](std::size_t node, const Buffer& message, std::uint32_t) {
-        std::printf("  receiver %zu: %s received intact\n", node,
-                    format_bytes(message.size()).c_str());
-        ++delivered;
-      });
-
-  const Buffer payload = make_payload();
-  std::printf("sending %s to %zu receivers over real loopback multicast (%s)...\n",
-              format_bytes(payload.size()).c_str(), kReceivers,
-              membership.group.str().c_str());
-
-  sim::Time t0 = session.runtime().now();
-  auto outcome = session.send_and_wait(BytesView(payload.data(), payload.size()),
-                                       sim::seconds(10.0));
-
-  if (!outcome.has_value() || !outcome->all_delivered() || delivered != kReceivers) {
-    std::fprintf(stderr, "transfer incomplete (%zu/%zu receivers)\n", delivered,
-                 kReceivers);
-    return 1;
-  }
-  print_done(sim::to_seconds(session.runtime().now() - t0), session.sender().stats());
-  return 0;
-}
-
-int run_sim() {
-  using namespace rmc;
-
-  rmcast::SessionParams params;
-  params.n_receivers = kReceivers;
-  params.protocol = protocol();
-
-  rmcast::Session session(params);
-
-  std::size_t delivered = 0;
-  session.set_message_handler(
-      [&delivered](std::size_t node, const Buffer& message, std::uint32_t) {
-        std::printf("  receiver %zu: %s received intact\n", node,
-                    format_bytes(message.size()).c_str());
-        ++delivered;
-      });
-
-  const Buffer payload = make_payload();
-  std::printf("sending %s to %zu receivers over the simulated cluster...\n",
-              format_bytes(payload.size()).c_str(), kReceivers);
-
-  auto outcome = session.send_and_wait(BytesView(payload.data(), payload.size()));
-
-  if (!outcome.has_value() || !outcome->all_delivered() || delivered != kReceivers) {
-    std::fprintf(stderr, "transfer incomplete (%zu/%zu receivers)\n", delivered,
-                 kReceivers);
-    return 1;
-  }
-  print_done(sim::to_seconds(session.simulator().now()), session.sender().stats());
-  return 0;
+  return std::make_unique<rmcast::PosixSession>(membership, protocol());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  using namespace rmc;
+
   bool posix = true;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--runtime=sim") == 0) {
@@ -141,5 +78,42 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  return posix ? run_posix() : run_sim();
+
+  std::unique_ptr<rmcast::Session> session = make_session(posix);
+  if (!session->ok()) {
+    std::printf("sockets unavailable (sandbox?); skipping the live demo\n");
+    return 0;
+  }
+
+  std::size_t delivered = 0;
+  session->set_message_handler(
+      [&delivered](std::size_t node, const Buffer& message, std::uint32_t) {
+        std::printf("  receiver %zu: %s received intact\n", node,
+                    format_bytes(message.size()).c_str());
+        ++delivered;
+      });
+
+  const Buffer payload = make_payload();
+  std::printf("sending %s to %zu receivers over %s (%s)...\n",
+              format_bytes(payload.size()).c_str(), kReceivers,
+              posix ? "real loopback multicast" : "the simulated cluster",
+              session->membership().group.str().c_str());
+
+  const sim::Time t0 = session->now();
+  auto outcome = session->send_and_wait(BytesView(payload.data(), payload.size()));
+  if (!outcome.has_value() || !outcome->all_delivered() || delivered != kReceivers) {
+    std::fprintf(stderr, "transfer incomplete (%zu/%zu receivers)\n", delivered,
+                 kReceivers);
+    return 1;
+  }
+
+  const double seconds = sim::to_seconds(session->now() - t0);
+  const rmcast::SenderStats& stats = session->sender().stats();
+  std::printf("done in %s (%s), %llu data packets, %llu acks, %llu retransmissions\n",
+              format_seconds(seconds).c_str(),
+              format_rate(kPayloadBytes * 8.0 / seconds).c_str(),
+              (unsigned long long)stats.data_packets_sent,
+              (unsigned long long)stats.acks_received,
+              (unsigned long long)stats.retransmissions);
+  return 0;
 }

@@ -10,48 +10,36 @@
 #include "common/strings.h"
 #include "harness/testbed.h"
 #include "harness/trace_export.h"
-#include "rmcast/receiver.h"
-#include "rmcast/sender.h"
 
 namespace rmc::harness {
 
 namespace {
 
-Buffer make_pattern(std::uint64_t n_bytes) {
-  Buffer data(n_bytes);
-  for (std::uint64_t i = 0; i < n_bytes; ++i) {
-    data[i] = static_cast<std::uint8_t>(i * 131 + 7);
+// Calls `visit` with the stats of every host NIC and switch port.
+template <typename Visit>
+void for_each_port(inet::Cluster& cluster, Visit visit) {
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    if (const net::TxPort* nic = cluster.host_nic(i)) visit(nic->stats());
   }
-  return data;
+  for (const auto& sw : cluster.switches()) {
+    for (std::size_t p = 0; p < sw->n_ports(); ++p) visit(sw->port_tx(p).stats());
+  }
 }
 
 std::uint64_t collect_fault_drops(inet::Cluster& cluster) {
   std::uint64_t drops = 0;
-  auto add = [&](const net::TxPort::Stats& ps) {
+  for_each_port(cluster, [&](const net::TxPort::Stats& ps) {
     drops += ps.burst_drops + ps.link_down_drops;
-  };
-  for (std::size_t i = 0; i < cluster.size(); ++i) {
-    if (const net::TxPort* nic = cluster.host_nic(i)) add(nic->stats());
-  }
-  for (const auto& sw : cluster.switches()) {
-    for (std::size_t p = 0; p < sw->n_ports(); ++p) add(sw->port_tx(p).stats());
-    drops += sw->stats().frames_link_down;
-  }
+  });
+  for (const auto& sw : cluster.switches()) drops += sw->stats().frames_link_down;
   return drops;
 }
 
 std::uint64_t collect_link_drops(inet::Cluster& cluster) {
   std::uint64_t drops = 0;
-  for (std::size_t i = 0; i < cluster.size(); ++i) {
-    if (const net::TxPort* nic = cluster.host_nic(i)) {
-      drops += nic->stats().queue_drops + nic->stats().error_drops;
-    }
-  }
-  for (const auto& sw : cluster.switches()) {
-    for (std::size_t p = 0; p < sw->n_ports(); ++p) {
-      drops += sw->port_tx(p).stats().queue_drops + sw->port_tx(p).stats().error_drops;
-    }
-  }
+  for_each_port(cluster, [&](const net::TxPort::Stats& ps) {
+    drops += ps.queue_drops + ps.error_drops;
+  });
   if (const net::SharedBus* bus = cluster.bus()) {
     drops += bus->stats().queue_drops + bus->stats().excessive_collision_drops;
   }
@@ -67,38 +55,30 @@ void run_to(sim::Simulator& simulator, const bool& done, sim::Time limit) {
 
 // Publishes the network-tier portion of a simulated run — the `net.*`
 // names — into the registry, on top of the backend-neutral protocol
-// metrics. Counters add per-run values (the Testbed is fresh each run, so
+// metrics. Counters add per-run values (the cluster is fresh each run, so
 // every value is a delta); gauges keep the high-water mark across runs.
 // The metric names are part of the observability contract — see
 // docs/OBSERVABILITY.md before renaming anything.
-void export_run_metrics(Testbed& bed, const RunResult& result, bool done,
+void export_run_metrics(inet::Cluster& cluster, const RunResult& result, bool done,
                         metrics::Registry& m) {
   export_protocol_metrics(result, done, m);
 
   m.counter("net.rcvbuf_drops").inc(result.rcvbuf_drops);
   m.counter("net.link_drops").inc(result.link_drops);
 
-  inet::Cluster& cluster = bed.cluster();
   // Fault-injection drops/mutations, aggregated over every port and NIC.
-  {
-    std::uint64_t burst = 0, dup = 0, reorder = 0, down = 0;
-    auto add_port = [&](const net::TxPort::Stats& ps) {
-      burst += ps.burst_drops;
-      dup += ps.duplicated_frames;
-      reorder += ps.reordered_frames;
-      down += ps.link_down_drops;
-    };
-    for (std::size_t i = 0; i < cluster.size(); ++i) {
-      if (const net::TxPort* nic = cluster.host_nic(i)) add_port(nic->stats());
-    }
-    for (const auto& sw : cluster.switches()) {
-      for (std::size_t p = 0; p < sw->n_ports(); ++p) add_port(sw->port_tx(p).stats());
-    }
-    m.counter("net.burst_drops").inc(burst);
-    m.counter("net.duplicated_frames").inc(dup);
-    m.counter("net.reordered_frames").inc(reorder);
-    m.counter("net.link_down_drops").inc(down);
-  }
+  std::uint64_t burst = 0, dup = 0, reorder = 0, down = 0;
+  for_each_port(cluster, [&](const net::TxPort::Stats& ps) {
+    burst += ps.burst_drops;
+    dup += ps.duplicated_frames;
+    reorder += ps.reordered_frames;
+    down += ps.link_down_drops;
+  });
+  m.counter("net.burst_drops").inc(burst);
+  m.counter("net.duplicated_frames").inc(dup);
+  m.counter("net.reordered_frames").inc(reorder);
+  m.counter("net.link_down_drops").inc(down);
+
   const auto& switches = cluster.switches();
   for (std::size_t i = 0; i < switches.size(); ++i) {
     const net::EthernetSwitch& sw = *switches[i];
@@ -225,65 +205,111 @@ std::uint64_t RunResult::total_naks_sent() const {
   return total;
 }
 
-RunResult run_multicast(const MulticastRunSpec& spec) {
-  RunResult result;
-  result.message_bytes = spec.message_bytes;
+Buffer make_pattern(std::uint64_t n_bytes, std::uint64_t offset) {
+  Buffer data(n_bytes);
+  for (std::uint64_t i = 0; i < n_bytes; ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 131 + 7 + offset);
+  }
+  return data;
+}
 
+SessionTransfer::SessionTransfer(rmcast::Session& session, Buffer message,
+                                 bool verify_payload)
+    : session_(session),
+      message_(std::move(message)),
+      verify_payload_(verify_payload),
+      copies_(session.n_receivers(), 0),
+      intact_(session.n_receivers(), false) {
+  session_.set_message_handler(
+      [this](std::size_t node, const Buffer& received, std::uint32_t /*session*/) {
+        ++copies_[node];
+        intact_[node] = !verify_payload_ || received == message_;
+      });
+}
+
+void SessionTransfer::start() {
+  started_at_ = session_.now();
+  session_.send(BytesView(message_.data(), message_.size()),
+                [this](const rmcast::SendOutcome& outcome) {
+                  done_ = true;
+                  completed_at_ = session_.now();
+                  outcome_ = outcome;
+                });
+}
+
+void SessionTransfer::run(sim::Time limit) {
+  limit_ = limit;
+  session_.run_until(done_, limit);
+}
+
+RunResult SessionTransfer::result() const {
+  RunResult result;
+  result.message_bytes = message_.size();
+  result.sender = session_.sender().stats();
+  for (std::size_t i = 0; i < session_.n_receivers(); ++i) {
+    result.receivers.push_back(session_.receiver_joined(i) ? session_.receiver(i).stats()
+                                                           : rmcast::ReceiverStats{});
+  }
+  result.outcome = outcome_;
+  result.rcvbuf_drops = session_.rcvbuf_drops();
+  if (!done_) {
+    result.error = str_format("timed out after %.1fs", sim::to_seconds(limit_));
+    return result;
+  }
+  result.seconds = sim::to_seconds(completed_at_ - started_at_);
+  for (std::size_t i = 0; i < copies_.size(); ++i) {
+    // Receivers the sender gave up on (crashed, partitioned) are exempt
+    // from the delivery check — that they did not deliver is the point.
+    if (i < outcome_.receivers.size() && !outcome_.receivers[i].delivered()) continue;
+    if (copies_[i] > 1) {
+      result.error = str_format("receiver %zu delivered %u copies", i, copies_[i]);
+      return result;
+    }
+    if (copies_[i] == 0 || !intact_[i]) {
+      result.error = str_format("receiver %zu did not deliver a correct copy", i);
+      return result;
+    }
+  }
+  result.completed = true;
+  return result;
+}
+
+RunResult run_multicast(const MulticastRunSpec& spec) {
   std::string config_error = rmcast::validate(spec.protocol, spec.n_receivers);
   if (!config_error.empty()) {
+    RunResult result;
+    result.message_bytes = spec.message_bytes;
     result.error = config_error;
     return result;
   }
 
-  inet::ClusterParams cluster_params = spec.cluster;
-  cluster_params.seed = spec.seed;
-  Testbed bed(spec.n_receivers, cluster_params);
-  if (!spec.faults.empty()) bed.cluster().apply_fault_plan(spec.faults);
+  rmcast::SessionParams params;
+  params.n_receivers = spec.n_receivers;
+  params.protocol = spec.protocol;
+  params.cluster = spec.cluster;
+  params.cluster.seed = spec.seed;
+  params.faults = spec.faults;
+  params.metrics = spec.metrics;
+  rmcast::Session session(std::move(params));
+  inet::Cluster& cluster = session.cluster();
+  sim::Simulator& simulator = session.simulator();
+  rmcast::MulticastSender& sender = session.sender();
 
-  rmcast::MulticastSender sender(bed.sender_runtime(), bed.sender_socket(),
-                                 bed.membership(), spec.protocol);
-  if (spec.metrics != nullptr) sender.set_metrics(spec.metrics);
   std::unique_ptr<TraceRecorder> trace;
   if (spec.sender_trace != nullptr) {
-    trace = std::make_unique<TraceRecorder>(bed.sender_runtime());
+    trace = std::make_unique<TraceRecorder>(session.sender_runtime());
     sender.set_observer(trace.get());
   }
-
-  std::vector<std::unique_ptr<rmcast::MulticastReceiver>> receivers;
-  std::vector<bool> delivered_ok(spec.n_receivers, false);
-  const Buffer message = make_pattern(spec.message_bytes);
-  for (std::size_t i = 0; i < spec.n_receivers; ++i) {
-    receivers.push_back(std::make_unique<rmcast::MulticastReceiver>(
-        bed.receiver_runtime(i), bed.receiver_data_socket(i),
-        bed.receiver_control_socket(i), bed.membership(), i, spec.protocol));
-    if (spec.metrics != nullptr) receivers[i]->set_metrics(spec.metrics);
-    if (spec.tracer != nullptr) {
-      receivers[i]->set_tracer(
-          spec.tracer, spec.tracer->track(str_format("receiver.%zu", i),
-                                          trace::TrackTier::kReceiver));
-    }
-    receivers[i]->set_message_handler(
-        [&, i](const Buffer& received, std::uint32_t /*session*/) {
-          delivered_ok[i] = !spec.verify_payload || received == message;
-        });
-  }
-
   if (spec.tracer != nullptr) {
     trace::Tracer& tr = *spec.tracer;
+    session.set_tracer(&tr);
     tr.set_packet_tagger(tag_rmcast_packet);
-    sender.set_tracer(&tr, tr.track("sender", trace::TrackTier::kSender));
-    bed.cluster().attach_tracer(&tr);
+    cluster.attach_tracer(&tr);
     trace_fault_plan(tr, spec.faults);
   }
 
-  bool done = false;
-  sim::Time completed_at = 0;
-  sender.send(BytesView(message.data(), message.size()),
-              [&](const rmcast::SendOutcome& outcome) {
-                done = true;
-                completed_at = bed.simulator().now();
-                result.outcome = outcome;
-              });
+  SessionTransfer transfer(session, make_pattern(spec.message_bytes), spec.verify_payload);
+  transfer.start();
 
   // Sim-time timeline sampler: a repeating read-only snapshot of queue
   // depths, the outstanding window and the send/retransmit rates. It only
@@ -304,14 +330,14 @@ RunResult run_multicast(const MulticastRunSpec& spec) {
     s_tx_rate = tr.series("sender.tx_pkts_per_interval");
     s_retx_rate = tr.series("sender.retx_pkts_per_interval");
     sample_tick = [&] {
-      if (done) return;
+      if (transfer.done()) return;
       trace::Tracer& t = *spec.tracer;
-      const sim::Time now = bed.simulator().now();
-      const net::TxPort* nic = bed.cluster().host_nic(0);
+      const sim::Time now = simulator.now();
+      const net::TxPort* nic = cluster.host_nic(0);
       t.sample(now, timeline_track, s_nic_queue,
                nic != nullptr ? static_cast<double>(nic->queue_length()) : 0.0);
       std::size_t switch_depth = 0;
-      for (const auto& sw : bed.cluster().switches()) {
+      for (const auto& sw : cluster.switches()) {
         switch_depth = std::max(switch_depth, sw->max_port_queue_now());
       }
       t.sample(now, timeline_track, s_switch_queue,
@@ -325,23 +351,20 @@ RunResult run_multicast(const MulticastRunSpec& spec) {
                static_cast<double>(st.retransmissions - last_retx));
       last_tx = st.data_packets_sent;
       last_retx = st.retransmissions;
-      bed.simulator().schedule_at(now + spec.timeline_interval, sample_tick);
+      simulator.schedule_at(now + spec.timeline_interval, sample_tick);
     };
-    bed.simulator().schedule_at(spec.timeline_interval, sample_tick);
+    simulator.schedule_at(spec.timeline_interval, sample_tick);
   }
 
-  run_to(bed.simulator(), done, spec.time_limit);
+  transfer.run(spec.time_limit);
 
-  result.sender = sender.stats();
-  if (done) result.seconds = sim::to_seconds(completed_at);
-  result.events_executed = bed.simulator().events_executed();
-  for (const auto& r : receivers) result.receivers.push_back(r->stats());
+  RunResult result = transfer.result();
+  result.events_executed = simulator.events_executed();
   if (trace != nullptr) *spec.sender_trace = trace->events();
-  result.rcvbuf_drops = bed.total_rcvbuf_drops();
-  result.link_drops = collect_link_drops(bed.cluster());
-  result.fault_drops = collect_fault_drops(bed.cluster());
-  result.sender_cpu_busy_seconds = sim::to_seconds(bed.cluster().host(0).stats().cpu_busy);
-  if (const net::TxPort* nic = bed.cluster().host_nic(0)) {
+  result.link_drops = collect_link_drops(cluster);
+  result.fault_drops = collect_fault_drops(cluster);
+  result.sender_cpu_busy_seconds = sim::to_seconds(cluster.host(0).stats().cpu_busy);
+  if (const net::TxPort* nic = cluster.host_nic(0)) {
     result.sender_nic_busy_seconds = sim::to_seconds(nic->stats().busy_time);
   }
   if (spec.metrics != nullptr) {
@@ -352,27 +375,8 @@ RunResult run_multicast(const MulticastRunSpec& spec) {
     spec.metrics->set_meta("seed", std::to_string(spec.seed));
     // Export even for failed runs: a timeout's counters show where the
     // packets went (or stopped going).
-    export_run_metrics(bed, result, done, *spec.metrics);
+    export_run_metrics(cluster, result, transfer.done(), *spec.metrics);
   }
-
-  if (!done) {
-    result.error = str_format("timed out after %.1fs of simulated time",
-                              sim::to_seconds(spec.time_limit));
-    return result;
-  }
-  for (std::size_t i = 0; i < spec.n_receivers; ++i) {
-    // Receivers the sender gave up on (crashed, partitioned) are exempt
-    // from the delivery check — that they did not deliver is the point.
-    if (i < result.outcome.receivers.size() && !result.outcome.receivers[i].delivered()) {
-      continue;
-    }
-    if (!delivered_ok[i]) {
-      result.error = str_format("receiver %zu did not deliver a correct copy", i);
-      return result;
-    }
-  }
-  result.completed = true;
-  result.seconds = sim::to_seconds(completed_at);
   return result;
 }
 

@@ -19,6 +19,7 @@
 #include "harness/trace.h"
 #include "inet/cluster.h"
 #include "rmcast/config.h"
+#include "rmcast/session.h"
 #include "rmcast/report.h"
 #include "rmcast/stats.h"
 #include "sim/fault.h"
@@ -93,8 +94,47 @@ struct RunResult {
   std::uint64_t total_naks_sent() const;
 };
 
-// One reliable-multicast transfer on a fresh testbed.
+// One reliable-multicast transfer on a fresh simulated Session.
 RunResult run_multicast(const MulticastRunSpec& spec);
+
+// The deterministic payload every harness transfer sends: byte i is
+// i * 131 + 7 + offset (tenants use distinct offsets, so a cross-group
+// delivery mixup fails the payload check).
+Buffer make_pattern(std::uint64_t n_bytes, std::uint64_t offset = 0);
+
+// One message sent through a Session and checked the same way everywhere
+// (run_multicast and the tenant mix on the simulator, the parity harness
+// on real sockets). Construction installs the session's message handler,
+// start() issues the send, run() drives the backend until completion or
+// `limit` (see Session::run_until), and result() turns the finished
+// session into a RunResult: sender and receiver stats (zero for receivers
+// that never joined), the outcome, the rcvbuf drops, and the delivery
+// check — every receiver the sender did not evict delivered exactly one
+// copy, byte-exact unless `verify_payload` is off.
+class SessionTransfer {
+ public:
+  SessionTransfer(rmcast::Session& session, Buffer message, bool verify_payload = true);
+  SessionTransfer(const SessionTransfer&) = delete;
+  SessionTransfer& operator=(const SessionTransfer&) = delete;
+
+  void start();
+  void run(sim::Time limit);
+  bool done() const { return done_; }
+  sim::Time completed_at() const { return completed_at_; }
+  RunResult result() const;
+
+ private:
+  rmcast::Session& session_;
+  const Buffer message_;
+  const bool verify_payload_;
+  std::vector<std::uint32_t> copies_;  // deliveries per receiver
+  std::vector<bool> intact_;           // the last delivered copy matched
+  bool done_ = false;
+  sim::Time started_at_ = 0;
+  sim::Time completed_at_ = 0;
+  sim::Time limit_ = 0;
+  rmcast::SendOutcome outcome_;
+};
 
 // Publishes the backend-neutral protocol metrics of one run — the
 // `harness.*`, `sender.*` and `receiver.*` names — into the registry.
@@ -150,13 +190,6 @@ TrialsOutcome run_trials(Runner&& runner, int trials = 3, std::uint64_t base_see
   outcome.ok = true;
   outcome.mean_seconds = trials > 0 ? sum / trials : 0.0;
   return outcome;
-}
-
-// Legacy shape of run_trials: the mean seconds, or a bare -1.0 on failure.
-// Prefer run_trials where the failure detail should reach the user.
-template <typename Runner>
-double mean_seconds(Runner&& runner, int trials = 3, std::uint64_t base_seed = 1) {
-  return run_trials(static_cast<Runner&&>(runner), trials, base_seed).mean_seconds;
 }
 
 }  // namespace rmc::harness

@@ -10,16 +10,6 @@ namespace rmc::harness {
 
 namespace {
 
-// Same deterministic payload pattern the simulated experiments use, so a
-// parity failure is never "the two backends sent different bytes".
-Buffer make_pattern(std::uint64_t n_bytes) {
-  Buffer data(n_bytes);
-  for (std::uint64_t i = 0; i < n_bytes; ++i) {
-    data[i] = static_cast<std::uint8_t>(i * 131 + 7);
-  }
-  return data;
-}
-
 rmcast::GroupMembership loopback_membership(const ParitySpec& spec,
                                             std::uint16_t base_port) {
   rmcast::GroupMembership membership;
@@ -73,6 +63,16 @@ std::set<std::string> neutral_keys(const metrics::Registry& m) {
   return keys;
 }
 
+// The report's view of one backend's finished run.
+void record(const RunResult& result, ParityBackendRun& out) {
+  out.completed = result.completed;
+  out.seconds = result.seconds;
+  out.goodput_bps = result.throughput_bps();
+  out.data_packets_sent = result.sender.data_packets_sent;
+  out.retransmissions = result.sender.retransmissions;
+  for (const auto& r : result.receivers) out.messages_delivered += r.messages_delivered;
+}
+
 // Runs the transfer on real loopback sockets. Returns false when the OS
 // refused the sockets (the caller records the skip).
 bool run_posix_once(const ParitySpec& spec, std::uint16_t base_port,
@@ -83,51 +83,15 @@ bool run_posix_once(const ParitySpec& spec, std::uint16_t base_port,
                                options);
   if (!session.ok()) return false;
 
-  const Buffer message = make_pattern(spec.message_bytes);
-  std::vector<bool> delivered_ok(spec.n_receivers, false);
-  session.set_message_handler(
-      [&](std::size_t node, const Buffer& received, std::uint32_t /*session*/) {
-        delivered_ok.at(node) = received == message;
-      });
-
-  const sim::Time t0 = session.runtime().now();
-  auto outcome =
-      session.send_and_wait(BytesView(message.data(), message.size()),
-                            spec.posix_time_limit);
-  const sim::Time t1 = session.runtime().now();
-  const bool done = outcome.has_value();
-
-  RunResult result;
-  result.message_bytes = spec.message_bytes;
-  result.seconds = sim::to_seconds(t1 - t0);
-  result.sender = session.sender().stats();
-  for (std::size_t i = 0; i < spec.n_receivers; ++i) {
-    result.receivers.push_back(session.receiver(i).stats());
-  }
-  export_protocol_metrics(result, done, out.metrics);
+  SessionTransfer transfer(session, make_pattern(spec.message_bytes));
+  transfer.start();
+  transfer.run(spec.posix_time_limit);
+  const RunResult result = transfer.result();
+  export_protocol_metrics(result, transfer.done(), out.metrics);
   // The backend-specific tier: syscall counts, batch sizes, ring depth.
   out.metrics.merge(session.runtime().metrics());
-
-  out.seconds = result.seconds;
-  out.goodput_bps = result.seconds > 0.0
-                        ? static_cast<double>(spec.message_bytes) * 8.0 / result.seconds
-                        : 0.0;
-  out.data_packets_sent = result.sender.data_packets_sent;
-  out.retransmissions = result.sender.retransmissions;
-  for (const auto& r : result.receivers) out.messages_delivered += r.messages_delivered;
-
-  if (!done) {
-    *error = str_format("posix run timed out after %.1fs",
-                        sim::to_seconds(spec.posix_time_limit));
-    return true;
-  }
-  for (std::size_t i = 0; i < spec.n_receivers; ++i) {
-    if (!delivered_ok[i]) {
-      *error = str_format("posix receiver %zu did not deliver a correct copy", i);
-      return true;
-    }
-  }
-  out.completed = true;
+  record(result, out);
+  if (!result.completed) *error = "posix run: " + result.error;
   return true;
 }
 
@@ -207,14 +171,7 @@ ParityReport run_parity(const ParitySpec& spec) {
   sim_spec.time_limit = spec.sim_time_limit;
   sim_spec.metrics = &report.sim.metrics;
   RunResult sim_result = run_multicast(sim_spec);
-  report.sim.completed = sim_result.completed;
-  report.sim.seconds = sim_result.seconds;
-  report.sim.goodput_bps = sim_result.throughput_bps();
-  report.sim.data_packets_sent = sim_result.sender.data_packets_sent;
-  report.sim.retransmissions = sim_result.sender.retransmissions;
-  for (const auto& r : sim_result.receivers) {
-    report.sim.messages_delivered += r.messages_delivered;
-  }
+  record(sim_result, report.sim);
   if (!sim_result.completed) {
     report.failures.push_back("sim run failed: " + sim_result.error);
   }

@@ -9,6 +9,7 @@
 #include "common/panic.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "harness/experiment.h"
 #include "harness/trace_export.h"
 #include "rmcast/engine/registry.h"
 #include "rmcast/session.h"
@@ -16,17 +17,6 @@
 namespace rmc::harness {
 
 namespace {
-
-// Each tenant's payload pattern is offset by its index so a cross-tenant
-// delivery mixup (the bug the GroupDirectory exists to prevent) fails the
-// payload check instead of passing by coincidence.
-Buffer tenant_pattern(std::uint64_t n_bytes, std::size_t tenant) {
-  Buffer data(n_bytes);
-  for (std::uint64_t i = 0; i < n_bytes; ++i) {
-    data[i] = static_cast<std::uint8_t>(i * 131 + 7 + tenant * 17);
-  }
-  return data;
-}
 
 // One scheduled churn action.
 struct ChurnEvent {
@@ -49,12 +39,7 @@ struct TenantState {
   rmcast::ProtocolConfig config;
   rmcast::SessionPlacement placement;
   metrics::Registry registry;
-  Buffer message;
-  std::vector<bool> delivered_ok;
-  bool completed = false;
   sim::Time arrival = 0;
-  sim::Time completed_at = 0;
-  rmcast::SendOutcome outcome;
   std::size_t n_late_joins = 0;
   std::size_t n_leaves = 0;
   std::size_t n_crashes = 0;
@@ -63,7 +48,7 @@ struct TenantState {
 // The per-tenant slice of the observability contract: protocol counters
 // from the tenant's own sender/receivers (same metric names as the
 // single-run exporter, so dashboards read either) plus the tenant.* tier.
-void export_tenant_metrics(rmcast::Session& session, const TenantState& state,
+void export_tenant_metrics(rmcast::Session& session, const TenantReport& report,
                            metrics::Registry& m) {
   const rmcast::SenderStats& s = session.sender().stats();
   m.counter("sender.data_packets_sent").inc(s.data_packets_sent);
@@ -91,15 +76,14 @@ void export_tenant_metrics(rmcast::Session& session, const TenantState& state,
   m.counter("receiver.gaps_detected").inc(gaps);
 
   m.counter("tenant.sessions").inc();
-  if (state.completed) {
+  if (report.completed) {
     m.counter("tenant.sessions_completed").inc();
-    m.histogram("tenant.turnaround_us")
-        .record_seconds(sim::to_seconds(state.completed_at - state.arrival));
+    m.histogram("tenant.turnaround_us").record_seconds(report.turnaround_seconds);
   }
-  m.counter("tenant.receivers_evicted").inc(state.outcome.n_evicted());
-  m.counter("tenant.late_joins").inc(state.n_late_joins);
-  m.counter("tenant.leaves").inc(state.n_leaves);
-  m.counter("tenant.host_crashes").inc(state.n_crashes);
+  m.counter("tenant.receivers_evicted").inc(report.n_evicted);
+  m.counter("tenant.late_joins").inc(report.n_late_joins);
+  m.counter("tenant.leaves").inc(report.n_leaves);
+  m.counter("tenant.host_crashes").inc(report.n_crashes);
 }
 
 }  // namespace
@@ -320,41 +304,29 @@ TenantMixResult run_tenant_mix(const TenantMixSpec& spec) {
         ++state.n_crashes;
       }
     }
-
-    state.message = tenant_pattern(spec.message_bytes, t);
-    state.delivered_ok.assign(R, false);
   }
 
   // Bring the sessions up (tenant order) behind the cross-group guard.
   rmcast::GroupDirectory directory;
   std::vector<std::unique_ptr<rmcast::Session>> sessions;
+  std::vector<std::unique_ptr<SessionTransfer>> transfers;
   sessions.reserve(n);
   for (std::size_t t = 0; t < n; ++t) {
     sessions.push_back(std::make_unique<rmcast::Session>(
         cluster, tenants[t].placement, tenants[t].config, &tenants[t].registry,
         &directory));
-    TenantState& state = tenants[t];
-    sessions[t]->set_message_handler(
-        [&state, &spec](std::size_t node, const Buffer& message, std::uint32_t) {
-          state.delivered_ok[node] = !spec.verify_payload || message == state.message;
-        });
+    // Each tenant's payload pattern is offset by its index so a
+    // cross-tenant delivery mixup (the bug the GroupDirectory exists to
+    // prevent) fails the payload check instead of passing by coincidence.
+    transfers.push_back(std::make_unique<SessionTransfer>(
+        *sessions[t], make_pattern(spec.message_bytes, t * 17), spec.verify_payload));
   }
 
   // Schedule the script.
   sim::Simulator& simulator = cluster.simulator();
-  std::size_t n_done = 0;
   for (std::size_t t = 0; t < n; ++t) {
-    TenantState& state = tenants[t];
-    rmcast::Session& session = *sessions[t];
-    simulator.schedule_at(state.arrival, [&state, &session, &simulator, &n_done] {
-      session.send(BytesView(state.message.data(), state.message.size()),
-                   [&state, &simulator, &n_done](const rmcast::SendOutcome& outcome) {
-                     state.outcome = outcome;
-                     state.completed = true;
-                     state.completed_at = simulator.now();
-                     ++n_done;
-                   });
-    });
+    simulator.schedule_at(tenants[t].arrival,
+                          [&transfer = *transfers[t]] { transfer.start(); });
   }
   for (const ChurnEvent& event : churn) {
     switch (event.kind) {
@@ -376,9 +348,17 @@ TenantMixResult run_tenant_mix(const TenantMixSpec& spec) {
     }
   }
 
-  while (n_done < n && simulator.now() < spec.time_limit) {
+  // Tenants finish out of order; `prefix` skips the finished ones in front.
+  std::size_t prefix = 0;
+  auto all_done = [&] {
+    while (prefix < n && transfers[prefix]->done()) ++prefix;
+    return prefix == n;
+  };
+  while (!all_done() && simulator.now() < spec.time_limit) {
     if (!simulator.step()) break;
   }
+  const auto n_done = static_cast<std::size_t>(std::count_if(
+      transfers.begin(), transfers.end(), [](const auto& tr) { return tr->done(); }));
   result.events_executed = simulator.events_executed();
 
   // Per-tenant reports + the sweep-style registry fold (tenant order).
@@ -391,33 +371,24 @@ TenantMixResult run_tenant_mix(const TenantMixSpec& spec) {
     report.tenant = t;
     report.protocol = rmcast::protocol_name(state.config.kind);
     report.arrival_seconds = sim::to_seconds(state.arrival);
-    report.completed = state.completed;
     report.message_bytes = spec.message_bytes;
     report.n_receivers = R;
     report.n_late_joins = state.n_late_joins;
     report.n_leaves = state.n_leaves;
     report.n_crashes = state.n_crashes;
-    if (state.completed) {
-      report.turnaround_seconds = sim::to_seconds(state.completed_at - state.arrival);
-      report.outcome = state.outcome;
-      report.all_delivered = state.outcome.all_delivered();
-      report.n_evicted = state.outcome.n_evicted();
-      last_completion = std::max(last_completion, state.completed_at);
+    const SessionTransfer& transfer = *transfers[t];
+    report.completed = transfer.done();
+    if (report.completed) {
+      const RunResult run = transfer.result();
+      report.turnaround_seconds = run.seconds;
+      report.outcome = run.outcome;
+      report.all_delivered = run.outcome.all_delivered();
+      report.n_evicted = run.outcome.n_evicted();
+      last_completion = std::max(last_completion, transfer.completed_at());
       turnarounds.push_back(report.turnaround_seconds);
-      // Delivery check: every receiver the sender counts delivered must
-      // hold this tenant's exact payload (evicted receivers are exempt —
-      // that they did not deliver is the point).
-      for (std::size_t i = 0; i < R; ++i) {
-        if (i < state.outcome.receivers.size() &&
-            !state.outcome.receivers[i].delivered()) {
-          continue;
-        }
-        if (!state.delivered_ok[i]) {
-          report.payload_ok = false;
-          result.error = str_format("tenant %zu receiver %zu did not deliver a "
-                                    "correct copy",
-                                    t, i);
-        }
+      if (!run.completed) {
+        report.payload_ok = false;
+        result.error = str_format("tenant %zu: %s", t, run.error.c_str());
       }
     }
     goodputs.push_back(report.goodput_bps());
@@ -425,7 +396,7 @@ TenantMixResult run_tenant_mix(const TenantMixSpec& spec) {
     metrics::Registry& m = state.registry;
     m.set_meta("protocol", report.protocol);
     m.set_meta("seed", std::to_string(spec.seed));
-    export_tenant_metrics(*sessions[t], state, m);
+    export_tenant_metrics(*sessions[t], report, m);
     report.metrics_json = m.to_json();
     if (spec.metrics != nullptr) spec.metrics->merge(m);
     result.tenants.push_back(std::move(report));

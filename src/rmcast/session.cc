@@ -1,6 +1,7 @@
 #include "rmcast/session.h"
 
 #include "common/panic.h"
+#include "common/strings.h"
 
 namespace rmc::rmcast {
 
@@ -17,8 +18,6 @@ Session::Session(SessionParams params)
     : params_(std::move(params)),
       owned_cluster_(std::make_unique<inet::Cluster>(
           with_n_hosts(params_.cluster, params_.n_receivers + 1))) {
-  RMC_ENSURE(params_.n_receivers > 0, "session needs at least one receiver");
-
   // The classic single-tenant placement: host 0 sends, hosts 1..N receive,
   // the well-known group and control ports.
   placement_.sender_host = 0;
@@ -29,7 +28,7 @@ Session::Session(SessionParams params)
   placement_.sender_control_port = 5001;
   placement_.receiver_control_port = 5002;
 
-  init(*owned_cluster_);
+  place(*owned_cluster_);
 
   // Schedule the scripted faults before any traffic exists; host 0 is the
   // sender, so receiver node i maps to host i + 1.
@@ -42,18 +41,26 @@ Session::Session(inet::Cluster& fabric, SessionPlacement placement,
                  ProtocolConfig protocol, metrics::Registry* metrics,
                  GroupDirectory* directory)
     : directory_(directory) {
-  params_.n_receivers = placement.receiver_hosts.size();
   params_.protocol = std::move(protocol);
   params_.metrics = metrics;
   placement_ = std::move(placement);
-  init(fabric);
+  place(fabric);
 }
 
-void Session::init(inet::Cluster& fabric) {
+Session::Session(GroupMembership membership, ProtocolConfig protocol,
+                 const PosixSessionOptions& options)
+    : posix_(std::make_unique<rt::PosixRuntime>()),
+      membership_(std::move(membership)),
+      multicast_if_(options.multicast_if) {
+  params_.protocol = std::move(protocol);
+  params_.metrics = options.metrics;
+  wire();
+}
+
+void Session::place(inet::Cluster& fabric) {
   cluster_ = &fabric;
   const std::size_t n = placement_.receiver_hosts.size();
   RMC_ENSURE(n > 0, "session needs at least one receiver");
-  RMC_ENSURE(n == params_.n_receivers, "placement/params receiver count mismatch");
 
   membership_.group = placement_.group;
   membership_.sender_control = {inet::Cluster::host_addr(placement_.sender_host),
@@ -86,44 +93,76 @@ void Session::init(inet::Cluster& fabric) {
     runtimes_.push_back(
         std::make_unique<rt::SimRuntime>(cluster_->host(placement_.receiver_hosts[i])));
   }
+  wire();
+}
 
-  inet::Socket* sender_raw = cluster_->host(placement_.sender_host).open_socket();
-  sender_raw->bind(membership_.sender_control.port);
-  sockets_.push_back(runtimes_[0]->wrap(sender_raw));
-  sender_ = std::make_unique<MulticastSender>(*runtimes_[0], *sockets_.back(),
-                                              membership_, params_.protocol);
+void Session::wire() {
+  rt::UdpSocket* control = open_socket(0, membership_.sender_control, false);
+  if (control == nullptr) return;
+  sender_ = std::make_unique<MulticastSender>(endpoint_runtime(0), *control, membership_,
+                                              params_.protocol);
   if (placement_.session_base != 0) sender_->set_session_base(placement_.session_base);
   if (params_.metrics != nullptr) sender_->set_metrics(params_.metrics);
 
+  const std::size_t n = membership_.n_receivers();
   receivers_.resize(n);
   data_raw_.resize(n, nullptr);
   std::vector<bool> deferred(n, false);
   for (std::size_t d : placement_.deferred) deferred.at(d) = true;
+  ok_ = true;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!deferred[i]) join_receiver(i);
+    if (deferred[i]) continue;
+    join_receiver(i);
+    ok_ = ok_ && receivers_[i] != nullptr;
   }
+}
+
+rt::Runtime& Session::endpoint_runtime(std::size_t endpoint) {
+  if (posix_ != nullptr) return *posix_;
+  return *runtimes_.at(endpoint);
+}
+
+rt::UdpSocket* Session::open_socket(std::size_t endpoint, const net::Endpoint& local,
+                                    bool data) {
+  std::unique_ptr<rt::UdpSocket> socket;
+  if (posix_ != nullptr) {
+    rt::PosixSocketOptions options;
+    options.port = local.port;
+    if (data) {
+      options.reuse_addr = true;  // all receivers share the group port
+      options.join_groups = {local.addr};
+    } else {
+      options.bind_addr = local.addr;
+    }
+    options.multicast_if = multicast_if_;
+    socket = posix_->open_socket(options);
+    if (socket == nullptr) return nullptr;
+  } else {
+    const std::size_t host = endpoint == 0 ? placement_.sender_host
+                                           : placement_.receiver_hosts[endpoint - 1];
+    inet::Socket* raw = cluster_->host(host).open_socket();
+    raw->bind(local.port);
+    if (data) {
+      raw->join(local.addr);
+      data_raw_[endpoint - 1] = raw;
+    }
+    raw_sockets_.push_back(raw);
+    socket = runtimes_[endpoint]->wrap(raw);
+  }
+  sockets_.push_back(std::move(socket));
+  return sockets_.back().get();
 }
 
 void Session::join_receiver(std::size_t i) {
   if (receivers_.at(i) != nullptr) return;
-  inet::Host& host = cluster_->host(placement_.receiver_hosts[i]);
-  rt::SimRuntime& runtime = *runtimes_[i + 1];
+  rt::UdpSocket* data = open_socket(i + 1, membership_.group, true);
+  rt::UdpSocket* control = open_socket(i + 1, membership_.receiver_control[i], false);
+  if (data == nullptr || control == nullptr) return;
 
-  inet::Socket* data_raw = host.open_socket();
-  data_raw->bind(membership_.group.port);
-  data_raw->join(membership_.group.addr);
-  data_raw_[i] = data_raw;
-  sockets_.push_back(runtime.wrap(data_raw));
-  rt::UdpSocket& data = *sockets_.back();
-
-  inet::Socket* control_raw = host.open_socket();
-  control_raw->bind(membership_.receiver_control[i].port);
-  sockets_.push_back(runtime.wrap(control_raw));
-  rt::UdpSocket& control = *sockets_.back();
-
-  receivers_[i] = std::make_unique<MulticastReceiver>(runtime, data, control,
-                                                      membership_, i, params_.protocol);
+  receivers_[i] = std::make_unique<MulticastReceiver>(
+      endpoint_runtime(i + 1), *data, *control, membership_, i, params_.protocol);
   if (params_.metrics != nullptr) receivers_[i]->set_metrics(params_.metrics);
+  if (tracer_ != nullptr) trace_receiver(i);
   receivers_[i]->set_message_handler(
       [this, i](const Buffer& message, std::uint32_t session) {
         if (handler_) handler_(i, message, session);
@@ -143,92 +182,63 @@ Session::~Session() {
   if (directory_ != nullptr) directory_->remove(directory_id_);
 }
 
+void Session::set_tracer(trace::Tracer* tracer) {
+  tracer_ = tracer;
+  for (std::size_t i = 0; i < receivers_.size(); ++i) {
+    if (receivers_[i] != nullptr) trace_receiver(i);
+  }
+  sender_->set_tracer(tracer, tracer->track("sender", trace::TrackTier::kSender));
+}
+
+void Session::trace_receiver(std::size_t i) {
+  receivers_[i]->set_tracer(
+      tracer_, tracer_->track(str_format("receiver.%zu", i), trace::TrackTier::kReceiver));
+}
+
 void Session::send(BytesView message, MulticastSender::CompletionHandler on_complete) {
+  RMC_ENSURE(ok_, "session failed to open its sockets");
+  if (posix_ != nullptr) {
+    // Completion ends the socket backend's run_for early.
+    on_complete = [this, handler = std::move(on_complete)](const SendOutcome& outcome) {
+      handler(outcome);
+      posix_->stop();
+    };
+  }
   sender_->send(message, std::move(on_complete));
 }
 
-std::optional<SendOutcome> Session::send_and_wait(BytesView message, sim::Time limit) {
-  std::optional<SendOutcome> outcome;
-  send(message, [&outcome](const SendOutcome& o) { outcome = o; });
+void Session::run_until(const bool& done, sim::Time limit) {
+  if (posix_ != nullptr) {
+    if (!done) posix_->run_for(limit);
+    return;
+  }
   sim::Simulator& simulator = cluster_->simulator();
-  while (!outcome.has_value() && simulator.now() < limit) {
+  while (!done && simulator.now() < limit) {
     if (!simulator.step()) break;
   }
-  return outcome;
 }
 
-PosixSession::PosixSession(GroupMembership membership, ProtocolConfig protocol,
-                           PosixSessionOptions options)
-    : membership_(std::move(membership)) {
-  rt::PosixSocketOptions sender_options;
-  sender_options.bind_addr = membership_.sender_control.addr;
-  sender_options.port = membership_.sender_control.port;
-  sender_options.multicast_if = options.multicast_if;
-  sender_options.batching = options.batching;
-  auto sender_socket = runtime_.open_socket(sender_options);
-  if (!sender_socket) return;
-  sockets_.push_back(std::move(sender_socket));
-  sender_ = std::make_unique<MulticastSender>(runtime_, *sockets_.back(), membership_,
-                                              protocol);
-  if (options.metrics != nullptr) sender_->set_metrics(options.metrics);
-
-  for (std::size_t i = 0; i < membership_.n_receivers(); ++i) {
-    rt::PosixSocketOptions data_options;
-    data_options.port = membership_.group.port;
-    data_options.reuse_addr = true;  // all receivers share the group port
-    data_options.join_groups = {membership_.group.addr};
-    data_options.multicast_if = options.multicast_if;
-    data_options.batching = options.batching;
-    auto data = runtime_.open_socket(data_options);
-
-    rt::PosixSocketOptions control_options;
-    control_options.bind_addr = membership_.receiver_control[i].addr;
-    control_options.port = membership_.receiver_control[i].port;
-    control_options.multicast_if = options.multicast_if;
-    control_options.batching = options.batching;
-    auto control = runtime_.open_socket(control_options);
-    if (!data || !control) {
-      sender_.reset();
-      return;
-    }
-    rt::UdpSocket& data_ref = *data;
-    rt::UdpSocket& control_ref = *control;
-    sockets_.push_back(std::move(data));
-    sockets_.push_back(std::move(control));
-
-    receivers_.push_back(std::make_unique<MulticastReceiver>(
-        runtime_, data_ref, control_ref, membership_, i, protocol));
-    if (options.metrics != nullptr) receivers_[i]->set_metrics(options.metrics);
-    receivers_[i]->set_message_handler(
-        [this, i](const Buffer& message, std::uint32_t session) {
-          if (handler_) handler_(i, message, session);
-        });
-  }
-  ok_ = true;
-}
-
-PosixSession::PosixSession(GroupMembership membership, ProtocolConfig protocol,
-                           net::Ipv4Addr multicast_if)
-    : PosixSession(std::move(membership), std::move(protocol),
-                   PosixSessionOptions{multicast_if, true, nullptr}) {}
-
-PosixSession::~PosixSession() = default;
-
-void PosixSession::send(BytesView message,
-                        MulticastSender::CompletionHandler on_complete) {
-  RMC_ENSURE(ok_, "posix session failed to open its sockets");
-  sender_->send(message, std::move(on_complete));
-}
-
-std::optional<SendOutcome> PosixSession::send_and_wait(BytesView message,
-                                                       sim::Time limit) {
+std::optional<SendOutcome> Session::send_and_wait(BytesView message,
+                                                  std::optional<sim::Time> limit) {
   std::optional<SendOutcome> outcome;
-  send(message, [this, &outcome](const SendOutcome& o) {
+  bool done = false;
+  send(message, [&](const SendOutcome& o) {
     outcome = o;
-    runtime_.stop();
+    done = true;
   });
-  runtime_.run_for(limit);
+  run_until(done, limit.value_or(posix_ != nullptr ? sim::seconds(10.0)
+                                                   : sim::seconds(120.0)));
   return outcome;
+}
+
+sim::Time Session::now() {
+  return posix_ != nullptr ? posix_->now() : cluster_->simulator().now();
+}
+
+std::uint64_t Session::rcvbuf_drops() const {
+  std::uint64_t drops = 0;
+  for (const inet::Socket* s : raw_sockets_) drops += s->stats().rcvbuf_drops;
+  return drops;
 }
 
 }  // namespace rmc::rmcast

@@ -77,60 +77,34 @@ TEST(Scatter, EndToEndEachReceiverGetsItsSlice) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(got[i], chunks[i]) << "rank " << i;
 }
 
-// All-gather needs one multicast group per rank: build them by hand on one
-// cluster.
+// All-gather needs one multicast group per rank, all on one cluster:
+// rank g's Session sends from host g to every other rank.
 class AllgatherFixture : public ::testing::Test {
  protected:
   static constexpr std::size_t kRanks = 3;
 
   AllgatherFixture() : cluster_(make_params()) {
-    for (std::size_t r = 0; r < kRanks; ++r) {
-      runtimes_.push_back(std::make_unique<rt::SimRuntime>(cluster_.host(r)));
-    }
-    // Group g: rank g multicasts to every other rank.
     for (std::size_t g = 0; g < kRanks; ++g) {
-      rmcast::GroupMembership m;
-      m.group = {net::Ipv4Addr(239, 0, 0, static_cast<std::uint8_t>(g + 1)),
-                 static_cast<std::uint16_t>(5000 + g)};
-      m.sender_control = {inet::Cluster::host_addr(g),
-                          static_cast<std::uint16_t>(6000 + g)};
+      rmcast::SessionPlacement placement;
+      placement.sender_host = g;
       for (std::size_t r = 0; r < kRanks; ++r) {
-        if (r == g) continue;
-        m.receiver_control.push_back(
-            {inet::Cluster::host_addr(r), static_cast<std::uint16_t>(7000 + g)});
+        if (r != g) placement.receiver_hosts.push_back(r);
       }
-      memberships_.push_back(m);
+      placement.group = {net::Ipv4Addr(239, 0, 0, static_cast<std::uint8_t>(g + 1)),
+                         static_cast<std::uint16_t>(5000 + g)};
+      placement.sender_control_port = static_cast<std::uint16_t>(6000 + g);
+      placement.receiver_control_port = static_cast<std::uint16_t>(7000 + g);
+      sessions_.push_back(std::make_unique<rmcast::Session>(
+          cluster_, placement, config_for(rmcast::ProtocolKind::kAck)));
     }
-
-    auto config = config_for(rmcast::ProtocolKind::kAck);
     for (std::size_t r = 0; r < kRanks; ++r) {
-      // Rank r's sender on its own group.
-      inet::Socket* raw = cluster_.host(r).open_socket();
-      raw->bind(memberships_[r].sender_control.port);
-      sender_sockets_.push_back(runtimes_[r]->wrap(raw));
-      senders_.push_back(std::make_unique<rmcast::MulticastSender>(
-          *runtimes_[r], *sender_sockets_[r], memberships_[r], config));
-
-      // Rank r's receivers on everyone else's groups.
+      // Rank r is node r of lower ranks' groups and node r - 1 of higher ones.
       std::vector<rmcast::MulticastReceiver*> receivers(kRanks, nullptr);
       for (std::size_t g = 0; g < kRanks; ++g) {
-        if (g == r) continue;
-        inet::Socket* data = cluster_.host(r).open_socket();
-        data->bind(memberships_[g].group.port);
-        data->join(memberships_[g].group.addr);
-        data_sockets_.push_back(runtimes_[r]->wrap(data));
-
-        inet::Socket* control = cluster_.host(r).open_socket();
-        control->bind(static_cast<std::uint16_t>(7000 + g));
-        control_sockets_.push_back(runtimes_[r]->wrap(control));
-
-        std::size_t node_id = r < g ? r : r - 1;
-        receiver_objects_.push_back(std::make_unique<rmcast::MulticastReceiver>(
-            *runtimes_[r], *data_sockets_.back(), *control_sockets_.back(),
-            memberships_[g], node_id, config));
-        receivers[g] = receiver_objects_.back().get();
+        if (g != r) receivers[g] = &sessions_[g]->receiver(r < g ? r : r - 1);
       }
-      nodes_.push_back(std::make_unique<AllgatherNode>(r, *senders_[r], receivers));
+      nodes_.push_back(
+          std::make_unique<AllgatherNode>(r, sessions_[r]->sender(), receivers));
     }
   }
 
@@ -142,13 +116,7 @@ class AllgatherFixture : public ::testing::Test {
   }
 
   inet::Cluster cluster_;
-  std::vector<std::unique_ptr<rt::SimRuntime>> runtimes_;
-  std::vector<rmcast::GroupMembership> memberships_;
-  std::vector<std::unique_ptr<rt::UdpSocket>> sender_sockets_;
-  std::vector<std::unique_ptr<rt::UdpSocket>> data_sockets_;
-  std::vector<std::unique_ptr<rt::UdpSocket>> control_sockets_;
-  std::vector<std::unique_ptr<rmcast::MulticastSender>> senders_;
-  std::vector<std::unique_ptr<rmcast::MulticastReceiver>> receiver_objects_;
+  std::vector<std::unique_ptr<rmcast::Session>> sessions_;
   std::vector<std::unique_ptr<AllgatherNode>> nodes_;
 };
 

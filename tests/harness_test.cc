@@ -13,8 +13,7 @@
 #include "harness/testbed.h"
 #include "harness/trace.h"
 #include "net/frame_arena.h"
-#include "rmcast/receiver.h"
-#include "rmcast/sender.h"
+#include "rmcast/session.h"
 
 namespace rmc::harness {
 namespace {
@@ -115,9 +114,24 @@ TEST(RunMulticast, RepeatedTransferAllocatesNoPayloadMemory) {
   EXPECT_EQ(recycler.pooled(), 4u);
 }
 
-TEST(MeanSeconds, AveragesTrials) {
+TEST(RunMulticast, CountsReceiveBufferDrops) {
+  // A receive buffer smaller than one datagram drops every data packet,
+  // so the transfer cannot finish; the drops must show in the result.
+  MulticastRunSpec spec;
+  spec.n_receivers = 4;
+  spec.message_bytes = 200'000;
+  spec.protocol.kind = rmcast::ProtocolKind::kNakPolling;
+  spec.protocol.packet_size = 8000;
+  spec.cluster.host.default_rcvbuf_bytes = 4096;
+  spec.time_limit = sim::seconds(1.0);
+  RunResult r = run_multicast(spec);
+  EXPECT_FALSE(r.completed);
+  EXPECT_GT(r.rcvbuf_drops, 0u);
+}
+
+TEST(RunTrials, AveragesTrials) {
   int calls = 0;
-  double mean = mean_seconds(
+  TrialsOutcome outcome = run_trials(
       [&](std::uint64_t seed) {
         ++calls;
         RunResult r;
@@ -127,18 +141,20 @@ TEST(MeanSeconds, AveragesTrials) {
       },
       3, 10);
   EXPECT_EQ(calls, 3);
-  EXPECT_DOUBLE_EQ(mean, 11.0);  // seeds 10, 11, 12
+  EXPECT_TRUE(outcome.ok);
+  EXPECT_DOUBLE_EQ(outcome.mean_seconds, 11.0);  // seeds 10, 11, 12
 }
 
-TEST(MeanSeconds, FailurePropagatesAsNegative) {
-  double mean = mean_seconds(
+TEST(RunTrials, FailureReportsNegativeMean) {
+  TrialsOutcome outcome = run_trials(
       [&](std::uint64_t) {
         RunResult r;
         r.completed = false;
         return r;
       },
       3, 1);
-  EXPECT_LT(mean, 0.0);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_LT(outcome.mean_seconds, 0.0);
 }
 
 std::string capture(const Table& table, bool csv) {
@@ -182,32 +198,20 @@ TEST(TablePrinterDeath, RowWidthMustMatch) {
 }
 
 TEST(Trace, RecordsOrderedProtocolEvents) {
-  Testbed bed(3);
-  rmcast::ProtocolConfig config;
-  config.kind = rmcast::ProtocolKind::kAck;
-  config.packet_size = 8000;
-  config.window_size = 8;
-  rmcast::MulticastSender sender(bed.sender_runtime(), bed.sender_socket(),
-                                 bed.membership(), config);
-  std::vector<std::unique_ptr<rmcast::MulticastReceiver>> receivers;
+  rmcast::SessionParams params;
+  params.n_receivers = 3;
+  params.protocol.kind = rmcast::ProtocolKind::kAck;
+  params.protocol.packet_size = 8000;
+  params.protocol.window_size = 8;
+  rmcast::Session session(params);
+  TraceRecorder trace(session.sender_runtime());
+  session.sender().set_observer(&trace);
   for (std::size_t i = 0; i < 3; ++i) {
-    receivers.push_back(std::make_unique<rmcast::MulticastReceiver>(
-        bed.receiver_runtime(i), bed.receiver_data_socket(i),
-        bed.receiver_control_socket(i), bed.membership(), i, config));
-  }
-  TraceRecorder trace(bed.sender_runtime());
-  sender.set_observer(&trace);
-  for (std::size_t i = 0; i < 3; ++i) {
-    receivers[i]->set_observer(trace.receiver_tap(i));
+    session.receiver(i).set_observer(trace.receiver_tap(i));
   }
 
   Buffer message(20'000, 0x33);  // 3 packets
-  bool done = false;
-  sender.send(BytesView(message.data(), message.size()),
-              [&](const rmcast::SendOutcome&) { done = true; });
-  while (!done && bed.simulator().step()) {
-  }
-  ASSERT_TRUE(done);
+  ASSERT_TRUE(session.send_and_wait(BytesView(message.data(), message.size())).has_value());
 
   using Kind = TraceRecorder::Kind;
   EXPECT_EQ(trace.count(Kind::kAllocRequest), 1u);
@@ -253,38 +257,26 @@ TEST(Trace, RecordsOrderedProtocolEvents) {
 }
 
 TEST(Trace, RetransmissionsVisibleUnderLoss) {
-  inet::ClusterParams params;
-  params.link.frame_error_rate = 0.03;
-  params.seed = 5;
-  Testbed bed(3, params);
-  rmcast::ProtocolConfig config;
-  config.kind = rmcast::ProtocolKind::kNakPolling;
-  config.packet_size = 4000;
-  config.window_size = 10;
-  config.poll_interval = 8;
-  rmcast::MulticastSender sender(bed.sender_runtime(), bed.sender_socket(),
-                                 bed.membership(), config);
-  std::vector<std::unique_ptr<rmcast::MulticastReceiver>> receivers;
-  for (std::size_t i = 0; i < 3; ++i) {
-    receivers.push_back(std::make_unique<rmcast::MulticastReceiver>(
-        bed.receiver_runtime(i), bed.receiver_data_socket(i),
-        bed.receiver_control_socket(i), bed.membership(), i, config));
-  }
-  TraceRecorder trace(bed.sender_runtime());
-  sender.set_observer(&trace);
+  rmcast::SessionParams params;
+  params.n_receivers = 3;
+  params.protocol.kind = rmcast::ProtocolKind::kNakPolling;
+  params.protocol.packet_size = 4000;
+  params.protocol.window_size = 10;
+  params.protocol.poll_interval = 8;
+  params.cluster.link.frame_error_rate = 0.03;
+  params.cluster.seed = 5;
+  rmcast::Session session(params);
+  TraceRecorder trace(session.sender_runtime());
+  session.sender().set_observer(&trace);
 
   Buffer message(200'000, 0x44);
-  bool done = false;
-  sender.send(BytesView(message.data(), message.size()),
-              [&](const rmcast::SendOutcome&) { done = true; });
-  while (!done && bed.simulator().now() < sim::seconds(60.0)) {
-    if (!bed.simulator().step()) break;
-  }
-  ASSERT_TRUE(done);
+  ASSERT_TRUE(session.send_and_wait(BytesView(message.data(), message.size()),
+                                    sim::seconds(60.0))
+                  .has_value());
+  const rmcast::SenderStats& stats = session.sender().stats();
   EXPECT_GT(trace.count(TraceRecorder::Kind::kRetransmit), 0u);
-  EXPECT_EQ(trace.count(TraceRecorder::Kind::kRetransmit),
-            sender.stats().retransmissions);
-  EXPECT_EQ(trace.count(TraceRecorder::Kind::kNak), sender.stats().naks_received);
+  EXPECT_EQ(trace.count(TraceRecorder::Kind::kRetransmit), stats.retransmissions);
+  EXPECT_EQ(trace.count(TraceRecorder::Kind::kNak), stats.naks_received);
 }
 
 TEST(Trace, KindNameRoundTrip) {

@@ -9,21 +9,10 @@
 
 #include "inet/cluster.h"
 #include "protocol_test_util.h"
-#include "rmcast/receiver.h"
-#include "rmcast/sender.h"
-#include "runtime/sim_runtime.h"
+#include "rmcast/session.h"
 
 namespace rmc {
 namespace {
-
-struct Group {
-  rmcast::GroupMembership membership;
-  std::unique_ptr<rt::UdpSocket> sender_socket;
-  std::unique_ptr<rmcast::MulticastSender> sender;
-  std::vector<std::unique_ptr<rt::UdpSocket>> sockets;
-  std::vector<std::unique_ptr<rmcast::MulticastReceiver>> receivers;
-  std::vector<Buffer> delivered;
-};
 
 class TwoGroupFixture : public ::testing::Test {
  protected:
@@ -31,9 +20,6 @@ class TwoGroupFixture : public ::testing::Test {
 
   TwoGroupFixture() : cluster_(make_params()) {
     // Hosts: 0 and 1 are the two senders; 2..5 are receivers of BOTH groups.
-    for (std::size_t h = 0; h < 6; ++h) {
-      runtimes_.push_back(std::make_unique<rt::SimRuntime>(cluster_.host(h)));
-    }
     rmcast::ProtocolConfig config;
     config.kind = rmcast::ProtocolKind::kNakPolling;
     config.packet_size = 4000;
@@ -41,42 +27,19 @@ class TwoGroupFixture : public ::testing::Test {
     config.poll_interval = 9;
 
     for (std::size_t g = 0; g < 2; ++g) {
-      auto group = std::make_unique<Group>();
-      group->membership.group = {net::Ipv4Addr(239, 0, 0, static_cast<std::uint8_t>(g + 1)),
-                                 static_cast<std::uint16_t>(5000 + g)};
-      group->membership.sender_control = {inet::Cluster::host_addr(g),
-                                          static_cast<std::uint16_t>(6000 + g)};
-      for (std::size_t i = 0; i < kReceivers; ++i) {
-        group->membership.receiver_control.push_back(
-            {inet::Cluster::host_addr(i + 2), static_cast<std::uint16_t>(7000 + g)});
-      }
-
-      inet::Socket* raw = cluster_.host(g).open_socket();
-      raw->bind(group->membership.sender_control.port);
-      group->sender_socket = runtimes_[g]->wrap(raw);
-      group->sender = std::make_unique<rmcast::MulticastSender>(
-          *runtimes_[g], *group->sender_socket, group->membership, config);
-
-      group->delivered.resize(kReceivers);
-      for (std::size_t i = 0; i < kReceivers; ++i) {
-        inet::Host& host = cluster_.host(i + 2);
-        inet::Socket* data = host.open_socket();
-        data->bind(group->membership.group.port);
-        data->join(group->membership.group.addr);
-        group->sockets.push_back(runtimes_[i + 2]->wrap(data));
-        auto* data_socket = group->sockets.back().get();
-        inet::Socket* control = host.open_socket();
-        control->bind(group->membership.receiver_control[i].port);
-        group->sockets.push_back(runtimes_[i + 2]->wrap(control));
-        auto* control_socket = group->sockets.back().get();
-        group->receivers.push_back(std::make_unique<rmcast::MulticastReceiver>(
-            *runtimes_[i + 2], *data_socket, *control_socket, group->membership, i,
-            config));
-        Group* gp = group.get();
-        group->receivers[i]->set_message_handler(
-            [gp, i](const Buffer& message, std::uint32_t) { gp->delivered[i] = message; });
-      }
-      groups_.push_back(std::move(group));
+      rmcast::SessionPlacement placement;
+      placement.sender_host = g;
+      placement.receiver_hosts = {2, 3, 4, 5};
+      placement.group = {net::Ipv4Addr(239, 0, 0, static_cast<std::uint8_t>(g + 1)),
+                         static_cast<std::uint16_t>(5000 + g)};
+      placement.sender_control_port = static_cast<std::uint16_t>(6000 + g);
+      placement.receiver_control_port = static_cast<std::uint16_t>(7000 + g);
+      groups_.push_back(std::make_unique<rmcast::Session>(cluster_, placement, config));
+      delivered_[g].resize(kReceivers);
+      groups_[g]->set_message_handler(
+          [this, g](std::size_t node, const Buffer& message, std::uint32_t) {
+            delivered_[g][node] = message;
+          });
     }
   }
 
@@ -87,9 +50,11 @@ class TwoGroupFixture : public ::testing::Test {
     return p;
   }
 
+  rmcast::MulticastSender& sender(std::size_t g) { return groups_[g]->sender(); }
+
   inet::Cluster cluster_;
-  std::vector<std::unique_ptr<rt::SimRuntime>> runtimes_;
-  std::vector<std::unique_ptr<Group>> groups_;
+  std::vector<std::unique_ptr<rmcast::Session>> groups_;
+  std::vector<Buffer> delivered_[2];
 };
 
 TEST_F(TwoGroupFixture, ConcurrentTransfersStayIsolated) {
@@ -99,21 +64,21 @@ TEST_F(TwoGroupFixture, ConcurrentTransfersStayIsolated) {
   for (auto& b : message_b) b = static_cast<std::uint8_t>(b ^ 0xFF);
 
   int done = 0;
-  groups_[0]->sender->send(BytesView(message_a.data(), message_a.size()),
+  sender(0).send(BytesView(message_a.data(), message_a.size()),
                            [&](const rmcast::SendOutcome&) { ++done; });
-  groups_[1]->sender->send(BytesView(message_b.data(), message_b.size()),
+  sender(1).send(BytesView(message_b.data(), message_b.size()),
                            [&](const rmcast::SendOutcome&) { ++done; });
   while (done < 2 && cluster_.simulator().now() < sim::seconds(30.0)) {
     if (!cluster_.simulator().step()) break;
   }
   ASSERT_EQ(done, 2);
   for (std::size_t i = 0; i < kReceivers; ++i) {
-    EXPECT_EQ(groups_[0]->delivered[i], message_a) << "group A receiver " << i;
-    EXPECT_EQ(groups_[1]->delivered[i], message_b) << "group B receiver " << i;
+    EXPECT_EQ(delivered_[0][i], message_a) << "group A receiver " << i;
+    EXPECT_EQ(delivered_[1][i], message_b) << "group B receiver " << i;
   }
   // No cross-group control traffic was misattributed.
-  EXPECT_EQ(groups_[0]->sender->stats().stale_packets, 0u);
-  EXPECT_EQ(groups_[1]->sender->stats().stale_packets, 0u);
+  EXPECT_EQ(sender(0).stats().stale_packets, 0u);
+  EXPECT_EQ(sender(1).stats().stale_packets, 0u);
 }
 
 TEST_F(TwoGroupFixture, ConcurrentTransfersShareTheWireGracefully) {
@@ -124,7 +89,7 @@ TEST_F(TwoGroupFixture, ConcurrentTransfersShareTheWireGracefully) {
   Buffer message = test::pattern(200'000);
 
   bool solo_done = false;
-  groups_[0]->sender->send(BytesView(message.data(), message.size()),
+  sender(0).send(BytesView(message.data(), message.size()),
                            [&](const rmcast::SendOutcome&) { solo_done = true; });
   while (!solo_done && cluster_.simulator().step()) {
   }
@@ -133,9 +98,9 @@ TEST_F(TwoGroupFixture, ConcurrentTransfersShareTheWireGracefully) {
 
   sim::Time start = cluster_.simulator().now();
   int done = 0;
-  groups_[0]->sender->send(BytesView(message.data(), message.size()),
+  sender(0).send(BytesView(message.data(), message.size()),
                            [&](const rmcast::SendOutcome&) { ++done; });
-  groups_[1]->sender->send(BytesView(message.data(), message.size()),
+  sender(1).send(BytesView(message.data(), message.size()),
                            [&](const rmcast::SendOutcome&) { ++done; });
   while (done < 2 && cluster_.simulator().now() < sim::seconds(30.0)) {
     if (!cluster_.simulator().step()) break;

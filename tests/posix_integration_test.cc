@@ -4,12 +4,9 @@
 // environment forbids sockets.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
-#include "rmcast/receiver.h"
-#include "rmcast/sender.h"
-#include "runtime/posix_runtime.h"
+#include "rmcast/session.h"
 
 namespace rmc {
 namespace {
@@ -20,79 +17,45 @@ Buffer pattern(std::size_t n) {
   return b;
 }
 
+rmcast::GroupMembership loopback_membership(std::size_t n_receivers,
+                                            std::uint16_t base_port,
+                                            std::uint8_t group_octet) {
+  rmcast::GroupMembership membership;
+  membership.group = {net::Ipv4Addr(239, 77, 0, group_octet), base_port};
+  membership.sender_control = {net::Ipv4Addr(127, 0, 0, 1),
+                               static_cast<std::uint16_t>(base_port + 1)};
+  for (std::size_t i = 0; i < n_receivers; ++i) {
+    membership.receiver_control.push_back(
+        {net::Ipv4Addr(127, 0, 0, 1), static_cast<std::uint16_t>(base_port + 2 + i)});
+  }
+  return membership;
+}
+
 // One process, one event loop, N+1 protocol endpoints on loopback.
 class LoopbackGroup {
  public:
-  LoopbackGroup(std::size_t n_receivers, std::uint16_t base_port, std::uint8_t group_octet) {
-    membership_.group = {net::Ipv4Addr(239, 77, 0, group_octet), base_port};
-    membership_.sender_control = {net::Ipv4Addr(127, 0, 0, 1),
-                                  static_cast<std::uint16_t>(base_port + 1)};
-    for (std::size_t i = 0; i < n_receivers; ++i) {
-      membership_.receiver_control.push_back(
-          {net::Ipv4Addr(127, 0, 0, 1), static_cast<std::uint16_t>(base_port + 2 + i)});
-    }
+  LoopbackGroup(std::size_t n_receivers, std::uint16_t base_port,
+                std::uint8_t group_octet, rmcast::ProtocolConfig config)
+      : session_(loopback_membership(n_receivers, base_port, group_octet), config),
+        deliveries_(n_receivers) {
+    session_.set_message_handler(
+        [this](std::size_t node, const Buffer& message, std::uint32_t) {
+          deliveries_[node].push_back(message);
+        });
   }
 
-  // Returns false if sockets are unavailable.
-  bool open(rmcast::ProtocolConfig config) {
-    rt::PosixSocketOptions sender_options;
-    sender_options.bind_addr = net::Ipv4Addr(127, 0, 0, 1);
-    sender_options.port = membership_.sender_control.port;
-    sender_socket_ = runtime_.open_socket(sender_options);
-    if (!sender_socket_) return false;
-    sender_ = std::make_unique<rmcast::MulticastSender>(runtime_, *sender_socket_,
-                                                        membership_, config);
+  // False if sockets are unavailable.
+  bool ok() const { return session_.ok(); }
 
-    deliveries_.resize(membership_.n_receivers());
-    for (std::size_t i = 0; i < membership_.n_receivers(); ++i) {
-      rt::PosixSocketOptions data_options;
-      data_options.port = membership_.group.port;
-      data_options.reuse_addr = true;
-      data_options.join_groups = {membership_.group.addr};
-      auto data = runtime_.open_socket(data_options);
-      if (!data) return false;
-
-      rt::PosixSocketOptions control_options;
-      control_options.bind_addr = net::Ipv4Addr(127, 0, 0, 1);
-      control_options.port = membership_.receiver_control[i].port;
-      auto control = runtime_.open_socket(control_options);
-      if (!control) return false;
-
-      receivers_.push_back(std::make_unique<rmcast::MulticastReceiver>(
-          runtime_, *data, *control, membership_, i, config));
-      receivers_[i]->set_message_handler(
-          [this, i](const Buffer& message, std::uint32_t) {
-            deliveries_[i].push_back(message);
-          });
-      data_sockets_.push_back(std::move(data));
-      control_sockets_.push_back(std::move(control));
-    }
-    return true;
-  }
-
-  bool transfer(const Buffer& message, sim::Time wall_limit = sim::seconds(10.0)) {
-    bool done = false;
-    sender_->send(BytesView(message.data(), message.size()),
-                  [&](const rmcast::SendOutcome&) {
-                    done = true;
-                    runtime_.stop();
-                  });
-    runtime_.run_for(wall_limit);
-    return done;
+  bool transfer(const Buffer& message) {
+    return session_.send_and_wait(BytesView(message.data(), message.size())).has_value();
   }
 
   const std::vector<Buffer>& deliveries(std::size_t i) const { return deliveries_[i]; }
-  std::size_t n_receivers() const { return membership_.n_receivers(); }
-  rmcast::MulticastSender& sender() { return *sender_; }
+  std::size_t n_receivers() const { return session_.n_receivers(); }
 
  private:
-  rt::PosixRuntime runtime_;
-  rmcast::GroupMembership membership_;
-  std::unique_ptr<rt::UdpSocket> sender_socket_;
-  std::vector<std::unique_ptr<rt::UdpSocket>> data_sockets_;
-  std::vector<std::unique_ptr<rt::UdpSocket>> control_sockets_;
-  std::unique_ptr<rmcast::MulticastSender> sender_;
-  std::vector<std::unique_ptr<rmcast::MulticastReceiver>> receivers_;
+  rmcast::PosixSession session_;
   std::vector<std::vector<Buffer>> deliveries_;
 };
 
@@ -123,8 +86,8 @@ TEST_P(PosixProtocolTest, TransfersOverRealLoopbackMulticast) {
   config.poll_interval = 6;
   config.tree_height = 2;
 
-  LoopbackGroup group(3, c.base_port, c.group_octet);
-  if (!group.open(config)) GTEST_SKIP() << "sockets unavailable in this environment";
+  LoopbackGroup group(3, c.base_port, c.group_octet, config);
+  if (!group.ok()) GTEST_SKIP() << "sockets unavailable in this environment";
 
   Buffer message = pattern(200'000);
   ASSERT_TRUE(group.transfer(message)) << "transfer did not complete in wall time";
@@ -141,8 +104,8 @@ TEST(PosixProtocol, SequentialMessages) {
   config.window_size = 8;
   config.poll_interval = 6;
 
-  LoopbackGroup group(2, 46400, 5);
-  if (!group.open(config)) GTEST_SKIP() << "sockets unavailable in this environment";
+  LoopbackGroup group(2, 46400, 5, config);
+  if (!group.ok()) GTEST_SKIP() << "sockets unavailable in this environment";
 
   std::vector<Buffer> messages = {pattern(10'000), pattern(1), pattern(60'000)};
   for (const Buffer& m : messages) {

@@ -1,5 +1,5 @@
-// Shared fixture plumbing for protocol-level tests: a Testbed with one
-// MulticastSender and N MulticastReceivers, delivery recording, and a
+// Shared fixture plumbing for protocol-level tests: a simulated Session
+// (one MulticastSender, N MulticastReceivers), delivery recording, and a
 // bounded-time run helper.
 #pragma once
 
@@ -8,9 +8,7 @@
 #include <memory>
 #include <vector>
 
-#include "harness/testbed.h"
-#include "rmcast/receiver.h"
-#include "rmcast/sender.h"
+#include "rmcast/session.h"
 
 namespace rmc::test {
 
@@ -24,19 +22,12 @@ class ProtocolHarness {
  public:
   ProtocolHarness(std::size_t n_receivers, rmcast::ProtocolConfig config,
                   inet::ClusterParams cluster_params = {})
-      : bed_(n_receivers, cluster_params), config_(config) {
-    sender_ = std::make_unique<rmcast::MulticastSender>(
-        bed_.sender_runtime(), bed_.sender_socket(), bed_.membership(), config);
-    deliveries_.resize(n_receivers);
-    for (std::size_t i = 0; i < n_receivers; ++i) {
-      receivers_.push_back(std::make_unique<rmcast::MulticastReceiver>(
-          bed_.receiver_runtime(i), bed_.receiver_data_socket(i),
-          bed_.receiver_control_socket(i), bed_.membership(), i, config));
-      receivers_[i]->set_message_handler(
-          [this, i](const Buffer& message, std::uint32_t session) {
-            deliveries_[i].push_back({session, message});
-          });
-    }
+      : session_(params(n_receivers, config, cluster_params)),
+        deliveries_(n_receivers) {
+    session_.set_message_handler(
+        [this](std::size_t node, const Buffer& message, std::uint32_t session) {
+          deliveries_[node].push_back({session, message});
+        });
   }
 
   // Sends and runs until sender completion (or the time limit). Returns
@@ -44,16 +35,14 @@ class ProtocolHarness {
   bool send_and_run(const Buffer& message,
                     sim::Time limit = sim::seconds(30.0)) {
     bool done = false;
-    sender_->send(BytesView(message.data(), message.size()),
+    sender().send(BytesView(message.data(), message.size()),
                   [&](const rmcast::SendOutcome&) { done = true; });
     run_until_done(done, limit);
     return done;
   }
 
   void run_until_done(const bool& done, sim::Time limit) {
-    while (!done && bed_.simulator().now() < limit) {
-      if (!bed_.simulator().step()) break;
-    }
+    session_.run_until(done, limit);
   }
 
   struct Delivery {
@@ -61,15 +50,15 @@ class ProtocolHarness {
     Buffer message;
   };
 
-  harness::Testbed& bed() { return bed_; }
-  rmcast::MulticastSender& sender() { return *sender_; }
-  rmcast::MulticastReceiver& receiver(std::size_t i) { return *receivers_[i]; }
-  std::size_t n_receivers() const { return receivers_.size(); }
+  rmcast::Session& session() { return session_; }
+  rmcast::MulticastSender& sender() { return session_.sender(); }
+  rmcast::MulticastReceiver& receiver(std::size_t i) { return session_.receiver(i); }
+  std::size_t n_receivers() const { return session_.n_receivers(); }
   const std::vector<Delivery>& deliveries(std::size_t i) const { return deliveries_[i]; }
 
   // Asserts every receiver delivered exactly the given messages, in order.
   void expect_all_delivered(const std::vector<Buffer>& messages) {
-    for (std::size_t i = 0; i < receivers_.size(); ++i) {
+    for (std::size_t i = 0; i < n_receivers(); ++i) {
       ASSERT_EQ(deliveries_[i].size(), messages.size()) << "receiver " << i;
       for (std::size_t m = 0; m < messages.size(); ++m) {
         EXPECT_EQ(deliveries_[i][m].message, messages[m])
@@ -79,10 +68,17 @@ class ProtocolHarness {
   }
 
  private:
-  harness::Testbed bed_;
-  rmcast::ProtocolConfig config_;
-  std::unique_ptr<rmcast::MulticastSender> sender_;
-  std::vector<std::unique_ptr<rmcast::MulticastReceiver>> receivers_;
+  static rmcast::SessionParams params(std::size_t n_receivers,
+                                      rmcast::ProtocolConfig config,
+                                      inet::ClusterParams cluster_params) {
+    rmcast::SessionParams params;
+    params.n_receivers = n_receivers;
+    params.protocol = config;
+    params.cluster = cluster_params;
+    return params;
+  }
+
+  rmcast::Session session_;
   std::vector<std::vector<Delivery>> deliveries_;
 };
 

@@ -602,7 +602,7 @@ TEST(RateControl, EndToEndThroughputIsCapped) {
   Buffer message = pattern(500'000);
   ASSERT_TRUE(h.send_and_run(message, sim::seconds(60.0)));
   h.expect_all_delivered({message});
-  double seconds = sim::to_seconds(h.bed().simulator().now());
+  double seconds = sim::to_seconds(h.session().simulator().now());
   double bps = 500'000 * 8.0 / seconds;
   EXPECT_LT(bps, 20e6);
   EXPECT_GT(bps, 12e6);  // but not wildly below the cap

@@ -34,7 +34,7 @@ struct FaultRun {
 
   bool go(const sim::FaultPlan& plan, std::size_t message_bytes = 240'000,
           sim::Time limit = sim::seconds(30.0)) {
-    h.bed().cluster().apply_fault_plan(plan);
+    h.session().cluster().apply_fault_plan(plan);
     message = test::pattern(message_bytes);
     bool done = false;
     h.sender().send(BytesView(message.data(), message.size()),
@@ -236,8 +236,8 @@ TEST(Fault, TransferSurvivesBurstLossDuplicationAndReordering) {
 
   // The impairments actually fired.
   std::uint64_t bursts = 0, dups = 0, reorders = 0;
-  for (std::size_t i = 0; i < h.bed().cluster().size(); ++i) {
-    const net::TxPort* nic = h.bed().cluster().host_nic(i);
+  for (std::size_t i = 0; i < h.session().cluster().size(); ++i) {
+    const net::TxPort* nic = h.session().cluster().host_nic(i);
     ASSERT_NE(nic, nullptr);
     bursts += nic->stats().burst_drops;
     dups += nic->stats().duplicated_frames;
@@ -265,7 +265,7 @@ TEST(Fault, SequentialSendAfterEvictionStartsFromFullRoster) {
                         done = true;
                         outcome2 = o;
                       });
-  sim::Time limit = run.h.bed().simulator().now() + sim::seconds(10.0);
+  sim::Time limit = run.h.session().simulator().now() + sim::seconds(10.0);
   run.h.run_until_done(done, limit);
   ASSERT_TRUE(done);
   // Still-crashed node gets evicted afresh; the roster was full again.
