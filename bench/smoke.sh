@@ -147,7 +147,8 @@ else
 fi
 
 # Trace export gate: the abl_loss_sweep trace written above must be a
-# well-formed Chrome trace-event file (loadable at ui.perfetto.dev) whose
+# well-formed Chrome trace-event file (loadable at ui.perfetto.dev) with
+# named protocol events and an ALLOC request in every run, whose
 # attribution reports account for >= 95% of every run's time, and — on the
 # lossy points — trace every retransmission back to a tagged drop cause.
 if [ -n "$PYTHON" ] && [ -s "$TMP_DIR/abl_loss_sweep.serial.trace.json" ]; then
@@ -170,6 +171,14 @@ for e in events:
 for needed in ("M", "X", "i"):  # metadata, wire spans, protocol instants
     if needed not in phases:
         sys.exit(f"trace-gate: no '{needed}' events in trace")
+# Every protocol event kind has a name, and every run starts with the
+# sender's ALLOC request on the one protocol event path.
+if any(e.get("name") == "unknown" for e in events):
+    sys.exit("trace-gate: an event kind has no name ('unknown')")
+runs = {e["pid"] for e in events if e.get("name") == "process_name"}
+allocs = {e["pid"] for e in events if e.get("ph") == "i" and e.get("name") == "alloc_req"}
+if runs - allocs:
+    sys.exit(f"trace-gate: runs without an alloc_req event: {sorted(runs - allocs)}")
 
 reports = doc.get("attribution")
 if not isinstance(reports, list) or not reports:

@@ -41,6 +41,15 @@ const char* event_kind_name(EventKind kind) {
     case EventKind::kGroupNakRx: return "group_nak_rx";
     case EventKind::kFecDecode: return "fec_decode";
     case EventKind::kFecRecover: return "fec_recover";
+    case EventKind::kAllocReq: return "alloc_req";
+    case EventKind::kNakSuppressed: return "nak_suppressed";
+    case EventKind::kRepairTx: return "repair_tx";
+    case EventKind::kRepairSuppressed: return "repair_suppressed";
+    case EventKind::kEvict: return "evict";
+    case EventKind::kEvictRx: return "evict_rx";
+    case EventKind::kSuspectTx: return "suspect_tx";
+    case EventKind::kSuspectRx: return "suspect_rx";
+    case EventKind::kParityRx: return "parity_rx";
   }
   return "unknown";
 }

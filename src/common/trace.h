@@ -7,8 +7,10 @@
 //
 //   * protocol events — sender/receiver lifecycle points (transmit,
 //     receive, ACK/NAK in both directions, window advance/stall/resume,
-//     RTO, deliver, complete), recorded by rmcast::MulticastSender /
-//     MulticastReceiver when a tracer is attached;
+//     RTO, deliver, complete, handshake, suppression, repair, eviction),
+//     reported once per site by rmcast::MulticastSender /
+//     MulticastReceiver: into the tracer when one is attached, and always
+//     into the flight recorder under the same event_kind_name();
 //   * network events — per-port enqueue / wire-serialization / drop
 //     records from TxPort, EthernetSwitch, SharedBus and the host socket
 //     tier, each drop tagged with its cause (DropCause) and each frame
@@ -70,7 +72,7 @@ enum class EventKind : std::uint8_t {
   kWindowStall,    // a=window base at stall
   kWindowResume,   // a=window base at resume
   kRtoFire,        // a=window base at timeout
-  kDeliver,        // a=session
+  kDeliver,        // a=session, b=message bytes (low 32 bits)
   kComplete,       // a=session
   kFault,          // a=sim::FaultKind value, b=target node
   // Network tier. `a` is the packet tag (0 = untraced payload).
@@ -86,6 +88,24 @@ enum class EventKind : std::uint8_t {
   kGroupNakRx,  // a=node, b=group id
   kFecDecode,   // a=group id, b=decode span duration in ns
   kFecRecover,  // a=seq of a data block rebuilt from parity
+  // Handshake, suppression, peer repair, eviction and parity arrival
+  // (appended for the same reason).
+  kAllocReq,          // a=total packets, b=session (sender)
+  kNakSuppressed,     // a=gap seq, b=NakSuppressReason (receiver)
+  kRepairTx,          // a=seq multicast as a peer repair (receiver)
+  kRepairSuppressed,  // a=seq whose peer repair was withheld (receiver)
+  kEvict,             // a=evicted node, b=its last cumulative count (sender)
+  kEvictRx,           // a=node named by an EVICT notice (receiver)
+  kSuspectTx,         // a=suspected child node (receiver, tree parent)
+  kSuspectRx,         // a=reporting node, b=suspected node (sender)
+  kParityRx,          // a=group*m+index, b=group (receiver)
+};
+inline constexpr EventKind kLastEventKind = EventKind::kParityRx;
+
+// Why a receiver withheld a NAK it wanted to send (kNakSuppressed's b).
+enum class NakSuppressReason : std::uint8_t {
+  kRateLimited,  // within nak_interval of the previous NAK
+  kPeerCovered,  // a peer's multicast NAK already covers the gap
 };
 
 const char* event_kind_name(EventKind kind);

@@ -295,11 +295,6 @@ RunResult run_multicast(const MulticastRunSpec& spec) {
   sim::Simulator& simulator = session.simulator();
   rmcast::MulticastSender& sender = session.sender();
 
-  std::unique_ptr<TraceRecorder> trace;
-  if (spec.sender_trace != nullptr) {
-    trace = std::make_unique<TraceRecorder>(session.sender_runtime());
-    sender.set_observer(trace.get());
-  }
   if (spec.tracer != nullptr) {
     trace::Tracer& tr = *spec.tracer;
     session.set_tracer(&tr);
@@ -360,7 +355,6 @@ RunResult run_multicast(const MulticastRunSpec& spec) {
 
   RunResult result = transfer.result();
   result.events_executed = simulator.events_executed();
-  if (trace != nullptr) *spec.sender_trace = trace->events();
   result.link_drops = collect_link_drops(cluster);
   result.fault_drops = collect_fault_drops(cluster);
   result.sender_cpu_busy_seconds = sim::to_seconds(cluster.host(0).stats().cpu_busy);

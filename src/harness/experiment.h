@@ -16,7 +16,6 @@
 
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "harness/trace.h"
 #include "inet/cluster.h"
 #include "rmcast/config.h"
 #include "rmcast/session.h"
@@ -47,18 +46,13 @@ struct MulticastRunSpec {
   // accumulating across runs, so one registry can absorb a whole sweep.
   // See docs/OBSERVABILITY.md for the metric names.
   metrics::Registry* metrics = nullptr;
-  // Optional control-message trace capture: when set, the run attaches a
-  // TraceRecorder to the sender and copies every protocol event (alloc,
-  // transmit, ack, nak, timeout, complete — with timestamps) here. The
-  // determinism suite diffs these traces across runs and event cores.
-  std::vector<TraceRecorder::Event>* sender_trace = nullptr;
   // Causal tracing (not owned; must outlive the run): when set, the run
   // installs the rmcast packet tagger, attaches the tracer to the sender,
   // every receiver and every network element, records the fault plan, and
   // runs the sim-time timeline sampler. The tracer accumulates across
   // runs; pass a fresh one per run (see harness::TraceLog) for per-run
-  // traces. Tracing is read-only: a traced run's result, metrics and
-  // sender trace are byte-identical to the untraced run's.
+  // traces. Tracing is read-only: a traced run's result and metrics are
+  // byte-identical to the untraced run's.
   trace::Tracer* tracer = nullptr;
   // Timeline sampling interval (sim time; <=0 disables the sampler).
   sim::Time timeline_interval = sim::milliseconds(1);

@@ -361,8 +361,7 @@ SweepRunner::Ticket SweepRunner::submit(const MulticastRunSpec& spec,
   // Caller-owned trace pointers are out-of-band outputs a cached result
   // cannot replay. The runner's own per-job tracers are fine: a cache hit
   // folds a copy of the shared job's trace per ticket.
-  const bool cacheable = impl_->options.cache && spec.sender_trace == nullptr &&
-                         spec.tracer == nullptr;
+  const bool cacheable = impl_->options.cache && spec.tracer == nullptr;
   std::shared_ptr<Job> job;
   if (cacheable) {
     const std::uint64_t fp = spec_fingerprint(spec);

@@ -51,8 +51,8 @@ namespace rmc::harness {
 // link faults), fault plan, seed, message geometry, time limit and verify
 // flag. Two specs with equal fingerprints produce identical RunResults
 // (the simulator is deterministic); the sweep cache relies on this.
-// Out-of-band channels (metrics, sender_trace pointers) are excluded —
-// they do not affect the simulation.
+// Out-of-band channels (metrics, tracer pointers) are excluded — they do
+// not affect the simulation.
 std::uint64_t spec_fingerprint(const MulticastRunSpec& spec);
 
 class SweepRunner {
@@ -97,10 +97,10 @@ class SweepRunner {
   // Enqueues one simulation point. Cacheable: an identical spec already
   // submitted shares its execution. The spec's `metrics` field is ignored
   // (the runner supplies the private registry), and so is its `tracer`
-  // when the runner has a trace sink; a spec carrying a sender_trace or
-  // its own tracer bypasses the cache (out-of-band outputs the cache
-  // cannot replay). `trace_label` names the point in the trace log
-  // (defaults to "point<ticket>").
+  // when the runner has a trace sink; a spec carrying its own tracer
+  // bypasses the cache (an out-of-band output the cache cannot replay).
+  // `trace_label` names the point in the trace log (defaults to
+  // "point<ticket>").
   Ticket submit(const MulticastRunSpec& spec, std::string trace_label = {});
 
   // Enqueues an arbitrary task (TCP/UDP baselines, bespoke probes).

@@ -88,7 +88,14 @@ Attribution attribute(const trace::Tracer& tracer) {
   int nic_track = find_track(tracer, "net.P0.nic");
   if (nic_track < 0) nic_track = find_track(tracer, "net.bus.station0");
 
-  const std::int64_t t0 = ordered.front()->at;
+  // The span opens at the first event after the sender's ALLOC request
+  // (normally the request's enqueue on the wire): the host-side send path
+  // ahead of it is charged to no component.
+  const auto first =
+      std::find_if(ordered.begin(), ordered.end(), [](const trace::Event* e) {
+        return e->kind != trace::EventKind::kAllocReq;
+      });
+  const std::int64_t t0 = (first != ordered.end() ? *first : ordered.front())->at;
   std::int64_t t_end = ordered.back()->at;
   for (const trace::Event* e : ordered) {
     if (e->kind == trace::EventKind::kComplete && e->track == sender_track) {

@@ -94,7 +94,7 @@ std::uint32_t tag_rmcast_tenant_packet(const std::uint8_t* data, std::size_t siz
 struct Attribution {
   static constexpr std::size_t kNumCauses = 7;  // DropCause enumerators
 
-  double total_seconds = 0.0;          // first event to completion
+  double total_seconds = 0.0;          // first post-ALLOC event to completion
   double other_seconds = 0.0;          // pre-data handshake
   double transmit_seconds = 0.0;       // sender NIC busy, no stall/recovery
   double queueing_seconds = 0.0;       // data phase remainder

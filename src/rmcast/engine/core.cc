@@ -87,14 +87,13 @@ std::vector<std::size_t> ProtocolCore::charge_stall_rounds(
   return dead;
 }
 
-bool ProtocolCore::backoff_rto() {
-  if (current_rto >= config_.max_rto) return false;
+void ProtocolCore::backoff_rto() {
+  if (current_rto >= config_.max_rto) return;
   current_rto = std::min<sim::Time>(
       static_cast<sim::Time>(static_cast<double>(current_rto) *
                              config_.rto_backoff_factor),
       config_.max_rto);
   ++stats.rto_backoffs;
-  return true;
 }
 
 bool ProtocolCore::mark_alloc_responded(std::size_t node) {

@@ -2,11 +2,11 @@
 // §4's "common machinery") — the acknowledgment roster and its unit
 // mapping, the Go-Back-N window and cumulative tracker, the
 // buffer-allocation handshake bookkeeping, RTO backoff plus the
-// graceful-degradation stall/eviction accounting, and the
-// observer/metrics hooks. The MulticastSender shell owns the sockets,
-// timers and wire parsing and delegates all of this state here; the
-// per-protocol SenderEngine supplies only policy (who the units are, what
-// solicits acknowledgments, how long a stall is tolerated).
+// graceful-degradation stall/eviction accounting, and the ACK round-trip
+// histogram hook. The MulticastSender shell owns the sockets, timers,
+// wire parsing and event reporting and delegates all of this state here;
+// the per-protocol SenderEngine supplies only policy (who the units are,
+// what solicits acknowledgments, how long a stall is tolerated).
 #pragma once
 
 #include <cstdint>
@@ -15,7 +15,6 @@
 #include "common/metrics.h"
 #include "rmcast/config.h"
 #include "rmcast/engine/engine.h"
-#include "rmcast/observer.h"
 #include "rmcast/roster.h"
 #include "rmcast/stats.h"
 #include "rmcast/window.h"
@@ -71,9 +70,9 @@ class ProtocolCore {
   // previous fire, and returns the units that crossed the eviction
   // threshold.
   std::vector<std::size_t> charge_stall_rounds(std::uint32_t transmitted_next);
-  // Exponential RTO backoff after a no-progress round; returns true when
-  // the timeout actually grew (it saturates at max_rto).
-  bool backoff_rto();
+  // Exponential RTO backoff after a no-progress round (saturates at
+  // max_rto).
+  void backoff_rto();
 
   // --- Alloc handshake --------------------------------------------------
 
@@ -114,9 +113,7 @@ class ProtocolCore {
   sim::Time current_rto = 0;      // backed-off per no-progress round
   std::uint64_t rto_rounds = 0;   // RTO fires this send (for the outcome)
 
-  // Observability hooks (PR 1): protocol-event observer and the ACK
-  // round-trip histogram. Not owned; may be null.
-  SenderObserver* observer = nullptr;
+  // ACK round-trip histogram (not owned; may be null).
   metrics::LatencyHistogram* ack_rtt = nullptr;
   SenderStats stats;
 

@@ -9,7 +9,7 @@
 // ones — when to acknowledge, what structure to aggregate through, which
 // flags a peer repair must reconstruct. Everything else (Go-Back-N
 // window, the alloc handshake, RTO/backoff and eviction, retransmission
-// suppression, observer/metrics hooks) is the shared machinery of
+// suppression, event reporting, metrics hooks) is the shared machinery of
 // ProtocolCore and the sender/receiver shells.
 //
 // Engines are stateless: one instance serves any number of transfers, and

@@ -292,11 +292,8 @@ void MulticastReceiver::handle_data(const Header& h, BytesView body) {
                  h.seq / static_cast<std::uint32_t>(config_.fec.k));
   }
 
-  if (tracer_ && h.seq >= expected_) {
-    tracer_->record(rt_.now(), trace::EventKind::kReceiverRx, trace_track_, h.seq, 0);
-  }
+  if (h.seq >= expected_) emit(trace::EventKind::kReceiverRx, h.seq, 0);
   if (h.seq == expected_) {
-    if (observer_) observer_->on_data(session_, h.seq, h.flags, /*duplicate=*/false);
     const std::uint32_t old_expected = expected_;
     std::uint8_t consumed = consume_in_order(h.seq, h.flags, body);
     after_advance(old_expected, consumed);
@@ -306,7 +303,6 @@ void MulticastReceiver::handle_data(const Header& h, BytesView body) {
       maybe_fec_decode(expected_ / static_cast<std::uint32_t>(config_.fec.k));
     }
   } else if (h.seq > expected_) {
-    if (observer_) observer_->on_data(session_, h.seq, h.flags, /*duplicate=*/false);
     ++stats_.gaps_detected;
     if (config_.selective_repeat && h.seq < expected_ + config_.window_size &&
         reorder_.size() < config_.window_size) {
@@ -382,10 +378,7 @@ void MulticastReceiver::after_advance(std::uint32_t old_expected,
 
 void MulticastReceiver::on_duplicate(const Header& h) {
   ++stats_.duplicates;
-  if (observer_) observer_->on_data(session_, h.seq, h.flags, /*duplicate=*/true);
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kReceiverRx, trace_track_, h.seq, 1);
-  }
+  emit(trace::EventKind::kReceiverRx, h.seq, 1);
   // A retransmission of something we already hold usually means our (or a
   // peer's) acknowledgment was lost: re-acknowledge per the engine's
   // policy.
@@ -437,10 +430,7 @@ void MulticastReceiver::maybe_forward_chain_state(bool resend_allowed) {
 void MulticastReceiver::send_ack(std::uint32_t cum) {
   Header h{PacketType::kAck, 0, static_cast<std::uint16_t>(node_id_), session_, cum};
   ++stats_.acks_sent;
-  if (observer_) observer_->on_ack_sent(session_, cum);
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kAckTx, trace_track_, cum);
-  }
+  emit(trace::EventKind::kAckTx, cum);
   control_socket_.send_ref(ack_target(), make_control_ref(h));
 }
 
@@ -448,9 +438,8 @@ void MulticastReceiver::want_nak() {
   const sim::Time now = rt_.now();
   if (last_nak_ >= 0 && now - last_nak_ < config_.nak_interval) {
     ++stats_.naks_suppressed;
-    if (observer_) {
-      observer_->on_nak_suppressed(session_, expected_, NakSuppressReason::kRateLimited);
-    }
+    emit(trace::EventKind::kNakSuppressed, expected_,
+         static_cast<std::uint32_t>(trace::NakSuppressReason::kRateLimited));
     return;
   }
   if (!config_.multicast_nak_suppression) {
@@ -479,12 +468,7 @@ void MulticastReceiver::emit_nak() {
   Header h{PacketType::kNak, 0, static_cast<std::uint16_t>(node_id_), session_, expected_};
   net::PayloadRef packet = make_control_ref(h);
   ++stats_.naks_sent;
-  if (observer_) observer_->on_nak_sent(session_, expected_);
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kNakTx, trace_track_, expected_);
-  }
-  flight_recorder().record(rt_.now(), "receiver", "nak",
-                           static_cast<std::uint32_t>(node_id_), expected_);
+  emit(trace::EventKind::kNakTx, expected_);
   if (config_.peer_repair) {
     // SRM-style: the NAK goes to the group — whoever holds the packet
     // repairs it, keeping the sender out of the fast path. If this is a
@@ -529,10 +513,8 @@ void MulticastReceiver::handle_foreign_nak(const Header& h) {
       rt_.cancel(nak_timer_);
       nak_timer_ = rt::kInvalidTimerId;
       ++stats_.naks_suppressed;
-      if (observer_) {
-        observer_->on_nak_suppressed(session_, expected_,
-                                     NakSuppressReason::kPeerCovered);
-      }
+      emit(trace::EventKind::kNakSuppressed, expected_,
+           static_cast<std::uint32_t>(trace::NakSuppressReason::kPeerCovered));
     }
     last_nak_ = rt_.now();
   }
@@ -587,8 +569,7 @@ void MulticastReceiver::handle_parity(const Header& h, BytesView body) {
   // the group's last parity index closes its repair window entirely.
   fec_no_more_parity_group_ = std::max(
       fec_no_more_parity_group_, index + 1 == m ? group + 1 : group);
-  flight_recorder().record(rt_.now(), "receiver", "parity",
-                           static_cast<std::uint32_t>(node_id_), h.seq, group);
+  emit(trace::EventKind::kParityRx, h.seq, group);
   const std::uint64_t group_end = first + fec_group_data(group);
   if (!delivered_ && expected_ < group_end) {
     fec_parity_[group].try_emplace(index, Buffer(body.begin(), body.end()));
@@ -690,22 +671,15 @@ void MulticastReceiver::finish_fec_decode(std::uint32_t group, sim::Time started
     return;
   }
   ++stats_.fec_decodes;
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kFecDecode, trace_track_, group,
-                    static_cast<std::uint32_t>(rt_.now() - started));
-  }
-  flight_recorder().record(rt_.now(), "receiver", "fec_decode",
-                           static_cast<std::uint32_t>(node_id_), group,
-                           static_cast<std::uint32_t>(n_missing));
+  emit(trace::EventKind::kFecDecode, group,
+       static_cast<std::uint32_t>(rt_.now() - started));
   for (std::size_t i = 0; i < group_data; ++i) {
     if (((missing >> i) & 1u) == 0) continue;
     const std::uint32_t seq = first + static_cast<std::uint32_t>(i);
     std::uint8_t flags = engine_->repair_flags(seq, config_);
     if (seq + 1 == alloc_.total_packets) flags |= kFlagLast;
     ++stats_.fec_blocks_recovered;
-    if (tracer_) {
-      tracer_->record(rt_.now(), trace::EventKind::kFecRecover, trace_track_, seq);
-    }
+    emit(trace::EventKind::kFecRecover, seq);
     reorder_.try_emplace(seq, flags,
                          Buffer(staging[i].begin(),
                                 staging[i].begin() +
@@ -747,6 +721,8 @@ void MulticastReceiver::want_group_nak(bool force) {
   const sim::Time now = rt_.now();
   if (last_nak_ >= 0 && now - last_nak_ < config_.nak_interval) {
     ++stats_.naks_suppressed;
+    emit(trace::EventKind::kNakSuppressed, expected_,
+         static_cast<std::uint32_t>(trace::NakSuppressReason::kRateLimited));
     return;
   }
   last_nak_ = now;
@@ -761,13 +737,7 @@ void MulticastReceiver::emit_group_nak(std::uint32_t group, std::uint64_t missin
   write_header(w, h);
   write_group_nak(w, GroupNak{missing});
   ++stats_.group_naks_sent;
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kGroupNakTx, trace_track_, group,
-                    static_cast<std::uint32_t>(n_missing));
-  }
-  flight_recorder().record(rt_.now(), "receiver", "group_nak",
-                           static_cast<std::uint32_t>(node_id_), group,
-                           static_cast<std::uint32_t>(n_missing));
+  emit(trace::EventKind::kGroupNakTx, group, static_cast<std::uint32_t>(n_missing));
   control_socket_.send_ref(membership_.sender_control, w.take());
 }
 
@@ -779,14 +749,7 @@ void MulticastReceiver::deliver_if_complete() {
   if (delivery_latency_ != nullptr) {
     delivery_latency_->record_seconds(sim::to_seconds(rt_.now() - session_started_));
   }
-  if (observer_) observer_->on_deliver(session_, buffer_.size());
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kDeliver, trace_track_, session_,
-                    static_cast<std::uint32_t>(buffer_.size()));
-  }
-  flight_recorder().record(rt_.now(), "receiver", "deliver",
-                           static_cast<std::uint32_t>(node_id_), session_,
-                           buffer_.size());
+  emit(trace::EventKind::kDeliver, session_, static_cast<std::uint32_t>(buffer_.size()));
   RMC_DEBUG("receiver %zu: delivered session %u (%zu bytes)", node_id_, session_,
             buffer_.size());
   if (handler_) handler_(buffer_, session_);
@@ -827,7 +790,7 @@ void MulticastReceiver::schedule_repair(std::uint32_t seq) {
   if (auto it = repair_seen_at_.find(seq); it != repair_seen_at_.end()) {
     if (rt_.now() - it->second < holdoff) {
       ++stats_.repairs_suppressed;
-      if (observer_) observer_->on_repair_suppressed(session_, seq);
+      emit(trace::EventKind::kRepairSuppressed, seq);
       return;
     }
   }
@@ -850,7 +813,7 @@ void MulticastReceiver::cancel_repair(std::uint32_t seq) {
   rt_.cancel(it->second);
   repair_timers_.erase(it);
   ++stats_.repairs_suppressed;
-  if (observer_) observer_->on_repair_suppressed(session_, seq);
+  emit(trace::EventKind::kRepairSuppressed, seq);
 }
 
 void MulticastReceiver::emit_repair(std::uint32_t seq) {
@@ -875,9 +838,7 @@ void MulticastReceiver::emit_repair(std::uint32_t seq) {
     w.bytes(BytesView(buffer_.data() + offset, len));
   }
   ++stats_.repairs_sent;
-  if (observer_) observer_->on_repair_sent(session_, seq);
-  flight_recorder().record(rt_.now(), "receiver", "repair",
-                           static_cast<std::uint32_t>(node_id_), seq);
+  emit(trace::EventKind::kRepairTx, seq);
   control_socket_.send_ref(membership_.group, w.take());
 }
 
@@ -891,15 +852,12 @@ void MulticastReceiver::handle_evict(const Header& h) {
   ++stats_.evict_notices_received;
   alive_[node] = false;
   live_dirty_ = true;
-  flight_recorder().record(rt_.now(), "receiver", "evict_notice",
-                           static_cast<std::uint32_t>(node_id_), session_,
-                           static_cast<std::uint32_t>(node));
+  emit(trace::EventKind::kEvictRx, static_cast<std::uint32_t>(node));
   if (node == node_id_) {
     // That's us. Go passive: cancel every timer and stop talking — the
     // survivors have already restructured around this node, and any late
     // ACK or NAK from it would corrupt their re-formed aggregation.
     evicted_self_ = true;
-    if (observer_) observer_->on_eviction(session_, h.node_id, /*self=*/true);
     disarm_inactivity_timer();
     disarm_child_monitor();
     if (nak_timer_ != rt::kInvalidTimerId) {
@@ -909,9 +867,6 @@ void MulticastReceiver::handle_evict(const Header& h) {
     for (auto& [seq, timer] : repair_timers_) rt_.cancel(timer);
     repair_timers_.clear();
     return;
-  }
-  if (observer_) {
-    observer_->on_eviction(session_, static_cast<std::uint16_t>(node), /*self=*/false);
   }
   if (is_tree_) {
     rebuild_tree_links();
@@ -1015,10 +970,15 @@ void MulticastReceiver::send_suspect(std::size_t child) {
   Header h{PacketType::kSuspect, 0, static_cast<std::uint16_t>(node_id_), session_,
            static_cast<std::uint32_t>(child)};
   ++stats_.suspects_sent;
-  flight_recorder().record(rt_.now(), "receiver", "suspect",
-                           static_cast<std::uint32_t>(node_id_), session_,
-                           static_cast<std::uint32_t>(child));
+  emit(trace::EventKind::kSuspectTx, static_cast<std::uint32_t>(child));
   control_socket_.send_ref(membership_.sender_control, make_control_ref(h));
+}
+
+void MulticastReceiver::emit(trace::EventKind kind, std::uint32_t a, std::uint32_t b) {
+  const sim::Time now = rt_.now();
+  if (tracer_) tracer_->record(now, kind, trace_track_, a, b);
+  flight_recorder().record(now, "receiver", trace::event_kind_name(kind),
+                           static_cast<std::uint32_t>(node_id_), a, b);
 }
 
 }  // namespace rmc::rmcast

@@ -47,7 +47,6 @@
 #include "rmcast/engine/engine.h"
 #include "rmcast/fec/codec.h"
 #include "rmcast/group.h"
-#include "rmcast/observer.h"
 #include "rmcast/stats.h"
 #include "rmcast/wire.h"
 #include "runtime/runtime.h"
@@ -71,9 +70,6 @@ class MulticastReceiver : private ReceiverOps {
 
   void set_message_handler(MessageHandler handler) { handler_ = std::move(handler); }
 
-  // Optional protocol-event observer (may be null; not owned). Must
-  // outlive the receiver or be cleared first.
-  void set_observer(ReceiverObserver* observer) { observer_ = observer; }
   // Optional metrics sink (may be null; not owned; must outlive the
   // receiver). Publishes the delivery-latency distribution as the
   // "receiver.delivery_latency_us" histogram: one sample per delivered
@@ -83,8 +79,8 @@ class MulticastReceiver : private ReceiverOps {
         metrics != nullptr ? &metrics->histogram("receiver.delivery_latency_us") : nullptr;
   }
   // Causal tracing (may be null; not owned; must outlive the receiver):
-  // records data receptions (with duplicate flag), ACK/NAK emissions and
-  // delivery onto `track` of `tracer`.
+  // every protocol event the receiver reports (trace::EventKind) is also
+  // recorded onto `track` of `tracer`.
   void set_tracer(trace::Tracer* tracer, std::uint16_t track) {
     tracer_ = tracer;
     trace_track_ = track;
@@ -198,6 +194,10 @@ class MulticastReceiver : private ReceiverOps {
   std::size_t child_suspect_threshold(std::size_t child) const;
   void send_suspect(std::size_t child);
 
+  // Reports one protocol event (operands per trace::EventKind): into the
+  // tracer when one is attached, and always into the flight recorder.
+  void emit(trace::EventKind kind, std::uint32_t a = 0, std::uint32_t b = 0);
+
   rt::Runtime& rt_;
   rt::UdpSocket& data_socket_;
   rt::UdpSocket& control_socket_;
@@ -211,7 +211,6 @@ class MulticastReceiver : private ReceiverOps {
   Rng rng_;  // NAK backoff randomisation, seeded by node id
 
   MessageHandler handler_;
-  ReceiverObserver* observer_ = nullptr;
   trace::Tracer* tracer_ = nullptr;
   std::uint16_t trace_track_ = 0;
   metrics::LatencyHistogram* delivery_latency_ = nullptr;

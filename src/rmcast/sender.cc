@@ -92,9 +92,7 @@ void MulticastSender::send_alloc_request() {
   write_header(w, h);
   write_alloc_request(w, req);
   ++core_.stats.alloc_requests_sent;
-  if (core_.observer) core_.observer->on_alloc_request(session_, total_packets_);
-  flight_recorder().record(rt_.now(), "sender", "alloc_req", kSenderNodeId, session_,
-                           total_packets_);
+  emit(trace::EventKind::kAllocReq, total_packets_, session_);
   socket_.send_ref(membership_.group, w.take());
 }
 
@@ -212,20 +210,11 @@ void MulticastSender::pump() {
     if (!window_stalled_ && seq_lt(core_.window.next(), core_.window.end())) {
       window_stalled_ = true;
       ++core_.stats.window_stalls;
-      if (core_.observer) core_.observer->on_window_stall(session_, core_.window.base());
-      if (tracer_) {
-        tracer_->record(rt_.now(), trace::EventKind::kWindowStall, trace_track_,
-                        core_.window.base());
-      }
-      flight_recorder().record(rt_.now(), "sender", "window_stall", kSenderNodeId,
-                               session_, core_.window.base());
+      emit(trace::EventKind::kWindowStall, core_.window.base());
     }
     return;
   }
-  if (window_stalled_ && tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kWindowResume, trace_track_,
-                    core_.window.base());
-  }
+  if (window_stalled_) emit(trace::EventKind::kWindowResume, core_.window.base());
   window_stalled_ = false;
   if (config_.rate_limit_bps > 0) {
     const sim::Time now = rt_.now();
@@ -266,13 +255,7 @@ void MulticastSender::transmit(std::uint32_t seq, bool retransmission, bool forc
   // Unicast repairs do not count as group-wide transmissions for the
   // suppression bookkeeping.
   if (unicast_to == nullptr) core_.window.mark_sent(seq, rt_.now());
-  if (core_.observer) core_.observer->on_transmit(session_, seq, h.flags, retransmission);
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kSenderTx, trace_track_, seq,
-                    retransmission ? 1u : 0u);
-  }
-  flight_recorder().record(rt_.now(), "sender", retransmission ? "retx" : "tx",
-                           kSenderNodeId, seq, h.flags);
+  emit(trace::EventKind::kSenderTx, seq, retransmission ? 1u : 0u);
 
   if (retransmission) {
     // Retransmissions resend from the protocol buffer — the user-space
@@ -357,12 +340,7 @@ void MulticastSender::emit_group_parity(std::uint32_t group) {
       write_header(w, h);
       if (!parity[j].empty()) w.bytes(BytesView(parity[j].data(), parity[j].size()));
       ++core_.stats.parity_packets_sent;
-      if (tracer_) {
-        tracer_->record(rt_.now(), trace::EventKind::kParityTx, trace_track_, pseq,
-                        group);
-      }
-      flight_recorder().record(rt_.now(), "sender", "parity", kSenderNodeId, pseq,
-                               group);
+      emit(trace::EventKind::kParityTx, pseq, group);
       socket_.send_ref(membership_.group, w.take());
     }
     tx_chain_active_ = false;
@@ -389,12 +367,7 @@ void MulticastSender::on_group_nak(const Header& h, Reader& r) {
     return;
   }
   ++core_.stats.group_naks_received;
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kGroupNakRx, trace_track_, h.node_id,
-                    h.seq);
-  }
-  flight_recorder().record(rt_.now(), "sender", "group_nak", h.node_id, session_,
-                           h.seq);
+  emit(trace::EventKind::kGroupNakRx, h.node_id, h.seq);
   const std::uint64_t first = std::uint64_t{h.seq} * config_.fec.k;
   if (first >= total_packets_) {
     ++core_.stats.stale_packets;
@@ -412,7 +385,6 @@ void MulticastSender::on_group_nak(const Header& h, Reader& r) {
     if (seq_lt(seq, core_.window.base()) || seq_ge(seq, core_.window.next())) continue;
     if (now - core_.window.last_sent(seq) < config_.suppress_interval) {
       ++core_.stats.suppressed_retransmissions;
-      if (core_.observer) core_.observer->on_retransmit_suppressed(session_, seq);
       continue;
     }
     transmit(seq, /*retransmission=*/true, /*force_poll=*/false);
@@ -425,10 +397,7 @@ void MulticastSender::on_ack(const Header& h) {
     return;
   }
   ++core_.stats.acks_received;
-  if (core_.observer) core_.observer->on_ack(h.session, h.node_id, h.seq);
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kAckRx, trace_track_, h.node_id, h.seq);
-  }
+  emit(trace::EventKind::kAckRx, h.node_id, h.seq);
   int unit = core_.unit_of_node(h.node_id);
   if (unit < 0 || seq_gt(h.seq, core_.window.end())) {
     ++core_.stats.stale_packets;
@@ -448,7 +417,6 @@ void MulticastSender::on_ack(const Header& h) {
   if (!core_.tracker.on_ack(static_cast<std::size_t>(unit), cum)) return;
   // Progress: any exponential RTO backoff resets to the configured base.
   core_.current_rto = config_.rto;
-  flight_recorder().record(rt_.now(), "sender", "ack", h.node_id, cum);
   // ACK round-trip sample: from the newest acknowledged packet's last
   // transmission to now. Must be taken before release_to() slides the
   // window past cum.
@@ -466,11 +434,8 @@ void MulticastSender::on_ack(const Header& h) {
 
   if (seq_le(core_.tracker.min_cum(), core_.window.base())) return;
   core_.window.release_to(core_.tracker.min_cum());
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kWindowAdvance, trace_track_,
-                    core_.window.base(),
-                    static_cast<std::uint32_t>(core_.window.outstanding()));
-  }
+  emit(trace::EventKind::kWindowAdvance, core_.window.base(),
+       static_cast<std::uint32_t>(core_.window.outstanding()));
   if (core_.window.all_released()) {
     complete();
     return;
@@ -484,11 +449,7 @@ void MulticastSender::on_nak(const Header& h) {
     return;
   }
   ++core_.stats.naks_received;
-  if (core_.observer) core_.observer->on_nak(h.session, h.node_id, h.seq);
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kNakRx, trace_track_, h.node_id, h.seq);
-  }
-  flight_recorder().record(rt_.now(), "sender", "nak", h.node_id, h.seq);
+  emit(trace::EventKind::kNakRx, h.node_id, h.seq);
   if (seq_lt(h.seq, core_.window.base()) || seq_ge(h.seq, core_.window.next())) return;
   if (config_.unicast_nak_retransmissions && h.node_id < membership_.n_receivers()) {
     // Answer only the complaining receiver; the group keeps its bandwidth
@@ -518,7 +479,6 @@ void MulticastSender::retransmit_from(std::uint32_t from, bool force_poll,
     if (unicast_to == nullptr) {
       if (now - core_.window.last_sent(seq) < config_.suppress_interval) {
         ++core_.stats.suppressed_retransmissions;
-        if (core_.observer) core_.observer->on_retransmit_suppressed(session_, seq);
         continue;
       }
     }
@@ -556,13 +516,7 @@ void MulticastSender::on_rto() {
   if (state_ != State::kSending) return;
   ++core_.stats.rto_fires;
   ++core_.rto_rounds;
-  if (core_.observer) core_.observer->on_timeout(session_, core_.window.base());
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kRtoFire, trace_track_,
-                    core_.window.base());
-  }
-  flight_recorder().record(rt_.now(), "sender", "rto", kSenderNodeId, session_,
-                           core_.window.base());
+  emit(trace::EventKind::kRtoFire, core_.window.base());
   RMC_DEBUG("[%.6f] sender rto: session=%u base=%u next=%u", sim::to_seconds(rt_.now()),
             session_, core_.window.base(), core_.window.next());
   if (core_.eviction_enabled()) {
@@ -571,9 +525,7 @@ void MulticastSender::on_rto() {
     // Back the timeout off exponentially (the peer — or the network — is
     // not keeping up with the current pace) and charge a stall round to
     // every unit still short of what has been transmitted.
-    if (core_.backoff_rto() && core_.observer) {
-      core_.observer->on_rto_backoff(session_, core_.current_rto);
-    }
+    core_.backoff_rto();
     std::vector<std::size_t> dead = core_.charge_stall_rounds(core_.window.next());
     for (std::size_t node : dead) {
       evict(node);
@@ -600,13 +552,7 @@ void MulticastSender::announce_evictions() {
 
 void MulticastSender::evict(std::size_t node) {
   if (!core_.mark_evicted(node)) return;
-  if (core_.observer) {
-    core_.observer->on_receiver_evicted(session_, static_cast<std::uint16_t>(node),
-                                        core_.node_cum[node]);
-  }
-  flight_recorder().record(rt_.now(), "sender", "evict",
-                           static_cast<std::uint16_t>(node), session_,
-                           core_.node_cum[node]);
+  emit(trace::EventKind::kEvict, static_cast<std::uint32_t>(node), core_.node_cum[node]);
   RMC_DEBUG("[%.6f] sender evict: node=%zu cum=%u", sim::to_seconds(rt_.now()), node,
             core_.node_cum[node]);
   send_evict_notice(node);
@@ -653,7 +599,7 @@ void MulticastSender::on_suspect(const Header& h) {
   ++core_.stats.suspect_reports_received;
   const std::size_t node = h.seq;
   if (node >= core_.n_nodes() || core_.is_evicted(node)) return;
-  flight_recorder().record(rt_.now(), "sender", "suspect", h.node_id, session_, h.seq);
+  emit(trace::EventKind::kSuspectRx, h.node_id, h.seq);
   evict(node);
 }
 
@@ -683,11 +629,7 @@ void MulticastSender::complete() {
   }
   state_ = State::kIdle;
   ++core_.stats.messages_sent;
-  if (core_.observer) core_.observer->on_complete(session_);
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kComplete, trace_track_, session_);
-  }
-  flight_recorder().record(rt_.now(), "sender", "complete", kSenderNodeId, session_);
+  emit(trace::EventKind::kComplete, session_);
   BufferRecycler::instance().release(std::exchange(message_, {}));
   message_view_ = {};
   if (on_complete_) {
@@ -697,6 +639,13 @@ void MulticastSender::complete() {
     on_complete_ = nullptr;
     handler(outcome);
   }
+}
+
+void MulticastSender::emit(trace::EventKind kind, std::uint32_t a, std::uint32_t b) {
+  const sim::Time now = rt_.now();
+  if (tracer_) tracer_->record(now, kind, trace_track_, a, b);
+  flight_recorder().record(now, "sender", trace::event_kind_name(kind), kSenderNodeId, a,
+                           b);
 }
 
 }  // namespace rmc::rmcast

@@ -35,7 +35,6 @@
 #include "rmcast/engine/engine.h"
 #include "rmcast/fec/codec.h"
 #include "rmcast/group.h"
-#include "rmcast/observer.h"
 #include "rmcast/report.h"
 #include "rmcast/stats.h"
 #include "rmcast/window.h"
@@ -85,9 +84,6 @@ class MulticastSender {
   // Current (possibly backed-off) retransmission timeout.
   sim::Time current_rto() const { return core_.current_rto; }
 
-  // Optional protocol-event observer (may be null; not owned). Must
-  // outlive the sender or be cleared first.
-  void set_observer(SenderObserver* observer) { core_.observer = observer; }
   // Optional metrics sink (may be null; not owned; must outlive the
   // sender). Publishes the ACK round-trip distribution as the
   // "sender.ack_rtt_us" histogram: one sample per acknowledgment that
@@ -98,8 +94,8 @@ class MulticastSender {
         metrics != nullptr ? &metrics->histogram("sender.ack_rtt_us") : nullptr;
   }
   // Causal tracing (may be null; not owned; must outlive the sender):
-  // records transmit / ACK / NAK arrivals, window advance / stall /
-  // resume, RTO fires and completion onto `track` of `tracer`.
+  // every protocol event the sender reports (trace::EventKind) is also
+  // recorded onto `track` of `tracer`.
   void set_tracer(trace::Tracer* tracer, std::uint16_t track) {
     tracer_ = tracer;
     trace_track_ = track;
@@ -160,6 +156,10 @@ class MulticastSender {
 
   std::uint8_t data_flags(std::uint32_t seq, bool retransmission, bool force_poll) const;
 
+  // Reports one protocol event (operands per trace::EventKind): into the
+  // tracer when one is attached, and always into the flight recorder.
+  void emit(trace::EventKind kind, std::uint32_t a = 0, std::uint32_t b = 0);
+
   rt::Runtime& rt_;
   rt::UdpSocket& socket_;
   GroupMembership membership_;
@@ -191,7 +191,7 @@ class MulticastSender {
   rt::TimerId alloc_timer_ = rt::kInvalidTimerId;
   CompletionHandler on_complete_;
   // True while the window is full with nothing in flight to send, so the
-  // stall observer hook fires once per stall, not once per pump().
+  // stall event fires once per stall, not once per pump().
   bool window_stalled_ = false;
 };
 

@@ -5,7 +5,7 @@
 // end-to-end, for every protocol the paper studies, on BOTH event cores:
 //
 //   * same seed, same core, run twice  -> identical metrics snapshot
-//     (full JSON), identical control-message trace (timestamps included),
+//     (full JSON), identical causal trace (timestamps included),
 //     identical stats and event counts;
 //   * pooled wheel vs legacy heap      -> identical everything, proving
 //     the fast-path event core is observationally indistinguishable from
@@ -14,13 +14,11 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "harness/experiment.h"
 #include "harness/tenant.h"
-#include "harness/trace.h"
 #include "sim/simulator.h"
 
 namespace rmc::rmcast {
@@ -55,7 +53,6 @@ ProtocolConfig small_config(ProtocolKind kind) {
 struct Capture {
   harness::RunResult result;
   std::string metrics_json;
-  std::vector<harness::TraceRecorder::Event> trace;
   trace::Tracer tracer;  // full causal trace, tags and timelines included
 };
 
@@ -79,7 +76,6 @@ Capture capture_run(ProtocolKind kind, sim::EventCoreKind core,
     spec.protocol.max_retransmit_rounds = 5;
   }
   spec.metrics = &registry;
-  spec.sender_trace = &cap.trace;
   spec.tracer = &cap.tracer;
   cap.result = harness::run_multicast(spec);
   cap.metrics_json = registry.to_json();
@@ -108,9 +104,6 @@ void expect_identical(const Capture& x, const Capture& y, const char* label) {
   // The full metrics snapshot — every counter, gauge and histogram the
   // observability layer publishes, in one string compare.
   EXPECT_EQ(x.metrics_json, y.metrics_json) << label;
-  // The control-message trace: same packets, same order, same timestamps.
-  ASSERT_EQ(x.trace.size(), y.trace.size()) << label;
-  EXPECT_TRUE(x.trace == y.trace) << label;
   // The causal trace — every hook in the protocol, net and timeline tiers,
   // with integer nanosecond timestamps — must also match bit-for-bit.
   ASSERT_EQ(x.tracer.events().size(), y.tracer.events().size()) << label;
@@ -132,7 +125,7 @@ TEST_P(Determinism, SameSeedReproducesErrorFreeRuns) {
     Capture a = capture_run(kind, GetParam(), /*seed=*/3, /*fer=*/0.0);
     Capture b = capture_run(kind, GetParam(), /*seed=*/3, /*fer=*/0.0);
     expect_identical(a, b, protocol_name(kind));
-    EXPECT_FALSE(a.trace.empty()) << protocol_name(kind);
+    EXPECT_FALSE(a.tracer.events().empty()) << protocol_name(kind);
   }
 }
 
@@ -150,7 +143,7 @@ TEST_P(Determinism, DifferentSeedsDiverge) {
   Capture a = capture_run(ProtocolKind::kAck, GetParam(), /*seed=*/1, /*fer=*/0.01);
   Capture b = capture_run(ProtocolKind::kAck, GetParam(), /*seed=*/2, /*fer=*/0.01);
   ASSERT_TRUE(a.result.completed && b.result.completed);
-  EXPECT_FALSE(a.trace == b.trace);
+  EXPECT_FALSE(a.tracer.same_as(b.tracer));
 }
 
 // The multi-tenant tier rides the same contract: a TenantMix — two
@@ -255,7 +248,6 @@ TEST(DeterminismCrossCore, CoresAgreeUnderFaults) {
     } else {
       // Even a timed-out run must time out identically.
       EXPECT_EQ(pooled.metrics_json, legacy.metrics_json) << protocol_name(kind);
-      EXPECT_TRUE(pooled.trace == legacy.trace) << protocol_name(kind);
       EXPECT_TRUE(pooled.tracer.same_as(legacy.tracer)) << protocol_name(kind);
     }
   }

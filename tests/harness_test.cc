@@ -2,16 +2,16 @@
 // averaging, and table output.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
-#include <set>
 #include <string>
-#include <utility>
+#include <string_view>
 
 #include "common/buffer_recycler.h"
+#include "common/trace.h"
 #include "harness/experiment.h"
 #include "harness/table.h"
 #include "harness/testbed.h"
-#include "harness/trace.h"
 #include "net/frame_arena.h"
 #include "rmcast/session.h"
 
@@ -197,6 +197,17 @@ TEST(TablePrinterDeath, RowWidthMustMatch) {
   EXPECT_DEATH(t.add_row({"only-one"}), "row width");
 }
 
+// Events of `kind` on the track named `track`; a non-negative `b` also
+// requires that operand (kSenderTx: 0 = first transmission, 1 = repeat).
+std::size_t count_on(const trace::Tracer& tracer, std::string_view track,
+                     trace::EventKind kind, int b = -1) {
+  return static_cast<std::size_t>(std::count_if(
+      tracer.events().begin(), tracer.events().end(), [&](const trace::Event& e) {
+        return e.kind == kind && tracer.track_name(e.track) == track &&
+               (b < 0 || e.b == static_cast<std::uint32_t>(b));
+      }));
+}
+
 TEST(Trace, RecordsOrderedProtocolEvents) {
   rmcast::SessionParams params;
   params.n_receivers = 3;
@@ -204,56 +215,41 @@ TEST(Trace, RecordsOrderedProtocolEvents) {
   params.protocol.packet_size = 8000;
   params.protocol.window_size = 8;
   rmcast::Session session(params);
-  TraceRecorder trace(session.sender_runtime());
-  session.sender().set_observer(&trace);
-  for (std::size_t i = 0; i < 3; ++i) {
-    session.receiver(i).set_observer(trace.receiver_tap(i));
-  }
+  trace::Tracer tracer;
+  session.set_tracer(&tracer);
 
   Buffer message(20'000, 0x33);  // 3 packets
   ASSERT_TRUE(session.send_and_wait(BytesView(message.data(), message.size())).has_value());
 
-  using Kind = TraceRecorder::Kind;
-  EXPECT_EQ(trace.count(Kind::kAllocRequest), 1u);
-  EXPECT_EQ(trace.count(Kind::kTransmit), 3u);
-  EXPECT_EQ(trace.count(Kind::kRetransmit), 0u);
-  EXPECT_EQ(trace.count(Kind::kAck), 9u);  // 3 receivers x 3 packets
-  EXPECT_EQ(trace.count(Kind::kComplete), 1u);
-  // Receiver taps land in the same stream: each of the 3 receivers accepts
-  // every data packet (no loss), acks it, and delivers once.
-  EXPECT_EQ(trace.count(Kind::kData), 9u);
-  EXPECT_EQ(trace.count(Kind::kDuplicate), 0u);
-  EXPECT_EQ(trace.count(Kind::kAckSent), 9u);
-  EXPECT_EQ(trace.count(Kind::kDeliver), 3u);
-  for (std::uint32_t node = 0; node < 3; ++node) {
-    EXPECT_EQ(trace.count_node(node), 7u);  // 3 data + 3 acks + 1 deliver
+  using trace::EventKind;
+  EXPECT_EQ(count_on(tracer, "sender", EventKind::kAllocReq), 1u);
+  EXPECT_EQ(count_on(tracer, "sender", EventKind::kSenderTx, 0), 3u);
+  EXPECT_EQ(count_on(tracer, "sender", EventKind::kSenderTx, 1), 0u);
+  EXPECT_EQ(count_on(tracer, "sender", EventKind::kAckRx), 9u);  // 3 receivers x 3
+  EXPECT_EQ(count_on(tracer, "sender", EventKind::kComplete), 1u);
+  // Receiver tracks land in the same stream: each of the 3 receivers
+  // accepts every data packet (no loss), acks it, and delivers once.
+  std::size_t receiver_events = 0;
+  for (std::size_t node = 0; node < 3; ++node) {
+    const std::string track = "receiver." + std::to_string(node);
+    EXPECT_EQ(count_on(tracer, track, EventKind::kReceiverRx, 0), 3u) << track;
+    EXPECT_EQ(count_on(tracer, track, EventKind::kReceiverRx, 1), 0u) << track;
+    EXPECT_EQ(count_on(tracer, track, EventKind::kAckTx), 3u) << track;
+    EXPECT_EQ(count_on(tracer, track, EventKind::kDeliver), 1u) << track;
+    for (const trace::Event& e : tracer.events()) {
+      if (tracer.track_name(e.track) == track) ++receiver_events;
+    }
   }
-  EXPECT_EQ(trace.count_node(TraceRecorder::kSenderNode),
-            trace.events().size() - 3 * 7u);
+  EXPECT_EQ(receiver_events, 3 * 7u);  // 3 data + 3 acks + 1 deliver each
 
   // Chronology: alloc first, completion last, timestamps non-decreasing.
-  const auto& events = trace.events();
+  const auto& events = tracer.events();
   ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events.front().kind, Kind::kAllocRequest);
-  EXPECT_EQ(events.back().kind, Kind::kComplete);
+  EXPECT_EQ(events.front().kind, EventKind::kAllocReq);
+  EXPECT_EQ(events.back().kind, EventKind::kComplete);
   for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_GE(events[i].seconds, events[i - 1].seconds);
+    EXPECT_GE(events[i].at, events[i - 1].at);
   }
-
-  // CSV export round-trips through a memstream.
-  char* data = nullptr;
-  std::size_t size = 0;
-  FILE* mem = open_memstream(&data, &size);
-  trace.write_csv(mem);
-  std::fclose(mem);
-  std::string csv(data, size);
-  free(data);
-  EXPECT_NE(csv.find("seconds,kind,node,session,a,b"), std::string::npos);
-  EXPECT_NE(csv.find("alloc_request"), std::string::npos);
-  EXPECT_NE(csv.find("complete"), std::string::npos);
-  EXPECT_NE(csv.find("deliver"), std::string::npos);
-  EXPECT_EQ(static_cast<std::size_t>(std::count(csv.begin(), csv.end(), '\n')),
-            events.size() + 1);
 }
 
 TEST(Trace, RetransmissionsVisibleUnderLoss) {
@@ -266,81 +262,28 @@ TEST(Trace, RetransmissionsVisibleUnderLoss) {
   params.cluster.link.frame_error_rate = 0.03;
   params.cluster.seed = 5;
   rmcast::Session session(params);
-  TraceRecorder trace(session.sender_runtime());
-  session.sender().set_observer(&trace);
+  trace::Tracer tracer;
+  session.set_tracer(&tracer);
 
   Buffer message(200'000, 0x44);
   ASSERT_TRUE(session.send_and_wait(BytesView(message.data(), message.size()),
                                     sim::seconds(60.0))
                   .has_value());
   const rmcast::SenderStats& stats = session.sender().stats();
-  EXPECT_GT(trace.count(TraceRecorder::Kind::kRetransmit), 0u);
-  EXPECT_EQ(trace.count(TraceRecorder::Kind::kRetransmit), stats.retransmissions);
-  EXPECT_EQ(trace.count(TraceRecorder::Kind::kNak), stats.naks_received);
-}
-
-TEST(Trace, KindNameRoundTrip) {
-  using Kind = TraceRecorder::Kind;
-  const std::pair<Kind, const char*> expected[] = {
-      {Kind::kAllocRequest, "alloc_request"},
-      {Kind::kTransmit, "transmit"},
-      {Kind::kRetransmit, "retransmit"},
-      {Kind::kAck, "ack"},
-      {Kind::kNak, "nak"},
-      {Kind::kTimeout, "timeout"},
-      {Kind::kComplete, "complete"},
-      {Kind::kData, "data"},
-      {Kind::kDuplicate, "duplicate"},
-      {Kind::kAckSent, "ack_sent"},
-      {Kind::kNakSent, "nak_sent"},
-      {Kind::kNakSuppressed, "nak_suppressed"},
-      {Kind::kRepairSent, "repair_sent"},
-      {Kind::kRepairSuppressed, "repair_suppressed"},
-      {Kind::kDeliver, "deliver"}};
-  std::set<std::string> names;
-  for (const auto& [kind, name] : expected) {
-    EXPECT_STREQ(TraceRecorder::kind_name(kind), name);
-    names.insert(name);
+  const std::size_t retransmissions =
+      count_on(tracer, "sender", trace::EventKind::kSenderTx, 1);
+  EXPECT_GT(retransmissions, 0u);
+  EXPECT_EQ(retransmissions, stats.retransmissions);
+  EXPECT_EQ(count_on(tracer, "sender", trace::EventKind::kNakRx), stats.naks_received);
+  // Each receiver reports every NAK it sent and every one it withheld.
+  for (std::size_t i = 0; i < 3; ++i) {
+    const std::string track = "receiver." + std::to_string(i);
+    const rmcast::ReceiverStats& rx = session.receiver(i).stats();
+    EXPECT_EQ(count_on(tracer, track, trace::EventKind::kNakTx), rx.naks_sent) << track;
+    EXPECT_EQ(count_on(tracer, track, trace::EventKind::kNakSuppressed),
+              rx.naks_suppressed)
+        << track;
   }
-  // Names are distinct, so the CSV kind column identifies the event.
-  EXPECT_EQ(names.size(), sizeof(expected) / sizeof(expected[0]));
-}
-
-TEST(Trace, WriteCsvRowFormat) {
-  Testbed bed(1);
-  TraceRecorder trace(bed.sender_runtime());
-  trace.on_transmit(7, 3, 2, false);
-  trace.on_transmit(7, 3, 2, true);
-  trace.on_ack(7, 1, 4);
-  trace.receiver_tap(1)->on_data(7, 3, 2, false);
-
-  using Kind = TraceRecorder::Kind;
-  EXPECT_EQ(trace.count(Kind::kTransmit), 1u);
-  EXPECT_EQ(trace.count(Kind::kRetransmit), 1u);
-  EXPECT_EQ(trace.count(Kind::kAck), 1u);
-  EXPECT_EQ(trace.count(Kind::kNak), 0u);
-  EXPECT_EQ(trace.count(Kind::kData), 1u);
-  EXPECT_EQ(trace.count_node(1), 1u);
-
-  char* data = nullptr;
-  std::size_t size = 0;
-  FILE* mem = open_memstream(&data, &size);
-  trace.write_csv(mem);
-  std::fclose(mem);
-  std::string csv(data, size);
-  free(data);
-  // Header plus one row per event, fields in declared order; the clock
-  // has not advanced, so every timestamp is zero.
-  EXPECT_EQ(csv,
-            "seconds,kind,node,session,a,b\n"
-            "0.000000000,transmit,65535,7,3,2\n"
-            "0.000000000,retransmit,65535,7,3,2\n"
-            "0.000000000,ack,65535,7,1,4\n"
-            "0.000000000,data,1,7,3,2\n");
-
-  trace.clear();
-  EXPECT_EQ(trace.count(Kind::kTransmit), 0u);
-  EXPECT_TRUE(trace.events().empty());
 }
 
 }  // namespace

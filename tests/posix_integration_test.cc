@@ -4,8 +4,11 @@
 // environment forbids sockets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
+#include "common/trace.h"
 #include "rmcast/session.h"
 
 namespace rmc {
@@ -115,6 +118,53 @@ TEST(PosixProtocol, SequentialMessages) {
     ASSERT_EQ(group.deliveries(i).size(), messages.size());
     for (std::size_t k = 0; k < messages.size(); ++k) {
       EXPECT_EQ(group.deliveries(i)[k], messages[k]);
+    }
+  }
+}
+
+// Both backends report through the same protocol event path, so a traced
+// socket run yields the simulator's vocabulary. Only timing-independent
+// counts are compared: real sockets may drop or reorder datagrams that
+// the loss-free simulation delivers in order.
+TEST(PosixProtocol, TracesTheSimulatorsEventVocabulary) {
+  rmcast::ProtocolConfig config;
+  config.kind = rmcast::ProtocolKind::kAck;
+  config.packet_size = 8192;
+  config.window_size = 8;
+  constexpr std::size_t kReceivers = 3;
+  const Buffer message = pattern(100'000);
+  const std::size_t packets =
+      (message.size() + config.packet_size - 1) / config.packet_size;
+
+  rmcast::PosixSession posix(loopback_membership(kReceivers, 46500, 6), config);
+  if (!posix.ok()) GTEST_SKIP() << "sockets unavailable in this environment";
+  trace::Tracer posix_trace;
+  posix.set_tracer(&posix_trace);
+  ASSERT_TRUE(posix.send_and_wait(BytesView(message.data(), message.size())).has_value());
+
+  rmcast::SessionParams params;
+  params.n_receivers = kReceivers;
+  params.protocol = config;
+  rmcast::Session sim(params);
+  trace::Tracer sim_trace;
+  sim.set_tracer(&sim_trace);
+  ASSERT_TRUE(sim.send_and_wait(BytesView(message.data(), message.size())).has_value());
+
+  for (const trace::Tracer* t : {&posix_trace, &sim_trace}) {
+    const char* backend = t == &posix_trace ? "posix" : "sim";
+    const auto first_tx = std::count_if(
+        t->events().begin(), t->events().end(), [](const trace::Event& e) {
+          return e.kind == trace::EventKind::kSenderTx && e.b == 0;
+        });
+    EXPECT_EQ(static_cast<std::size_t>(first_tx), packets) << backend;
+    EXPECT_EQ(t->count(trace::EventKind::kDeliver), kReceivers) << backend;
+    EXPECT_EQ(t->count(trace::EventKind::kComplete), 1u) << backend;
+    EXPECT_GE(t->count(trace::EventKind::kAllocReq), 1u) << backend;
+    std::vector<std::string> names;
+    for (const trace::Track& track : t->tracks()) names.push_back(track.name);
+    for (const char* want : {"sender", "receiver.0", "receiver.1", "receiver.2"}) {
+      EXPECT_NE(std::find(names.begin(), names.end(), want), names.end())
+          << backend << " lacks track " << want;
     }
   }
 }

@@ -20,9 +20,9 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/trace.h"
 #include "harness/experiment.h"
 #include "harness/sweep.h"
-#include "harness/trace.h"
 
 namespace rmc::harness {
 namespace {
@@ -91,6 +91,8 @@ TEST(SpecFingerprint, IgnoresOutOfBandChannels) {
   MulticastRunSpec spec = base;
   metrics::Registry registry;
   spec.metrics = &registry;
+  trace::Tracer tracer;
+  spec.tracer = &tracer;
   EXPECT_EQ(spec_fingerprint(spec), spec_fingerprint(base));
 }
 
@@ -198,26 +200,26 @@ TEST(SweepRunner, CacheOffReexecutesEveryTicket) {
   EXPECT_EQ(stats.cache_hits, 0u);
 }
 
-// A spec carrying a sender_trace pointer writes through an out-of-band
-// channel the cache cannot replay, so it must bypass the cache.
-TEST(SweepRunner, SenderTraceBypassesCache) {
+// A spec carrying its own tracer writes through an out-of-band channel
+// the cache cannot replay, so it must bypass the cache.
+TEST(SweepRunner, TracerBypassesCache) {
   MulticastRunSpec spec = small_spec(rmcast::ProtocolKind::kAck, 3);
-  std::vector<TraceRecorder::Event> trace_a, trace_b;
+  trace::Tracer trace_a, trace_b;
 
   SweepRunner::Options options;
   options.jobs = 1;
   SweepRunner runner(options);
-  spec.sender_trace = &trace_a;
+  spec.tracer = &trace_a;
   runner.submit(spec);
-  spec.sender_trace = &trace_b;
+  spec.tracer = &trace_b;
   runner.submit(spec);
   runner.wait_all();
 
   const SweepRunner::Stats stats = runner.stats();
   EXPECT_EQ(stats.executed, 2u);
   EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_FALSE(trace_a.empty());
-  EXPECT_EQ(trace_a.size(), trace_b.size());
+  EXPECT_FALSE(trace_a.events().empty());
+  EXPECT_EQ(trace_a.events().size(), trace_b.events().size());
 }
 
 TEST(SweepRunner, SubmitTaskRunsArbitraryWork) {

@@ -1,20 +1,25 @@
-// Causal packet tracing: span lifecycle, drop-cause tagging, timeline
-// sampling, attribution, Perfetto export shape, and trace determinism
-// across sweep parallelism.
+// Causal packet tracing: the event vocabulary and its single emission
+// path, span lifecycle, drop-cause tagging, timeline sampling,
+// attribution, Perfetto export shape, and trace determinism across sweep
+// parallelism.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/flight_recorder.h"
 #include "common/metrics.h"
 #include "common/serial.h"
 #include "common/trace.h"
 #include "harness/experiment.h"
 #include "harness/sweep.h"
 #include "harness/trace_export.h"
+#include "rmcast/session.h"
 #include "rmcast/wire.h"
 #include "sim/simulator.h"
 
@@ -116,6 +121,56 @@ TEST(Tracer, CapacityCapCountsTruncatedEvents) {
   t.clear();
   EXPECT_TRUE(t.events().empty());
   EXPECT_EQ(t.truncated(), 0u);
+}
+
+TEST(EventKind, EveryKindHasADistinctName) {
+  std::set<std::string> names;
+  const auto last = static_cast<unsigned>(trace::kLastEventKind);
+  for (unsigned k = 0; k <= last; ++k) {
+    const std::string name = trace::event_kind_name(static_cast<trace::EventKind>(k));
+    EXPECT_NE(name, "unknown") << "kind " << k;
+    names.insert(name);
+  }
+  EXPECT_EQ(names.size(), last + 1);
+}
+
+// Every protocol event is reported once: the flight recorder (always on)
+// and an attached tracer see the same (name, a, b) sequence.
+TEST(EventPath, FlightRecorderMirrorsTheTracer) {
+  FlightRecorder& recorder = flight_recorder();
+  struct Restore {
+    FlightRecorder& recorder;
+    std::size_t capacity;
+    ~Restore() { recorder.set_capacity(capacity); }
+  } restore{recorder, recorder.capacity()};
+  recorder.set_capacity(1 << 16);  // also clears the ring
+
+  rmcast::SessionParams params;
+  params.n_receivers = 3;
+  params.protocol.kind = rmcast::ProtocolKind::kAck;
+  params.protocol.packet_size = 8000;
+  params.protocol.window_size = 8;
+  rmcast::Session session(params);
+  trace::Tracer tracer;
+  session.set_tracer(&tracer);
+  const Buffer message(20'000, 0x33);
+  ASSERT_TRUE(
+      session.send_and_wait(BytesView(message.data(), message.size())).has_value());
+
+  using Record = std::tuple<std::string, std::uint64_t, std::uint64_t>;
+  std::vector<Record> traced, recorded;
+  for (const trace::Event& e : tracer.events()) {
+    const trace::TrackTier tier = tracer.tracks()[e.track].tier;
+    if (tier == trace::TrackTier::kSender || tier == trace::TrackTier::kReceiver) {
+      traced.emplace_back(trace::event_kind_name(e.kind), e.a, e.b);
+    }
+  }
+  ASSERT_LT(recorder.total_recorded(), recorder.capacity());  // nothing overwritten
+  for (const FlightRecorder::Event& e : recorder.snapshot()) {
+    recorded.emplace_back(e.name, e.a, e.b);
+  }
+  EXPECT_FALSE(traced.empty());
+  EXPECT_EQ(recorded, traced);
 }
 
 TEST(TracedRun, ErrorFreeSpanLifecycle) {
