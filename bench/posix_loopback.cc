@@ -1,19 +1,17 @@
 // Beyond the paper: raw datagram throughput of the Posix I/O path over
-// loopback, batched vs unbatched. Each cell pumps a continuous stream of
-// fixed-size datagrams from one PosixUdpSocket to another for a fixed
-// wall duration and reports delivered packets/sec, bytes/sec and
-// syscalls/datagram. The batched mode is the production path (TX ring
-// drained with sendmmsg + UDP_SEGMENT coalescing, recvmmsg RX slab); the
-// unbatched mode (--no-batch, or the `unbatched` rows of the sweep) is
-// the legacy one-syscall-per-datagram baseline.
+// loopback. Each cell pumps a continuous stream of fixed-size datagrams
+// from one PosixUdpSocket to another for a fixed wall duration through
+// the one production path (TX ring drained with sendmmsg + UDP_SEGMENT
+// coalescing, recvmmsg RX slab) and reports delivered packets/sec,
+// bytes/sec and datagrams per transmit syscall.
 //
 // The side-channel report (--report-out=FILE, the BENCH_posix_io.json
-// artifact) carries every cell, the 1 KiB batched/unbatched speedup that
-// bench/smoke.sh gates on (>= 2x, skipped when the kernel lacks
-// UDP_SEGMENT — plain sendmmsg alone does not clear 2x on loopback, the
-// per-skb cost dominates), and an embedded sim-vs-real parity report
-// (harness::run_parity) so the artifact also records that the fast path
-// still delivers byte-exact transfers.
+// artifact) carries every cell and an embedded sim-vs-real parity report
+// (harness::run_parity). bench/smoke.sh gates on both: the 1 KiB cell
+// must hand the kernel >= 32 datagrams per transmit syscall (the batching
+// the path exists for; GSO lifts it far higher, plain sendmmsg caps it at
+// its 64-message batch), and the parity run must deliver byte-exact
+// transfers.
 //
 // Real sockets, real clock: unlike the simulator benches, output is NOT
 // deterministic and cells run serially in-process (--jobs is accepted
@@ -39,7 +37,6 @@ constexpr std::uint16_t kParityBasePort = 48700;
 
 struct Cell {
   std::size_t payload_bytes = 0;
-  bool batched = false;
 
   // Results.
   bool ran = false;
@@ -53,8 +50,8 @@ struct Cell {
   double mbytes_per_sec() const {
     return pps() * static_cast<double>(payload_bytes) / 1e6;
   }
-  // Datagrams handed to the kernel per transmit syscall: ~1 unbatched,
-  // the batch/GSO multiplier otherwise.
+  // Datagrams handed to the kernel per transmit syscall: the batch/GSO
+  // multiplier.
   double datagrams_per_syscall() const {
     return tx_syscalls > 0 ? static_cast<double>(sent) / static_cast<double>(tx_syscalls)
                            : 0.0;
@@ -76,13 +73,11 @@ bool run_cell(Cell& cell, std::uint16_t port, double duration,
   // the 16 KiB default: 32 slots then fit in L2 and the recvmmsg drain
   // stays cache-hot.
   rx_options.max_datagram_bytes = std::max<std::size_t>(cell.payload_bytes * 2, 2048);
-  rx_options.batching = cell.batched;
   auto rx = runtime.open_socket(rx_options);
 
   rt::PosixSocketOptions tx_options;
   tx_options.bind_addr = net::Ipv4Addr(127, 0, 0, 1);
   tx_options.sndbuf_bytes = 4 * 1024 * 1024;
-  tx_options.batching = cell.batched;
   auto tx = runtime.open_socket(tx_options);
   if (!rx || !tx) return false;
 
@@ -126,8 +121,7 @@ bool run_cell(Cell& cell, std::uint16_t port, double duration,
   cell.ran = true;
 
   metrics::Registry& m = runtime.metrics();
-  cell.tx_syscalls =
-      m.counter("posix.sendmmsg_calls").value() + m.counter("posix.sendto_calls").value();
+  cell.tx_syscalls = m.counter("posix.sendmmsg_calls").value();
   cell.gso_superframes = m.counter("posix.gso_superframes").value();
   if (fold_into != nullptr) fold_into->merge(m);
   return true;
@@ -135,11 +129,11 @@ bool run_cell(Cell& cell, std::uint16_t port, double duration,
 
 std::string cell_json(const Cell& cell) {
   return str_format(
-      "{\"payload_bytes\": %zu, \"batched\": %s, \"seconds\": %.4f, "
+      "{\"payload_bytes\": %zu, \"seconds\": %.4f, "
       "\"sent\": %llu, \"received\": %llu, \"packets_per_sec\": %.0f, "
       "\"mbytes_per_sec\": %.1f, \"tx_syscalls\": %llu, "
       "\"datagrams_per_syscall\": %.1f, \"gso_superframes\": %llu}",
-      cell.payload_bytes, cell.batched ? "true" : "false", cell.seconds,
+      cell.payload_bytes, cell.seconds,
       static_cast<unsigned long long>(cell.sent),
       static_cast<unsigned long long>(cell.received), cell.pps(), cell.mbytes_per_sec(),
       static_cast<unsigned long long>(cell.tx_syscalls), cell.datagrams_per_syscall(),
@@ -168,14 +162,12 @@ int run(int argc, char** argv) {
        {"jobs", "ignored (cells share the loopback device; they run serially)"},
        {"metrics-out", "write a JSON metrics snapshot to FILE at exit"},
        {"trace-out", "write a (run-less) trace-event JSON file at exit"},
-       {"no-batch", "run only the unbatched baseline cells"},
        {"report-out", "write the BENCH_posix_io.json gate artifact to FILE"}});
   bench::BenchOptions options;
   options.csv = flags.has("csv");
   options.quick = flags.has("quick");
   options.metrics_out = flags.get("metrics-out", "");
   options.trace_out = flags.get("trace-out", "");
-  const bool no_batch = flags.has("no-batch");
   const std::string report_out = flags.get("report-out", "");
   bench::enable_metrics_snapshot(options.metrics_out);
   bench::enable_trace_export(options.trace_out);
@@ -185,8 +177,7 @@ int run(int argc, char** argv) {
   const double duration = options.quick ? 0.25 : 1.0;
   std::vector<Cell> cells;
   for (const std::size_t payload : {std::size_t{256}, std::size_t{1024}, std::size_t{8192}}) {
-    cells.push_back({payload, /*batched=*/false});
-    if (!no_batch) cells.push_back({payload, /*batched=*/true});
+    cells.push_back({payload});
   }
 
   bool sockets_ok = true;
@@ -202,11 +193,9 @@ int run(int argc, char** argv) {
     return 0;
   }
 
-  harness::Table table(
-      {"payload", "mode", "pkts/s", "MB/s", "dgram/syscall", "delivered"});
+  harness::Table table({"payload", "pkts/s", "MB/s", "dgram/syscall", "delivered"});
   for (const Cell& cell : cells) {
     table.add_row({str_format("%zu", cell.payload_bytes),
-                   cell.batched ? "batched" : "unbatched",
                    str_format("%.0f", cell.pps()),
                    str_format("%.1f", cell.mbytes_per_sec()),
                    str_format("%.1f", cell.datagrams_per_syscall()),
@@ -215,26 +204,7 @@ int run(int argc, char** argv) {
                                                 static_cast<double>(cell.sent)
                                           : 0.0)});
   }
-  bench::emit(table, options,
-              "Posix loopback datagram throughput (batched sendmmsg/GSO vs "
-              "one syscall per datagram)");
-
-  // The gate figure: batched over unbatched delivered pps at 1 KiB. Only
-  // meaningful with both modes present (i.e. without --no-batch).
-  double speedup_1k = 0.0;
-  bool gso_supported = false;
-  const Cell* batched_1k = nullptr;
-  const Cell* unbatched_1k = nullptr;
-  for (const Cell& cell : cells) {
-    if (cell.payload_bytes != 1024) continue;
-    (cell.batched ? batched_1k : unbatched_1k) = &cell;
-  }
-  if (batched_1k != nullptr && unbatched_1k != nullptr && unbatched_1k->pps() > 0) {
-    speedup_1k = batched_1k->pps() / unbatched_1k->pps();
-    gso_supported = batched_1k->gso_superframes > 0;
-    std::printf("batched/unbatched speedup at 1 KiB: %.2fx (GSO %s)\n", speedup_1k,
-                gso_supported ? "active" : "unavailable");
-  }
+  bench::emit(table, options, "Posix loopback datagram throughput (sendmmsg/GSO)");
 
   // Parity rider: the fast path must still deliver byte-exact transfers.
   harness::ParitySpec parity_spec;
@@ -251,8 +221,6 @@ int run(int argc, char** argv) {
 
   std::string report = "{\"benchmark\": \"posix_io\", \"skipped\": false, ";
   report += str_format("\"duration_per_cell_seconds\": %.2f, ", duration);
-  report += str_format("\"speedup_1k\": %.4f, ", speedup_1k);
-  report += str_format("\"gso_supported\": %s, ", gso_supported ? "true" : "false");
   report += str_format("\"parity_ok\": %s, ", parity.ok ? "true" : "false");
   report += "\"cells\": [";
   for (std::size_t i = 0; i < cells.size(); ++i) {

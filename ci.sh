@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local CI: the tier-1 test suite and the bench smoke run under the
 # release build and both sanitizer presets, a line-coverage artifact from
-# the gcov-instrumented preset, and a cross-run event-core throughput gate.
+# the gcov-instrumented preset, ledger correctness and two cross-run
+# throughput ratchets.
 #
 # Usage: ./ci.sh [preset...]   (default: default asan tsan coverage)
 set -eu
@@ -88,116 +89,15 @@ else
   echo "posix-parity: skipped (build/tests/parity_test missing)"
 fi
 
-# Ledger-correctness lane: the benchmark's traced pass on the two simulated
-# workloads that move the most payload bytes through the datagram path,
-# and on the bulk real-socket workload. Every delivery is byte-checked;
-# the traced replica of each simulated transfer must reproduce
-# run_multicast's simulated seconds, events and data packets exactly, and
-# the traced socket pass (the ledger's copy of Session's socket wiring)
-# must send as many data packets per message as the untraced
-# PosixSession. Two seconds of each exercise all of it.
-echo "=== ledger-correctness lane ==="
+# Ledger correctness (the benchmark's traced pass, byte-checked, on
+# sim_paper, sim_lossy, posix_bulk and posix_small) and the two cross-run
+# throughput ratchets (event core, XL sweep) against the last accepted run
+# on this machine. The gate table lives in bench/gates.py.
+echo "=== ledger-correctness + throughput ratchets ==="
 if [ -n "$PYTHON" ]; then
-  for workload in sim_paper sim_lossy posix_bulk; do
-    ledger_out="$("$PYTHON" bench/ledger/run.py --workload "$workload" --seed 1 \
-      --seconds 2 --trace 1)"
-    "$PYTHON" - "$workload" "$ledger_out" <<'EOF'
-import json, sys
-
-workload, out = sys.argv[1], sys.argv[2]
-result = json.loads(out.strip().splitlines()[-1])
-if result.get("correct") is not True or result.get("failed") != 0:
-    sys.exit(f"ledger-correctness: {workload}: correct={result.get('correct')} "
-             f"failed={result.get('failed')}")
-print(f"ledger-correctness: {workload} ok ({result['attempted']} transfers)")
-EOF
-  done
+  "$PYTHON" bench/gates.py ci build
 else
-  echo "ledger-correctness: skipped (python3 missing)"
-fi
-
-# Event-core throughput regression gate, across runs. bench/smoke.sh holds
-# the pooled core to 2x the in-process legacy heap (machine-independent);
-# this gate additionally compares the pooled core's absolute events/sec
-# against the last accepted run on *this* machine and fails on a >5% drop.
-# The baseline seeds itself on first run and is refreshed by deleting it
-# (it is per-machine state, not a committed artifact).
-CORE_REPORT=build/BENCH_sim_core.json
-CORE_BASELINE=build/BENCH_sim_core.baseline.json
-echo "=== event-core throughput gate ==="
-if [ -f "$CORE_REPORT" ] && [ -n "$PYTHON" ]; then
-  "$PYTHON" - "$CORE_REPORT" "$CORE_BASELINE" <<'EOF'
-import json, os, sys
-
-with open(sys.argv[1]) as f:
-    current = json.load(f)["pooled_events_per_sec"]
-baseline_path = sys.argv[2]
-if not os.path.exists(baseline_path):
-    with open(sys.argv[1]) as f, open(baseline_path, "w") as out:
-        out.write(f.read())
-    print(f"core-gate: baseline seeded at {current / 1e6:.1f}M events/s")
-    sys.exit(0)
-with open(baseline_path) as f:
-    baseline = json.load(f)["pooled_events_per_sec"]
-ratio = current / baseline
-print(f"core-gate: {current / 1e6:.1f}M events/s vs baseline "
-      f"{baseline / 1e6:.1f}M ({ratio:.3f}x, floor 0.95)")
-if ratio < 0.95:
-    print("core-gate: pooled event core regressed more than 5%", file=sys.stderr)
-    sys.exit(1)
-# Ratchet the baseline up so a slow creep cannot hide under the floor.
-if current > baseline:
-    with open(sys.argv[1]) as f, open(baseline_path, "w") as out:
-        out.write(f.read())
-EOF
-else
-  echo "core-gate: skipped ($CORE_REPORT or python3 missing)"
-fi
-
-# Roster/tracker throughput regression gate, across runs. bench/smoke.sh's
-# scalability gate holds per-event cost sub-linear in N (shape, machine-
-# independent); this gate additionally compares the absolute events/sec the
-# XL sweep sustains against the last accepted run on *this* machine and
-# fails on a >5% drop — the guard against an O(log N)-shaped but
-# constant-factor-slower accounting tier. Same self-seeding ratcheted
-# baseline protocol as the event-core gate above.
-XL_REPORT=build/BENCH_scalability.json
-XL_BASELINE=build/BENCH_scalability.baseline.json
-echo "=== scalability events/sec gate ==="
-if [ -f "$XL_REPORT" ] && [ -n "$PYTHON" ]; then
-  "$PYTHON" - "$XL_REPORT" "$XL_BASELINE" <<'EOF'
-import json, os, sys
-
-def events_per_sec(path):
-    with open(path) as f:
-        rows = [r for r in json.load(f)["rows"] if r.get("completed")]
-    wall = sum(r["wall_seconds"] for r in rows)
-    if not rows or wall <= 0:
-        sys.exit(f"scalability-espec-gate: no completed rows in {path}")
-    return sum(r["events"] for r in rows) / wall
-
-current = events_per_sec(sys.argv[1])
-baseline_path = sys.argv[2]
-if not os.path.exists(baseline_path):
-    with open(sys.argv[1]) as f, open(baseline_path, "w") as out:
-        out.write(f.read())
-    print(f"scalability-espec-gate: baseline seeded at {current / 1e6:.2f}M events/s")
-    sys.exit(0)
-baseline = events_per_sec(baseline_path)
-ratio = current / baseline
-print(f"scalability-espec-gate: {current / 1e6:.2f}M events/s vs baseline "
-      f"{baseline / 1e6:.2f}M ({ratio:.3f}x, floor 0.95)")
-if ratio < 0.95:
-    print("scalability-espec-gate: XL sweep events/sec regressed more than 5%",
-          file=sys.stderr)
-    sys.exit(1)
-# Ratchet the baseline up so a slow creep cannot hide under the floor.
-if current > baseline:
-    with open(sys.argv[1]) as f, open(baseline_path, "w") as out:
-        out.write(f.read())
-EOF
-else
-  echo "scalability-espec-gate: skipped ($XL_REPORT or python3 missing)"
+  echo "ci gates: skipped (python3 missing)"
 fi
 
 # Static analysis over the protocol core (.clang-tidy: modernize + bugprone

@@ -189,13 +189,6 @@ class ReceiverEngine {
   // decodes around erasures, and NAKs only undecodable groups.
   virtual bool is_fec() const { return false; }
 
-  // The in-order point entered group `group` (its first packet is now
-  // awaited). Fired by the shell once per group, in order.
-  virtual void on_group_open(ReceiverOps& ops, std::uint32_t group) const {
-    (void)ops;
-    (void)group;
-  }
-
   // The in-order point moved past the last packet of `group`: every data
   // block of the group is held. The EC engines acknowledge here — one
   // cumulative ACK per group instead of per packet.

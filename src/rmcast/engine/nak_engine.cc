@@ -9,14 +9,17 @@ namespace rmc::rmcast {
 
 namespace {
 
+// The deterministic POLL rule: every poll_interval-th packet solicits the
+// cumulative ACKs that release sender buffers.
+bool is_poll_seq(std::uint32_t seq, const ProtocolConfig& config) {
+  return seq % config.poll_interval == config.poll_interval - 1;
+}
+
 class NakSenderEngine final : public FlatSenderEngine {
  public:
   std::uint8_t data_flags(std::uint32_t seq, bool force_poll,
                           const ProtocolConfig& config) const override {
-    if (seq % config.poll_interval == config.poll_interval - 1 || force_poll) {
-      return kFlagPoll;
-    }
-    return 0;
+    return is_poll_seq(seq, config) || force_poll ? kFlagPoll : 0;
   }
   // A timer-driven retransmission round must end with a POLL, or the
   // resent batch solicits no acknowledgment and the sender times out
@@ -38,8 +41,7 @@ class NakReceiverEngine final : public ReceiverEngine {
   // sender times out.
   std::uint8_t repair_flags(std::uint32_t seq,
                             const ProtocolConfig& config) const override {
-    if (seq % config.poll_interval == config.poll_interval - 1) return kFlagPoll;
-    return 0;
+    return is_poll_seq(seq, config) ? kFlagPoll : 0;
   }
 };
 

@@ -43,10 +43,7 @@ MulticastReceiver::MulticastReceiver(rt::Runtime& runtime, rt::UdpSocket& data_s
 }
 
 MulticastReceiver::~MulticastReceiver() {
-  if (nak_timer_ != rt::kInvalidTimerId) rt_.cancel(nak_timer_);
-  disarm_inactivity_timer();
-  disarm_child_monitor();
-  for (auto& [seq, timer] : repair_timers_) rt_.cancel(timer);
+  cancel_timers();
   BufferRecycler::instance().release(std::move(buffer_));
 }
 
@@ -65,6 +62,10 @@ void MulticastReceiver::leave() {
   // Deactivating the session makes every in-flight completion (FEC decode,
   // repair backoff closures) a no-op: they all re-check session_active_.
   session_active_ = false;
+  cancel_timers();
+}
+
+void MulticastReceiver::cancel_timers() {
   if (nak_timer_ != rt::kInvalidTimerId) {
     rt_.cancel(nak_timer_);
     nak_timer_ = rt::kInvalidTimerId;
@@ -232,7 +233,6 @@ void MulticastReceiver::handle_alloc_request(const Header& h, Reader& r) {
   pending_peers_.clear();
 
   if (!is_tree_ || all_children_alloc_done()) send_alloc_response();
-  if (engine_->is_fec()) engine_->on_group_open(*this, 0);
   if (config_.receiver_driven_timeouts) arm_inactivity_timer();
   if (eviction_enabled() && is_tree_ && !links_.children.empty()) arm_child_monitor();
 }
@@ -366,7 +366,6 @@ void MulticastReceiver::after_advance(std::uint32_t old_expected,
     for (std::uint32_t g = old_expected / k; g < new_group; ++g) {
       fec_parity_.erase(g);
       engine_->on_group_close(*this, g);
-      engine_->on_group_open(*this, g + 1);
     }
     if (expected_ >= alloc_.total_packets && expected_ % k != 0) {
       fec_parity_.erase(new_group);
@@ -858,14 +857,7 @@ void MulticastReceiver::handle_evict(const Header& h) {
     // survivors have already restructured around this node, and any late
     // ACK or NAK from it would corrupt their re-formed aggregation.
     evicted_self_ = true;
-    disarm_inactivity_timer();
-    disarm_child_monitor();
-    if (nak_timer_ != rt::kInvalidTimerId) {
-      rt_.cancel(nak_timer_);
-      nak_timer_ = rt::kInvalidTimerId;
-    }
-    for (auto& [seq, timer] : repair_timers_) rt_.cancel(timer);
-    repair_timers_.clear();
+    cancel_timers();
     return;
   }
   if (is_tree_) {

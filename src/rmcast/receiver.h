@@ -145,6 +145,9 @@ class MulticastReceiver : private ReceiverOps {
   // message is incomplete; fires a NAK after silence.
   void arm_inactivity_timer();
   void disarm_inactivity_timer();
+  // Cancels the NAK, inactivity, child-monitor and repair timers: on
+  // destruction, leave() and self-eviction.
+  void cancel_timers();
   // SRM-style peer repair: schedule/cancel the repair of packet `seq`
   // (which this receiver holds) in response to an overheard NAK.
   void schedule_repair(std::uint32_t seq);

@@ -84,8 +84,7 @@ class PosixUdpSocket final : public UdpSocket {
                  bool gso_supported, bool gro_enabled)
       : runtime_(runtime),
         fd_(fd),
-        batching_(options.batching),
-        gso_enabled_(options.batching && options.gso && gso_supported),
+        gso_enabled_(options.gso && gso_supported),
         gro_enabled_(gro_enabled),
         max_datagram_bytes_(std::max<std::size_t>(options.max_datagram_bytes, 1)),
         // With GRO on, one slab slot must hold a full coalesced
@@ -101,9 +100,7 @@ class PosixUdpSocket final : public UdpSocket {
         tx_msg_entries_(kTxBatch),
         tx_iovs_(kTxIovecs),
         c_sendmmsg_(runtime->metrics().counter("posix.sendmmsg_calls")),
-        c_sendto_(runtime->metrics().counter("posix.sendto_calls")),
         c_recvmmsg_(runtime->metrics().counter("posix.recvmmsg_calls")),
-        c_recvfrom_(runtime->metrics().counter("posix.recvfrom_calls")),
         c_tx_datagrams_(runtime->metrics().counter("posix.datagrams_sent")),
         c_rx_datagrams_(runtime->metrics().counter("posix.datagrams_received")),
         c_gso_(runtime->metrics().counter("posix.gso_superframes")),
@@ -150,8 +147,7 @@ class PosixUdpSocket final : public UdpSocket {
   // flush when the socket turns writable.
   bool flush() {
     while (!tx_ring_.empty()) {
-      const bool progressed = batching_ ? flush_batch() : flush_one();
-      if (!progressed) return false;
+      if (!flush_batch()) return false;
     }
     disarm_epollout();
     return true;
@@ -293,28 +289,6 @@ class PosixUdpSocket final : public UdpSocket {
     return true;
   }
 
-  // Legacy path: one sendto(2) per datagram, same ring and backpressure
-  // semantics. This is what `--no-batch` benchmarks against.
-  bool flush_one() {
-    const TxEntry& head = tx_ring_.front();
-    const ssize_t n =
-        ::sendto(fd_, head.payload.data(), head.payload.size(), 0,
-                 reinterpret_cast<const sockaddr*>(&head.dst), sizeof head.dst);
-    if (n < 0) {
-      if (transient_errno(errno)) {
-        c_backpressure_.inc();
-        arm_epollout();
-        return false;
-      }
-      drop_head(1);
-      return true;
-    }
-    c_sendto_.inc();
-    c_tx_datagrams_.inc();
-    tx_ring_.pop_front();
-    return true;
-  }
-
   // A hard errno on the head message: that datagram is undeliverable
   // (EMSGSIZE, ECONNREFUSED, no route...). Drop it — and only it — so
   // the rest of the ring still flows.
@@ -349,21 +323,13 @@ class PosixUdpSocket final : public UdpSocket {
     ::epoll_ctl(runtime_->epoll_fd_, EPOLL_CTL_MOD, fd_, &ev);
   }
 
-  void drain() {
-    if (batching_) {
-      drain_batched();
-    } else {
-      drain_unbatched();
-    }
-  }
-
   // recvmmsg(2) into the socket's slab: up to kRxBatch datagrams per
   // syscall, each handed to the handler as a view into its slab slot —
   // no per-datagram stack buffer or copy. With GRO on, a slot may carry
   // a kernel-coalesced run of equal-size same-source datagrams (the
   // UDP_GRO cmsg gives the segment size); the loop splits it back into
   // the original datagrams, still without copying.
-  void drain_batched() {
+  void drain() {
     for (;;) {
       for (unsigned i = 0; i < kRxBatch; ++i) {
         rx_iov_scratch_[i].iov_base = rx_slab_.data() + i * rx_stride_;
@@ -430,27 +396,6 @@ class PosixUdpSocket final : public UdpSocket {
     return len > 0 ? len : 1;
   }
 
-  void drain_unbatched() {
-    for (;;) {
-      sockaddr_in sa{};
-      socklen_t len = sizeof sa;
-      const ssize_t n =
-          ::recvfrom(fd_, rx_slab_.data(), max_datagram_bytes_, MSG_DONTWAIT,
-                     reinterpret_cast<sockaddr*>(&sa), &len);
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        warn_rate_limited(std::strerror(errno));
-        return;
-      }
-      c_recvfrom_.inc();
-      c_rx_datagrams_.inc();
-      if (handler_) {
-        handler_(from_sockaddr(sa),
-                 BytesView(rx_slab_.data(), static_cast<std::size_t>(n)));
-      }
-    }
-  }
-
   // One warning per second per socket; everything in between is counted,
   // not printed, so a dead peer cannot flood the log at line rate.
   void warn_rate_limited(const char* what) {
@@ -469,7 +414,6 @@ class PosixUdpSocket final : public UdpSocket {
 
   PosixRuntime* runtime_;
   int fd_;
-  bool batching_;
   bool gso_enabled_;
   bool gro_enabled_;
   bool epollout_armed_ = false;
@@ -496,9 +440,7 @@ class PosixUdpSocket final : public UdpSocket {
   // runtime's Registry are stable (node-based maps), and the TX path
   // must not pay a string lookup per datagram.
   metrics::CounterMetric& c_sendmmsg_;
-  metrics::CounterMetric& c_sendto_;
   metrics::CounterMetric& c_recvmmsg_;
-  metrics::CounterMetric& c_recvfrom_;
   metrics::CounterMetric& c_tx_datagrams_;
   metrics::CounterMetric& c_rx_datagrams_;
   metrics::CounterMetric& c_gso_;
@@ -596,8 +538,8 @@ std::unique_ptr<UdpSocket> PosixRuntime::open_socket(const PosixSocketOptions& o
     return fail("IP_MULTICAST_LOOP");
   }
 
-  const bool gso = options.batching && options.gso && probe_gso(fd);
-  const bool gro = options.batching && options.gso && enable_gro(fd);
+  const bool gso = options.gso && probe_gso(fd);
+  const bool gro = options.gso && enable_gro(fd);
   return std::make_unique<PosixUdpSocket>(this, fd, options, gso, gro);
 }
 

@@ -17,7 +17,11 @@
 // syscall cost there). EAGAIN/ENOBUFS arms EPOLLOUT and backpressures —
 // datagrams are never silently dropped on a transient error. The receive
 // path drains with recvmmsg(2) into a socket-owned slab and hands each
-// datagram to the handler without an intermediate copy.
+// datagram to the handler without an intermediate copy. This is the only
+// datagram path: without GSO/GRO (or with PosixSocketOptions::gso off)
+// the same sendmmsg/recvmmsg code carries one datagram per message
+// header. bench/smoke.sh holds it to its purpose: bench/posix_loopback's
+// 1 KiB cell must hand the kernel >= 32 datagrams per transmit syscall.
 //
 // Every syscall, batch size, drop and backpressure event is published
 // under `posix.*` in the runtime's metrics::Registry (the names are a
@@ -65,15 +69,11 @@ struct PosixSocketOptions {
   // blocks on POLLOUT until the kernel drains it (backpressure, counted),
   // rather than dropping.
   std::size_t tx_ring_capacity = 1024;
-  // false = legacy one-syscall-per-datagram path (sendto/recvfrom); the
-  // TX ring and backpressure handling still apply, only the batching
-  // does not. This is the baseline the posix_loopback bench compares
-  // against.
-  bool batching = true;
   // Allow UDP segmentation/receive offload when the kernel supports it:
   // UDP_SEGMENT coalesces same-destination TX runs into super-datagrams,
   // UDP_GRO lets the kernel hand coalesced RX runs that the drain splits
-  // back into datagrams. Ignored when batching is off.
+  // back into datagrams. Without them (or with this off) the same
+  // sendmmsg/recvmmsg path sends and receives one datagram per mmsghdr.
   bool gso = true;
 };
 

@@ -140,11 +140,7 @@ void Simulator::run_until(Time deadline) {
     legacy_run_until(deadline);
     return;
   }
-  for (;;) {
-    const Time next = wheel_.next_time();
-    if (next == kNever || next > deadline) break;
-    step();
-  }
+  while (wheel_.find_next(deadline) != kNilIndex) step();
   if (now_ < deadline) now_ = deadline;
 }
 

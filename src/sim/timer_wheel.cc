@@ -150,7 +150,7 @@ bool TimerWheel::migrate_overflow(Time wheel_candidate) {
   return moved;
 }
 
-std::uint32_t TimerWheel::find_next() {
+std::uint32_t TimerWheel::find_next(Time limit) {
   for (;;) {
     int best_level = -1;
     std::uint32_t best_slot = 0;
@@ -172,6 +172,9 @@ std::uint32_t TimerWheel::find_next() {
         best_slot = (c + static_cast<std::uint32_t>(d)) & kSlotMask;
       }
     }
+    // Nothing armed can be due by `limit`: stop before anything below
+    // moves the base past it.
+    if (std::min(best_time, overflow_min_) > limit) return kNilIndex;
     if (best_level < 0) {
       if (overflow_.empty()) return kNilIndex;
       migrate_overflow(kNever);
@@ -209,11 +212,6 @@ void TimerWheel::extract_front(std::uint32_t idx) {
     occupied_[0] &= ~(1ull << slot);
   }
   rec.next = kNilIndex;
-}
-
-Time TimerWheel::next_time() {
-  const std::uint32_t idx = find_next();
-  return idx == kNilIndex ? kNever : pool_.at(idx).at;
 }
 
 }  // namespace rmc::sim

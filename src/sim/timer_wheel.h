@@ -48,16 +48,14 @@ class TimerWheel {
   // Index of the next record to execute — the armed record with the
   // smallest (at, seq) — after cascading whatever coarse slots stand in
   // the way and reaping cancelled records. Returns kNilIndex if no armed
-  // record remains. The record is left linked; call extract_front() to
-  // detach it.
-  std::uint32_t find_next();
+  // record is due at or before `limit`; the base never moves past `limit`,
+  // so events may still be inserted anywhere after it. The record is left
+  // linked; call extract_front() to detach it.
+  std::uint32_t find_next(Time limit = kNever);
 
   // Detaches the record find_next() returned (it must still be the level-0
   // front). The caller owns releasing it back to the pool.
   void extract_front(std::uint32_t idx);
-
-  // Earliest armed event time, or kNever. Same cascading as find_next.
-  Time next_time();
 
   Time base() const { return base_; }
 

@@ -118,6 +118,20 @@ TEST_P(SimulatorCores, RunUntilStopsAtDeadline) {
   EXPECT_EQ(fired.size(), 3u);
 }
 
+TEST_P(SimulatorCores, ScheduleAfterRunUntilBeforeNextPendingEvent) {
+  // run_until() must not advance the core past its deadline while looking
+  // for the next event: the gap up to that event stays schedulable.
+  std::vector<Time> fired;
+  sim.schedule_at(100, [&] { fired.push_back(sim.now()); });
+  sim.schedule_at(seconds(10), [&] { fired.push_back(sim.now()); });
+  sim.run_until(50);
+  sim.schedule_at(60, [&] { fired.push_back(sim.now()); });
+  sim.run_until(seconds(1));
+  sim.schedule_at(seconds(2), [&] { fired.push_back(sim.now()); });
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<Time>{60, 100, seconds(2), seconds(10)}));
+}
+
 TEST_P(SimulatorCores, RunUntilAdvancesClockWhenIdle) {
   sim.run_until(1000);
   EXPECT_EQ(sim.now(), 1000);
