@@ -5,14 +5,19 @@ Usage: bench/gates.py smoke BUILD_DIR   every bench binary with --quick, then
                                         the smoke gates
        bench/gates.py ci BUILD_DIR      ledger correctness and the two
                                         per-machine throughput ratchets
+       bench/gates.py golden PARENT_BUILD BUILD_DIR
+                                        byte-compares every simulated output
+                                        of BUILD_DIR against PARENT_BUILD
 
 Every gate prints one ok/FAIL/skip line into one tally; the run ends with
 "<suite>: N passed, M failed" and exits non-zero when a gate failed. Gate
 reports are written into BUILD_DIR as BENCH_*.json.
 """
 import difflib
+import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -469,12 +474,102 @@ def ci(g):
         g.gate(label, lambda: ratchet(g.build / report, events_per_sec))
 
 
+# --- golden -----------------------------------------------------------------
+
+# A behaviour-preserving change must reproduce the parent's simulated
+# outputs byte for byte. micro_core (Google Benchmark timings) and
+# posix_loopback (real sockets) are wall-clock measurements, not goldens.
+GOLDEN_SKIP = {"micro_core", "posix_loopback"}
+# debug_probe scenarios run for every registry id: error-free, lossy with
+# peer repair, and bursty loss with a short receiver timeout (the NAK,
+# GROUP_NAK and decode paths).
+PROBE_SCENARIOS = [[], ["--loss=0.02", "--peer"],
+                   ["--loss=0.02", "--burst=0.01", "--rtimeout=5"]]
+
+
+def digest(path, keep=None):
+    """sha256 of a file, or of the lines `keep` accepts; None when the run
+    wrote no such file."""
+    if not Path(path).is_file():
+        return None
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        if keep is None:
+            for block in iter(lambda: f.read(1 << 20), b""):
+                h.update(block)
+        else:
+            for line in f:
+                if keep(line):
+                    h.update(line)
+    return h.hexdigest()
+
+
+def deterministic_metric(line):
+    """Metrics lines that must match: all but the build's `git` meta entry
+    and any wall-clock field."""
+    return not line.lstrip().startswith(b'"git": ') and b"wall" not in line
+
+
+def golden_outputs(g, binary, args, tag, trace):
+    """Runs `binary args` and returns digests of what it wrote."""
+    stem = g.tmp / tag
+    files = [f"--metrics-out={stem}.json"] + ([f"--trace-out={stem}.trace"] if trace else [])
+    run([binary, *args, *files], f"{stem}.out")
+    outs = {"stdout": digest(f"{stem}.out", None),
+            "metrics": digest(f"{stem}.json", deterministic_metric)}
+    if trace:
+        outs["trace"] = digest(f"{stem}.trace", None)
+    for leftover in g.tmp.glob(f"{tag}.*"):
+        leftover.unlink()
+    return outs
+
+
+def golden_compare(g, parent, name, args, trace=False):
+    tag = re.sub(r"[^A-Za-z0-9]+", "_", " ".join([name, *args]))
+    old = golden_outputs(g, parent / "bench" / name, args, f"{tag}.parent", trace)
+    new = golden_outputs(g, g.bench / name, args, f"{tag}.new", trace)
+    differ = [what for what in old if old[what] != new[what]]
+    if differ:
+        raise Fail(f"{', '.join(differ)} differ from the parent's")
+
+
+def golden(g, parent_build):
+    parent = Path(parent_build).resolve()
+    for binary in sorted(g.bench.iterdir()):
+        if (binary.is_file() and os.access(binary, os.X_OK) and "." not in binary.name
+                and binary.name not in GOLDEN_SKIP and binary.name != "debug_probe"):
+            g.gate(f"{binary.name} --quick --csv",
+                   lambda: golden_compare(g, parent, binary.name, ["--quick", "--csv"]),
+                   binary, parent / "bench" / binary.name)
+    probe = g.bench / "debug_probe"
+    ids = []
+
+    def registry_ids():
+        usage = subprocess.run([probe, "--help"], stdout=subprocess.PIPE,
+                               stderr=subprocess.STDOUT, text=True).stdout
+        found = re.search(r"registry id: ([a-z|]+)", usage)
+        if found is None:
+            raise Fail("debug_probe --help lists no registry ids")
+        ids.extend(found.group(1).split("|"))
+        print(f"registry ids: {' '.join(ids)}")
+
+    g.gate("debug_probe registry ids", registry_ids, probe)
+    for proto in ids:
+        for scenario in PROBE_SCENARIOS:
+            args = [f"--proto={proto}", *scenario]
+            g.gate(f"debug_probe {' '.join(args)}",
+                   lambda: golden_compare(g, parent, "debug_probe", args, trace=True),
+                   probe, parent / "bench" / "debug_probe")
+
+
 def main(argv):
-    suites = {"smoke": smoke, "ci": ci}
-    if len(argv) != 3 or argv[1] not in suites:
+    # suite -> (runner, extra arguments before BUILD_DIR)
+    suites = {"smoke": (smoke, 0), "ci": (ci, 0), "golden": (golden, 1)}
+    if len(argv) < 3 or argv[1] not in suites or len(argv) != 3 + suites[argv[1]][1]:
         sys.exit(__doc__)
-    g = Gates(argv[1], argv[2])
-    suites[argv[1]](g)
+    suite, _ = suites[argv[1]]
+    g = Gates(argv[1], argv[-1])
+    suite(g, *argv[2:-1])
     return g.finish()
 
 

@@ -244,9 +244,9 @@ BENCHMARK(BM_WindowCycle);
 // before it. bench/smoke.sh diffs the two: if engine dispatch ever costs
 // more than 5% of the hot-path cycle, the gate fails.
 void BM_EngineWindowCycle(benchmark::State& state) {
-  const rmcast::SenderEngine* engine = rmcast::ProtocolRegistry::instance()
-                                           .entry(rmcast::ProtocolKind::kNakPolling)
-                                           .sender_engine();
+  const rmcast::ProtocolEngine* engine = rmcast::ProtocolRegistry::instance()
+                                             .entry(rmcast::ProtocolKind::kNakPolling)
+                                             .engine();
   rmcast::ProtocolConfig config;
   config.kind = rmcast::ProtocolKind::kNakPolling;
   config.poll_interval = 12;
@@ -343,8 +343,8 @@ BENCHMARK(BM_RsDecode)->Arg(0)->Arg(1);
 void BM_RosterWalk(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const bool cached = state.range(1) == 1;
-  const rmcast::SenderEngine* engine =
-      rmcast::ProtocolRegistry::instance().entry(rmcast::ProtocolKind::kAck).sender_engine();
+  const rmcast::ProtocolEngine* engine =
+      rmcast::ProtocolRegistry::instance().entry(rmcast::ProtocolKind::kAck).engine();
   rmcast::ProtocolConfig config;
   rmcast::ProtocolCore core(*engine, config);
   core.begin_send(n);

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "sim/time.h"
 
@@ -62,5 +63,13 @@ struct HostParams {
 // cost scales O(k * m * bytes) exactly like the real kernel.
 inline constexpr double kFecXorNsPerByte = 1.0;
 inline constexpr double kFecMulNsPerByte = 3.0;
+
+// CPU time to fold `bytes` through a code with `m` parity rows: XOR
+// parity (m == 1) folds at memory speed, general coefficients pay the
+// bit-plane multiply rate. Encode and decode share this model.
+inline sim::Time fec_fold_cost(std::size_t m, std::uint64_t bytes) {
+  const double rate = m == 1 ? kFecXorNsPerByte : kFecMulNsPerByte;
+  return static_cast<sim::Time>(rate * static_cast<double>(bytes));
+}
 
 }  // namespace rmc::inet

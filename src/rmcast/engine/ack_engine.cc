@@ -7,9 +7,7 @@ namespace rmc::rmcast {
 
 namespace {
 
-class AckSenderEngine final : public FlatSenderEngine {};
-
-class AckReceiverEngine final : public ReceiverEngine {
+class AckEngine final : public ProtocolEngine {
  public:
   // In-order advance and duplicate alike: (re-)acknowledge the in-order
   // point. A duplicate means our ACK was lost; the re-ACK heals it.
@@ -41,13 +39,9 @@ EngineEntry ack_engine_entry() {
   entry.traits.id = "ack";
   entry.traits.display_name = "ACK-based";
   entry.traits.paper_mbps = 68.0;
-  entry.sender_engine = [] {
-    static const AckSenderEngine engine;
-    return static_cast<const SenderEngine*>(&engine);
-  };
-  entry.receiver_engine = [] {
-    static const AckReceiverEngine engine;
-    return static_cast<const ReceiverEngine*>(&engine);
+  entry.engine = [] {
+    static const AckEngine engine;
+    return static_cast<const ProtocolEngine*>(&engine);
   };
   entry.traits.validate = validate_ack;
   entry.traits.describe_knobs = describe_ack;

@@ -9,7 +9,7 @@ namespace rmc::rmcast {
 
 namespace {
 
-class BinaryTreeSenderEngine final : public SenderEngine {
+class BinaryTreeEngine final : public TreeEngine {
  public:
   std::vector<std::size_t> initial_units(std::size_t,
                                          const ProtocolConfig&) const override {
@@ -27,11 +27,6 @@ class BinaryTreeSenderEngine final : public SenderEngine {
     for (std::size_t full = 1; full < n_live; full = 2 * full + 1) ++levels;
     return config.max_retransmit_rounds * (levels + 2);
   }
-  bool accepts_suspects() const override { return true; }
-};
-
-class BinaryTreeReceiverEngine final : public TreeReceiverEngine {
- public:
   TreeLinks full_links(std::size_t id, std::size_t n,
                        const ProtocolConfig&) const override {
     return binary_tree_links(id, n);
@@ -62,13 +57,9 @@ EngineEntry binary_tree_engine_entry() {
   entry.kind = ProtocolKind::kBinaryTree;
   entry.traits.id = "btree";
   entry.traits.display_name = "BinaryTree-based";
-  entry.sender_engine = [] {
-    static const BinaryTreeSenderEngine engine;
-    return static_cast<const SenderEngine*>(&engine);
-  };
-  entry.receiver_engine = [] {
-    static const BinaryTreeReceiverEngine engine;
-    return static_cast<const ReceiverEngine*>(&engine);
+  entry.engine = [] {
+    static const BinaryTreeEngine engine;
+    return static_cast<const ProtocolEngine*>(&engine);
   };
   entry.traits.validate = validate_binary_tree;
   entry.traits.describe_knobs = describe_binary_tree;

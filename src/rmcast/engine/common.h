@@ -1,4 +1,4 @@
-// Shared bases and tuning constants for the concrete engines.
+// Shared base and tuning constants for the concrete engines.
 #pragma once
 
 #include <algorithm>
@@ -17,28 +17,12 @@ inline constexpr std::size_t kMinWindow = 8;
 inline constexpr std::size_t kMaxWindow = 50;
 }  // namespace tuning
 
-// Sender base for the non-aggregating protocols (ACK, NAK-polling, ring):
-// every receiver acknowledges directly to the sender.
-class FlatSenderEngine : public SenderEngine {
- public:
-  std::vector<std::size_t> initial_units(std::size_t n,
-                                         const ProtocolConfig&) const override {
-    std::vector<std::size_t> units(n);
-    for (std::size_t i = 0; i < n; ++i) units[i] = i;
-    return units;
-  }
-  std::vector<std::size_t> live_units(const std::vector<std::size_t>& live,
-                                      const ProtocolConfig&) const override {
-    return live;
-  }
-};
-
-// Receiver base for the aggregating protocols: acknowledgments relay
-// through the tree, so a data packet never triggers a direct ACK — only a
+// Base for the aggregating protocols: acknowledgments relay through the
+// tree, so a data packet never triggers a direct ACK — only a
 // recomputation of the upstream aggregate. A leaf re-forwards on
 // duplicates to heal lost ACKs (interior nodes heal through their
 // children's re-ACKs instead).
-class TreeReceiverEngine : public ReceiverEngine {
+class TreeEngine : public ProtocolEngine {
  public:
   void on_data_event(ReceiverOps& ops, const DataEvent& event) const override {
     if (!event.duplicate) {

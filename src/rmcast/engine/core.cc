@@ -4,7 +4,7 @@
 
 namespace rmc::rmcast {
 
-ProtocolCore::ProtocolCore(const SenderEngine& engine, const ProtocolConfig& config)
+ProtocolCore::ProtocolCore(const ProtocolEngine& engine, const ProtocolConfig& config)
     : engine_(engine), config_(config) {}
 
 void ProtocolCore::reset_units(std::size_t n) {

@@ -5,7 +5,7 @@
 // graceful-degradation stall/eviction accounting, and the ACK round-trip
 // histogram hook. The MulticastSender shell owns the sockets, timers,
 // wire parsing and event reporting and delegates all of this state here;
-// the per-protocol SenderEngine supplies only policy (who the units are,
+// the per-protocol ProtocolEngine supplies only policy (who the units are,
 // what solicits acknowledgments, how long a stall is tolerated).
 #pragma once
 
@@ -25,9 +25,7 @@ class ProtocolCore {
  public:
   // Both referents must outlive the core (the sender owns the config and
   // the registry owns the engine).
-  ProtocolCore(const SenderEngine& engine, const ProtocolConfig& config);
-
-  const SenderEngine& engine() const { return engine_; }
+  ProtocolCore(const ProtocolEngine& engine, const ProtocolConfig& config);
 
   // --- Acknowledgment roster -------------------------------------------
   // Units are the nodes that acknowledge directly to the sender; the
@@ -120,7 +118,7 @@ class ProtocolCore {
  private:
   void rebuild_node_to_unit(std::size_t n);
 
-  const SenderEngine& engine_;
+  const ProtocolEngine& engine_;
   const ProtocolConfig& config_;
   // Node ids that acknowledge directly to the sender.
   std::vector<std::size_t> unit_nodes_;

@@ -10,9 +10,11 @@
 //   kEcRs  — Vandermonde Reed-Solomon MDS parity (default k=32, m=8):
 //            any m losses per group decode; burst-tolerant.
 //
-// The group structure itself (parity emission, group buffering, decode
-// scheduling, GROUP_NAK fallback) lives in the sender/receiver shells
-// behind the group-aware engine hooks; these engines supply the policy.
+// The group structure itself (parity emission, group buffering, the MDS
+// decode rule, one cumulative ACK per closed group, the GROUP_NAK
+// fallback and its repair of exactly the named blocks) lives in the
+// sender/receiver shells, keyed on config.fec; the engine supplies only
+// the per-packet acknowledgment policy.
 #include "common/strings.h"
 #include "rmcast/engine/common.h"
 #include "rmcast/engine/engines.h"
@@ -22,56 +24,17 @@ namespace rmc::rmcast {
 
 namespace {
 
-class EcSenderEngine final : public FlatSenderEngine {
- public:
-  std::size_t parity_per_group(const ProtocolConfig& config) const override {
-    return config.fec.m;
-  }
-
-  // A GROUP_NAK's repair plan: retransmit exactly the missing data
-  // blocks the bitmap names. Parity is never retransmitted — once the
-  // sender is retransmitting anyway, the named blocks repair the group
-  // directly and any surviving parity becomes redundant.
-  std::vector<std::uint32_t> make_repair_plan(
-      std::uint32_t group, std::uint64_t missing, std::size_t group_data,
-      const ProtocolConfig& config) const override {
-    std::vector<std::uint32_t> plan;
-    for (std::size_t i = 0; i < group_data; ++i) {
-      if ((missing >> i) & 1u) {
-        plan.push_back(group * static_cast<std::uint32_t>(config.fec.k) +
-                       static_cast<std::uint32_t>(i));
-      }
-    }
-    return plan;
-  }
-};
-
-class EcReceiverEngine final : public ReceiverEngine {
+class EcEngine final : public ProtocolEngine {
  public:
   // Per-packet ACKs would defeat the point of group acknowledgment; the
-  // cumulative ACK fires at group close instead. The one per-packet case
-  // that must answer immediately is a retransmitted duplicate: the
-  // sender is in a repair round and waits on an ACK the group-close
-  // already sent once (and which was evidently lost or stale).
+  // receiver sends its cumulative ACK at group close instead. The one
+  // per-packet case that must answer immediately is a retransmitted
+  // duplicate: the sender is in a repair round and waits on an ACK the
+  // group close already sent once (and which was evidently lost or stale).
   void on_data_event(ReceiverOps& ops, const DataEvent& event) const override {
     if (event.duplicate && (event.flags & kFlagRetrans) != 0) {
       ops.send_cum_ack();
     }
-  }
-
-  bool is_fec() const override { return true; }
-
-  // One cumulative acknowledgment per completed group — the EC
-  // protocols' entire steady-state ACK traffic.
-  void on_group_close(ReceiverOps& ops, std::uint32_t) const override {
-    ops.send_cum_ack();
-  }
-
-  // MDS property: any e erased data blocks decode from any e held parity
-  // blocks (e <= m). Holds for XOR as the m = 1 special case.
-  bool group_decodable(std::size_t missing_data,
-                       std::size_t parity_held) const override {
-    return missing_data <= parity_held;
   }
 };
 
@@ -199,13 +162,9 @@ void grid_ec_rs(const ProtocolConfig& base, std::vector<ProtocolConfig>& out) {
 
 EngineEntry make_ec_entry() {
   EngineEntry entry;
-  entry.sender_engine = [] {
-    static const EcSenderEngine engine;
-    return static_cast<const SenderEngine*>(&engine);
-  };
-  entry.receiver_engine = [] {
-    static const EcReceiverEngine engine;
-    return static_cast<const ReceiverEngine*>(&engine);
+  entry.engine = [] {
+    static const EcEngine engine;
+    return static_cast<const ProtocolEngine*>(&engine);
   };
   entry.traits.fec = true;
   entry.traits.describe_knobs = describe_ec;

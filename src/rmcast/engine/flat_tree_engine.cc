@@ -11,7 +11,7 @@ namespace rmc::rmcast {
 
 namespace {
 
-class FlatTreeSenderEngine final : public SenderEngine {
+class FlatTreeEngine final : public TreeEngine {
  public:
   std::vector<std::size_t> initial_units(std::size_t n,
                                          const ProtocolConfig& config) const override {
@@ -34,11 +34,6 @@ class FlatTreeSenderEngine final : public SenderEngine {
         std::max<std::size_t>(1, std::min(config.tree_height, n_live)) - 1;
     return config.max_retransmit_rounds * (levels + 2);
   }
-  bool accepts_suspects() const override { return true; }
-};
-
-class FlatTreeReceiverEngine final : public TreeReceiverEngine {
- public:
   TreeLinks full_links(std::size_t id, std::size_t n,
                        const ProtocolConfig& config) const override {
     return flat_tree_links(id, n, config.tree_height);
@@ -89,13 +84,9 @@ EngineEntry flat_tree_engine_entry() {
   entry.traits.id = "tree";
   entry.traits.display_name = "Tree-based";
   entry.traits.paper_mbps = 81.2;
-  entry.sender_engine = [] {
-    static const FlatTreeSenderEngine engine;
-    return static_cast<const SenderEngine*>(&engine);
-  };
-  entry.receiver_engine = [] {
-    static const FlatTreeReceiverEngine engine;
-    return static_cast<const ReceiverEngine*>(&engine);
+  entry.engine = [] {
+    static const FlatTreeEngine engine;
+    return static_cast<const ProtocolEngine*>(&engine);
   };
   entry.traits.validate = validate_flat_tree;
   entry.traits.describe_knobs = describe_flat_tree;

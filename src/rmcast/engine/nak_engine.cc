@@ -9,39 +9,24 @@ namespace rmc::rmcast {
 
 namespace {
 
-// The deterministic POLL rule: every poll_interval-th packet solicits the
-// cumulative ACKs that release sender buffers.
-bool is_poll_seq(std::uint32_t seq, const ProtocolConfig& config) {
-  return seq % config.poll_interval == config.poll_interval - 1;
-}
-
-class NakSenderEngine final : public FlatSenderEngine {
+class NakEngine final : public ProtocolEngine {
  public:
+  // The deterministic POLL rule: every poll_interval-th packet solicits
+  // the cumulative ACKs that release sender buffers. A forced poll ends a
+  // timer-driven retransmission round, or the resent batch solicits no
+  // acknowledgment and the sender times out again; a peer repair or an
+  // FEC-recovered block rebuilds the unforced bit, so a repaired poll
+  // packet still solicits the ACKs the sender's buffer release waits for.
   std::uint8_t data_flags(std::uint32_t seq, bool force_poll,
                           const ProtocolConfig& config) const override {
-    return is_poll_seq(seq, config) || force_poll ? kFlagPoll : 0;
+    const bool polled = seq % config.poll_interval == config.poll_interval - 1;
+    return polled || force_poll ? kFlagPoll : 0;
   }
-  // A timer-driven retransmission round must end with a POLL, or the
-  // resent batch solicits no acknowledgment and the sender times out
-  // again.
-  bool needs_forced_poll() const override { return true; }
-};
-
-class NakReceiverEngine final : public ReceiverEngine {
- public:
   // Acknowledge only polled (or final) packets — on advance and on
   // duplicates alike, since a duplicate POLL means the poll's ACK was
   // lost.
   void on_data_event(ReceiverOps& ops, const DataEvent& event) const override {
     if ((event.flags & (kFlagPoll | kFlagLast)) != 0) ops.send_cum_ack();
-  }
-  // Reconstruct the deterministic POLL bit on a peer repair: a repaired
-  // poll packet must still solicit the acknowledgments the sender's
-  // buffer release waits for, or the repair fixes the receivers while the
-  // sender times out.
-  std::uint8_t repair_flags(std::uint32_t seq,
-                            const ProtocolConfig& config) const override {
-    return is_poll_seq(seq, config) ? kFlagPoll : 0;
   }
 };
 
@@ -89,13 +74,9 @@ EngineEntry nak_polling_engine_entry() {
   entry.traits.id = "nak";
   entry.traits.display_name = "NAK-based";
   entry.traits.paper_mbps = 89.7;
-  entry.sender_engine = [] {
-    static const NakSenderEngine engine;
-    return static_cast<const SenderEngine*>(&engine);
-  };
-  entry.receiver_engine = [] {
-    static const NakReceiverEngine engine;
-    return static_cast<const ReceiverEngine*>(&engine);
+  entry.engine = [] {
+    static const NakEngine engine;
+    return static_cast<const ProtocolEngine*>(&engine);
   };
   entry.traits.validate = validate_nak;
   entry.traits.describe_knobs = describe_nak;

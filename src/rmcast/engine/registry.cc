@@ -18,8 +18,8 @@ ProtocolRegistry::ProtocolRegistry() {
     const EngineEntry& e = entries_[i];
     RMC_ENSURE(static_cast<std::size_t>(e.kind) == i,
                "registry entries must be registered in ProtocolKind order");
-    RMC_ENSURE(e.sender_engine != nullptr && e.receiver_engine != nullptr &&
-                   e.traits.validate != nullptr && e.traits.describe_knobs != nullptr &&
+    RMC_ENSURE(e.engine != nullptr && e.traits.validate != nullptr &&
+                   e.traits.describe_knobs != nullptr &&
                    e.traits.apply_recommended_tuning != nullptr &&
                    e.traits.tuning_variants != nullptr,
                "registry entry is missing a hook");

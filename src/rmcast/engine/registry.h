@@ -1,5 +1,5 @@
 // ProtocolRegistry: the one table mapping a ProtocolKind to everything
-// kind-specific — engine factories plus an EngineTraits value bundling
+// kind-specific — its engine plus an EngineTraits value bundling
 // the metadata and policy hooks (display name, per-kind configuration
 // validation, describe() knobs, the paper's recommended tuning, the
 // parameter-space probe grid, and the FEC capability flag). Every
@@ -34,7 +34,8 @@ struct EngineTraits {
   // bench/tune_search.cc prints its recovered tunings against this.
   double paper_mbps = 0.0;
   // True for the erasure-coded kinds: the sender emits parity groups and
-  // the config must carry valid FecParams (see config.h).
+  // the config must carry valid FecParams (see config.h). validate() keeps
+  // config.fec.is_set() equal to this flag, so the shells ask the config.
   bool fec = false;
 
   // Per-kind arm of validate(): returns an error message or "" if the
@@ -64,8 +65,7 @@ struct EngineEntry {
   EngineTraits traits;
 
   // Engines are stateless; the registry hands out shared singletons.
-  const SenderEngine* (*sender_engine)() = nullptr;
-  const ReceiverEngine* (*receiver_engine)() = nullptr;
+  const ProtocolEngine* (*engine)() = nullptr;
 };
 
 class ProtocolRegistry {

@@ -19,9 +19,7 @@ bool owns_token(const ReceiverOps& ops, std::uint32_t k) {
   return live[k % live.size()] == ops.node_id();
 }
 
-class RingSenderEngine final : public FlatSenderEngine {};
-
-class RingReceiverEngine final : public ReceiverEngine {
+class RingEngine final : public ProtocolEngine {
  public:
   void on_data_event(ReceiverOps& ops, const DataEvent& event) const override {
     if (!event.duplicate) {
@@ -85,13 +83,9 @@ EngineEntry ring_engine_entry() {
   entry.traits.id = "ring";
   entry.traits.display_name = "Ring-based";
   entry.traits.paper_mbps = 84.6;
-  entry.sender_engine = [] {
-    static const RingSenderEngine engine;
-    return static_cast<const SenderEngine*>(&engine);
-  };
-  entry.receiver_engine = [] {
-    static const RingReceiverEngine engine;
-    return static_cast<const ReceiverEngine*>(&engine);
+  entry.engine = [] {
+    static const RingEngine engine;
+    return static_cast<const ProtocolEngine*>(&engine);
   };
   entry.traits.validate = validate_ring;
   entry.traits.describe_knobs = describe_ring;

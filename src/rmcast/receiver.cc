@@ -8,7 +8,6 @@
 #include "common/log.h"
 #include "common/panic.h"
 #include "inet/host_params.h"
-#include "inet/ip.h"
 #include "rmcast/engine/registry.h"
 
 namespace rmc::rmcast {
@@ -23,7 +22,7 @@ MulticastReceiver::MulticastReceiver(rt::Runtime& runtime, rt::UdpSocket& data_s
       membership_(std::move(membership)),
       node_id_(node_id),
       config_(config),
-      engine_(ProtocolRegistry::instance().entry(config_.kind).receiver_engine()),
+      engine_(ProtocolRegistry::instance().entry(config_.kind).engine()),
       rng_(0x9E3779B9u ^ node_id) {
   std::string group_error = membership_.validate();
   RMC_ENSURE(group_error.empty(), group_error);
@@ -32,7 +31,7 @@ MulticastReceiver::MulticastReceiver(rt::Runtime& runtime, rt::UdpSocket& data_s
   RMC_ENSURE(node_id_ < membership_.n_receivers(), "node id out of range");
 
   is_tree_ = engine_->is_tree();
-  if (engine_->is_fec()) fec_codec_.emplace(config_.fec.k, config_.fec.m);
+  if (config_.fec.is_set()) fec_codec_.emplace(config_.fec.k, config_.fec.m);
   reset_full_structure();
 
   auto handler = [this](const net::Endpoint& src, BytesView payload) {
@@ -66,12 +65,9 @@ void MulticastReceiver::leave() {
 }
 
 void MulticastReceiver::cancel_timers() {
-  if (nak_timer_ != rt::kInvalidTimerId) {
-    rt_.cancel(nak_timer_);
-    nak_timer_ = rt::kInvalidTimerId;
-  }
-  disarm_inactivity_timer();
-  disarm_child_monitor();
+  rt_.disarm(nak_timer_);
+  rt_.disarm(inactivity_timer_);
+  rt_.disarm(child_monitor_timer_);
   for (auto& [seq, timer] : repair_timers_) rt_.cancel(timer);
   repair_timers_.clear();
 }
@@ -102,11 +98,9 @@ net::Endpoint MulticastReceiver::ack_target() const {
   return membership_.sender_control;
 }
 
-int MulticastReceiver::child_index(std::uint16_t node) const {
-  for (std::size_t i = 0; i < links_.children.size(); ++i) {
-    if (links_.children[i] == node) return static_cast<int>(i);
-  }
-  return -1;
+bool MulticastReceiver::is_child(std::size_t node) const {
+  return std::find(links_.children.begin(), links_.children.end(), node) !=
+         links_.children.end();
 }
 
 bool MulticastReceiver::all_children_alloc_done() const {
@@ -135,10 +129,8 @@ void MulticastReceiver::on_packet(const net::Endpoint& src, BytesView payload) {
       handle_data(*header, r.bytes(r.remaining()));
       break;
     case PacketType::kAck:
-      handle_chain_ack(*header);
-      break;
     case PacketType::kAllocRsp:
-      handle_chain_alloc_rsp(*header);
+      handle_child_report(*header);
       break;
     case PacketType::kNak:
       handle_foreign_nak(*header);
@@ -156,26 +148,9 @@ void MulticastReceiver::on_packet(const net::Endpoint& src, BytesView payload) {
   }
 }
 
-namespace {
-
-// An ALLOC_REQ whose packetization does not add up would size the message
-// buffer for one message and index it for another (and, with a recycled
-// buffer, could deliver bytes a previous session left there).
-bool well_formed(const AllocRequest& a) {
-  if (a.packet_bytes == 0 ||
-      std::uint64_t{a.packet_bytes} + kHeaderBytes > inet::kMaxUdpPayload) {
-    return false;
-  }
-  const std::uint64_t packets =
-      a.message_bytes / a.packet_bytes + (a.message_bytes % a.packet_bytes != 0 ? 1 : 0);
-  return a.total_packets == std::max<std::uint64_t>(1, packets);
-}
-
-}  // namespace
-
 void MulticastReceiver::handle_alloc_request(const Header& h, Reader& r) {
   auto req = read_alloc_request(r);
-  if (!req || !well_formed(*req)) return;
+  if (!req || !req->well_formed()) return;
   ++stats_.alloc_requests_received;
 
   if (h.session == session_ && session_active_) {
@@ -202,10 +177,7 @@ void MulticastReceiver::handle_alloc_request(const Header& h, Reader& r) {
   expected_ = 0;
   delivered_ = false;
   last_nak_ = -1;
-  if (nak_timer_ != rt::kInvalidTimerId) {
-    rt_.cancel(nak_timer_);
-    nak_timer_ = rt::kInvalidTimerId;
-  }
+  rt_.disarm(nak_timer_);
   reorder_.clear();
   fec_parity_.clear();
   fec_no_more_parity_group_ = 0;
@@ -213,22 +185,14 @@ void MulticastReceiver::handle_alloc_request(const Header& h, Reader& r) {
   repair_timers_.clear();
   repair_seen_at_.clear();
   last_emitted_nak_seq_ = UINT32_MAX;
-  alloc_rsp_sent_ = false;
   upstream_sent_ = 0;
   // A new session starts from the full roster and structure again, even
   // after evictions (a previously evicted — e.g. paused-and-resumed —
   // receiver rejoins here).
   reset_full_structure();
-  // Per-peer state starts empty (absent map entry == never reported);
-  // apply tree traffic that raced ahead of this request.
-  peers_.clear();
-  if (pending_session_ == session_) {
-    for (const auto& [node, pending] : pending_peers_) {
-      PeerState& st = peers_[node];
-      st.alloc_done = pending.rsp;
-      st.cum = pending.cum;
-    }
-  }
+  // Per-peer state starts from the tree traffic that raced ahead of this
+  // request (absent map entry == never reported).
+  peers_ = pending_session_ == session_ ? std::move(pending_peers_) : PeerMap{};
   pending_session_ = 0;
   pending_peers_.clear();
 
@@ -240,32 +204,47 @@ void MulticastReceiver::handle_alloc_request(const Header& h, Reader& r) {
 void MulticastReceiver::send_alloc_response() {
   Header h{PacketType::kAllocRsp, 0, static_cast<std::uint16_t>(node_id_), session_, 0};
   ++stats_.alloc_responses_sent;
-  alloc_rsp_sent_ = true;
-  control_socket_.send_ref(ack_target(), make_control_ref(h));
+  control_socket_.send_ref(ack_target(), make_packet_ref(h));
 }
 
-void MulticastReceiver::handle_chain_alloc_rsp(const Header& h) {
-  int child = is_tree_ ? child_index(h.node_id) : -1;
-  if (child < 0) {
+void MulticastReceiver::handle_child_report(const Header& h) {
+  if (!is_child(h.node_id)) {
     ++stats_.stale_packets;
     return;
   }
   ++stats_.relayed_acks_received;
+  const bool alloc_rsp = h.type == PacketType::kAllocRsp;
   if (h.session != session_ || !session_active_) {
+    // Tree traffic that raced ahead of our ALLOC_REQ: hold it for the
+    // newest future session seen.
     if (h.session > session_) {
       if (h.session != pending_session_) {
         pending_session_ = h.session;
         pending_peers_.clear();
       }
-      pending_peers_[h.node_id].rsp = true;
+      PeerState& st = pending_peers_[h.node_id];
+      if (alloc_rsp) {
+        st.alloc_done = true;
+      } else {
+        st.cum = std::max(st.cum, h.seq);
+      }
     }
     return;
   }
-  const bool was_done = all_children_alloc_done();
-  peer(h.node_id).alloc_done = true;
-  // Forward once the whole subtree (and we) have allocated; re-forward on
-  // duplicates to heal a lost response upstream.
-  if (all_children_alloc_done() && (!was_done || alloc_rsp_sent_)) send_alloc_response();
+  PeerState& st = peer(h.node_id);
+  if (alloc_rsp) {
+    st.alloc_done = true;
+    // Forward once the whole subtree (and we) have allocated; a duplicate
+    // re-forwards to heal a lost response upstream. In an active session
+    // a subtree that was already done has already been answered for.
+    if (all_children_alloc_done()) send_alloc_response();
+    return;
+  }
+  const bool advanced = h.seq > st.cum;
+  st.cum = std::max(st.cum, h.seq);
+  // A non-advancing tree ACK is a child healing a lost ACK; pass the
+  // re-ACK upstream so the repair reaches the sender.
+  forward_chain_state(/*resend_allowed=*/!advanced);
 }
 
 void MulticastReceiver::handle_data(const Header& h, BytesView body) {
@@ -273,7 +252,7 @@ void MulticastReceiver::handle_data(const Header& h, BytesView body) {
     ++stats_.stale_packets;
     return;
   }
-  if (h.seq >= alloc_.total_packets || body.size() != fec_block_len(h.seq)) {
+  if (h.seq >= alloc_.total_packets || body.size() != alloc_.block_len(h.seq)) {
     // Beyond the message, or a body that would overflow its slot or leave
     // a hole in it: nothing the sender of this session sent.
     ++stats_.stale_packets;
@@ -283,7 +262,7 @@ void MulticastReceiver::handle_data(const Header& h, BytesView body) {
   // Someone (sender or peer) already retransmitted this packet: our own
   // pending repair of it is redundant.
   if (config_.peer_repair && (h.flags & kFlagRetrans) != 0) cancel_repair(h.seq);
-  const bool is_fec = engine_->is_fec();
+  const bool is_fec = config_.fec.is_set();
   if (is_fec) {
     // A data block from group G proves every earlier group's parity tail
     // already went by (first transmissions are in order on the wire).
@@ -294,9 +273,7 @@ void MulticastReceiver::handle_data(const Header& h, BytesView body) {
 
   if (h.seq >= expected_) emit(trace::EventKind::kReceiverRx, h.seq, 0);
   if (h.seq == expected_) {
-    const std::uint32_t old_expected = expected_;
-    std::uint8_t consumed = consume_in_order(h.seq, h.flags, body);
-    after_advance(old_expected, consumed);
+    advance_in_order(h.flags, body);
     // A retransmission can complete the erasure pattern of the (new)
     // oldest group without any fresh parity arriving.
     if (is_fec && !delivered_) {
@@ -327,49 +304,36 @@ void MulticastReceiver::handle_data(const Header& h, BytesView body) {
   }
 }
 
-std::uint8_t MulticastReceiver::consume_in_order(std::uint32_t seq, std::uint8_t flags,
-                                                 BytesView body) {
-  auto copy_in = [this](std::uint32_t s, BytesView data) {
-    const std::size_t offset = std::size_t{s} * alloc_.packet_bytes;
+void MulticastReceiver::advance_in_order(std::uint8_t flags, BytesView body) {
+  DataEvent event;
+  event.flags = flags;
+  event.old_expected = expected_;
+  auto consume = [this](BytesView data) {
+    const std::size_t offset = std::size_t{expected_} * alloc_.packet_bytes;
     RMC_ENSURE(offset + data.size() <= buffer_.size(), "data packet overflows buffer");
     std::copy(data.begin(), data.end(), buffer_.begin() + static_cast<std::ptrdiff_t>(offset));
+    ++stats_.data_packets_received;
+    ++expected_;
   };
-
-  std::uint8_t consumed_flags = flags;
-  copy_in(seq, body);
-  ++stats_.data_packets_received;
-  expected_ = seq + 1;
-
+  consume(body);
   // Selective repeat: drain buffered successors.
   for (auto it = reorder_.find(expected_); it != reorder_.end();
        it = reorder_.find(expected_)) {
-    consumed_flags |= it->second.first;
-    copy_in(it->first, BytesView(it->second.second.data(), it->second.second.size()));
-    ++stats_.data_packets_received;
-    ++expected_;
+    event.flags |= it->second.first;
+    consume(BytesView(it->second.second.data(), it->second.second.size()));
     reorder_.erase(it);
   }
-  return consumed_flags;
-}
-
-void MulticastReceiver::after_advance(std::uint32_t old_expected,
-                                      std::uint8_t consumed_flags) {
-  DataEvent event;
-  event.flags = consumed_flags;
-  event.old_expected = old_expected;
   engine_->on_data_event(*this, event);
-  if (engine_->is_fec()) {
-    // Fire the group hooks for every group boundary the in-order point
-    // crossed, in order; a short tail group closes at the message end.
+  if (config_.fec.is_set()) {
+    // One cumulative ACK per group the in-order point closed, in order —
+    // the EC kinds' entire steady-state ACK traffic; a short tail group
+    // closes at the message end. A closed group's parity is dead weight.
     const std::uint32_t k = static_cast<std::uint32_t>(config_.fec.k);
-    const std::uint32_t new_group = expected_ / k;
-    for (std::uint32_t g = old_expected / k; g < new_group; ++g) {
+    std::uint32_t closed_end = expected_ / k;
+    if (expected_ >= alloc_.total_packets && expected_ % k != 0) ++closed_end;
+    for (std::uint32_t g = event.old_expected / k; g < closed_end; ++g) {
       fec_parity_.erase(g);
-      engine_->on_group_close(*this, g);
-    }
-    if (expected_ >= alloc_.total_packets && expected_ % k != 0) {
-      fec_parity_.erase(new_group);
-      engine_->on_group_close(*this, new_group);
+      send_ack(expected_);
     }
   }
   deliver_if_complete();
@@ -388,33 +352,7 @@ void MulticastReceiver::on_duplicate(const Header& h) {
   engine_->on_data_event(*this, event);
 }
 
-void MulticastReceiver::handle_chain_ack(const Header& h) {
-  int child = is_tree_ ? child_index(h.node_id) : -1;
-  if (child < 0) {
-    ++stats_.stale_packets;
-    return;
-  }
-  ++stats_.relayed_acks_received;
-  if (h.session != session_ || !session_active_) {
-    if (h.session > session_) {
-      if (h.session != pending_session_) {
-        pending_session_ = h.session;
-        pending_peers_.clear();
-      }
-      auto& pending = pending_peers_[h.node_id].cum;
-      pending = std::max(pending, h.seq);
-    }
-    return;
-  }
-  auto& cum = peer(h.node_id).cum;
-  const bool advanced = h.seq > cum;
-  cum = std::max(cum, h.seq);
-  // A non-advancing tree ACK is a child healing a lost ACK; pass the
-  // re-ACK upstream so the repair reaches the sender.
-  maybe_forward_chain_state(/*resend_allowed=*/!advanced);
-}
-
-void MulticastReceiver::maybe_forward_chain_state(bool resend_allowed) {
+void MulticastReceiver::forward_chain_state(bool resend_allowed) {
   std::uint32_t upstream = expected_;
   for (std::size_t child : links_.children) {
     upstream = std::min(upstream, peer_view(child).cum);
@@ -430,19 +368,21 @@ void MulticastReceiver::send_ack(std::uint32_t cum) {
   Header h{PacketType::kAck, 0, static_cast<std::uint16_t>(node_id_), session_, cum};
   ++stats_.acks_sent;
   emit(trace::EventKind::kAckTx, cum);
-  control_socket_.send_ref(ack_target(), make_control_ref(h));
+  control_socket_.send_ref(ack_target(), make_packet_ref(h));
+}
+
+bool MulticastReceiver::nak_rate_limited() {
+  if (last_nak_ < 0 || rt_.now() - last_nak_ >= config_.nak_interval) return false;
+  ++stats_.naks_suppressed;
+  emit(trace::EventKind::kNakSuppressed, expected_,
+       static_cast<std::uint32_t>(trace::NakSuppressReason::kRateLimited));
+  return true;
 }
 
 void MulticastReceiver::want_nak() {
-  const sim::Time now = rt_.now();
-  if (last_nak_ >= 0 && now - last_nak_ < config_.nak_interval) {
-    ++stats_.naks_suppressed;
-    emit(trace::EventKind::kNakSuppressed, expected_,
-         static_cast<std::uint32_t>(trace::NakSuppressReason::kRateLimited));
-    return;
-  }
+  if (nak_rate_limited()) return;
   if (!config_.multicast_nak_suppression) {
-    last_nak_ = now;
+    last_nak_ = rt_.now();
     emit_nak();
     return;
   }
@@ -465,7 +405,7 @@ void MulticastReceiver::want_nak() {
 
 void MulticastReceiver::emit_nak() {
   Header h{PacketType::kNak, 0, static_cast<std::uint16_t>(node_id_), session_, expected_};
-  net::PayloadRef packet = make_control_ref(h);
+  net::PayloadRef packet = make_packet_ref(h);
   ++stats_.naks_sent;
   emit(trace::EventKind::kNakTx, expected_);
   if (config_.peer_repair) {
@@ -508,9 +448,7 @@ void MulticastReceiver::handle_foreign_nak(const Header& h) {
   if (config_.peer_repair && h.seq < expected_) schedule_repair(h.seq);
   const bool covered = config_.selective_repeat ? expected_ == h.seq : expected_ >= h.seq;
   if (covered) {
-    if (nak_timer_ != rt::kInvalidTimerId) {
-      rt_.cancel(nak_timer_);
-      nak_timer_ = rt::kInvalidTimerId;
+    if (rt_.disarm(nak_timer_)) {
       ++stats_.naks_suppressed;
       emit(trace::EventKind::kNakSuppressed, expected_,
            static_cast<std::uint32_t>(trace::NakSuppressReason::kPeerCovered));
@@ -519,24 +457,10 @@ void MulticastReceiver::handle_foreign_nak(const Header& h) {
   }
 }
 
-std::size_t MulticastReceiver::fec_group_data(std::uint32_t group) const {
-  const std::uint64_t first = std::uint64_t{group} * config_.fec.k;
-  return static_cast<std::size_t>(
-      std::min<std::uint64_t>(config_.fec.k, alloc_.total_packets - first));
-}
-
-std::size_t MulticastReceiver::fec_block_len(std::uint32_t seq) const {
-  const std::uint64_t off = std::uint64_t{seq} * alloc_.packet_bytes;
-  const std::uint64_t remain =
-      alloc_.message_bytes - std::min<std::uint64_t>(alloc_.message_bytes, off);
-  return static_cast<std::size_t>(
-      std::min<std::uint64_t>(alloc_.packet_bytes, remain));
-}
-
 std::uint64_t MulticastReceiver::fec_missing_bitmap(std::uint32_t group,
                                                     std::size_t* n_missing) const {
   const std::uint32_t first = group * static_cast<std::uint32_t>(config_.fec.k);
-  const std::size_t group_data = fec_group_data(group);
+  const std::size_t group_data = alloc_.group_blocks(group, config_.fec.k);
   std::uint64_t missing = 0;
   std::size_t count = 0;
   for (std::size_t i = 0; i < group_data; ++i) {
@@ -550,15 +474,15 @@ std::uint64_t MulticastReceiver::fec_missing_bitmap(std::uint32_t group,
 }
 
 void MulticastReceiver::handle_parity(const Header& h, BytesView body) {
-  if (!engine_->is_fec() || !session_active_ || h.session != session_) {
+  if (!config_.fec.is_set() || !session_active_ || h.session != session_) {
     ++stats_.stale_packets;
     return;
   }
   const std::uint32_t m = static_cast<std::uint32_t>(config_.fec.m);
   const std::uint32_t group = h.seq / m;
   const std::uint32_t index = h.seq % m;
-  const std::uint64_t first = std::uint64_t{group} * config_.fec.k;
-  if (first >= alloc_.total_packets) {
+  const std::size_t group_data = alloc_.group_blocks(group, config_.fec.k);
+  if (group_data == 0) {
     ++stats_.stale_packets;
     return;
   }
@@ -569,7 +493,7 @@ void MulticastReceiver::handle_parity(const Header& h, BytesView body) {
   fec_no_more_parity_group_ = std::max(
       fec_no_more_parity_group_, index + 1 == m ? group + 1 : group);
   emit(trace::EventKind::kParityRx, h.seq, group);
-  const std::uint64_t group_end = first + fec_group_data(group);
+  const std::uint64_t group_end = std::uint64_t{group} * config_.fec.k + group_data;
   if (!delivered_ && expected_ < group_end) {
     fec_parity_[group].try_emplace(index, Buffer(body.begin(), body.end()));
   }
@@ -589,7 +513,9 @@ void MulticastReceiver::maybe_fec_decode(std::uint32_t group) {
     fec_parity_.erase(pit);
     return;
   }
-  if (!engine_->group_decodable(n_missing, pit->second.size())) return;
+  // MDS property: any e erased data blocks decode from any e held parity
+  // blocks (XOR is the m = 1 special case).
+  if (n_missing > pit->second.size()) return;
   // Defer the reconstruction behind its modelled CPU cost: syndrome
   // formation folds every held block and recovery recombines the
   // erasures — about one fold per group block at the GF multiply rate
@@ -598,11 +524,9 @@ void MulticastReceiver::maybe_fec_decode(std::uint32_t group) {
   // the completion re-verifies before touching anything.
   fec_decode_inflight_ = true;
   const std::uint32_t first = group * static_cast<std::uint32_t>(config_.fec.k);
-  const std::uint64_t folded_bytes =
-      std::uint64_t{fec_block_len(first)} * fec_group_data(group);
-  const double rate =
-      config_.fec.m == 1 ? inet::kFecXorNsPerByte : inet::kFecMulNsPerByte;
-  const auto cost = static_cast<sim::Time>(rate * static_cast<double>(folded_bytes));
+  const sim::Time cost = inet::fec_fold_cost(
+      config_.fec.m,
+      std::uint64_t{alloc_.block_len(first)} * alloc_.group_blocks(group, config_.fec.k));
   const std::uint32_t sess = session_;
   const sim::Time started = rt_.now();
   rt_.run_cost(cost, [this, group, sess, started] {
@@ -621,13 +545,13 @@ void MulticastReceiver::finish_fec_decode(std::uint32_t group, sim::Time started
     fec_parity_.erase(pit);
     return;
   }
-  if (!engine_->group_decodable(n_missing, pit->second.size())) return;
+  if (n_missing > pit->second.size()) return;
 
   const std::size_t k = config_.fec.k;
   const std::size_t m = config_.fec.m;
   const std::uint32_t first = group * static_cast<std::uint32_t>(k);
-  const std::size_t group_data = fec_group_data(group);
-  const std::size_t len = fec_block_len(first);
+  const std::size_t group_data = alloc_.group_blocks(group, k);
+  const std::size_t len = alloc_.block_len(first);
 
   // Stage all k blocks at the parity length: held blocks copy in (short
   // tail blocks zero-padded), erased blocks start zeroed as decode
@@ -648,7 +572,7 @@ void MulticastReceiver::finish_fec_decode(std::uint32_t group, sim::Time started
     if (seq < expected_) {
       const std::size_t off = std::size_t{seq} * alloc_.packet_bytes;
       std::copy_n(buffer_.begin() + static_cast<std::ptrdiff_t>(off),
-                  fec_block_len(seq), staging[i].begin());
+                  alloc_.block_len(seq), staging[i].begin());
     } else {
       const Buffer& held = reorder_.at(seq).second;
       std::copy_n(held.begin(), std::min(held.size(), len), staging[i].begin());
@@ -675,28 +599,26 @@ void MulticastReceiver::finish_fec_decode(std::uint32_t group, sim::Time started
   for (std::size_t i = 0; i < group_data; ++i) {
     if (((missing >> i) & 1u) == 0) continue;
     const std::uint32_t seq = first + static_cast<std::uint32_t>(i);
-    std::uint8_t flags = engine_->repair_flags(seq, config_);
+    std::uint8_t flags = engine_->data_flags(seq, /*force_poll=*/false, config_);
     if (seq + 1 == alloc_.total_packets) flags |= kFlagLast;
     ++stats_.fec_blocks_recovered;
     emit(trace::EventKind::kFecRecover, seq);
     reorder_.try_emplace(seq, flags,
                          Buffer(staging[i].begin(),
                                 staging[i].begin() +
-                                    static_cast<std::ptrdiff_t>(fec_block_len(seq))));
+                                    static_cast<std::ptrdiff_t>(alloc_.block_len(seq))));
   }
   fec_parity_.erase(group);
   // The decode may have filled the in-order gap: drain through the normal
-  // consume path so acknowledgments and delivery fire exactly as if the
-  // blocks had arrived on the wire.
+  // in-order path so acknowledgments and delivery fire exactly as if the
+  // blocks had arrived on the wire. Unlike a data arrival, a finished
+  // decode does not itself try the next group's decode.
   auto it = reorder_.find(expected_);
   if (it == reorder_.end()) return;
-  const std::uint32_t old_expected = expected_;
   const std::uint8_t flags = it->second.first;
   Buffer body = std::move(it->second.second);
   reorder_.erase(it);
-  const std::uint8_t consumed =
-      consume_in_order(old_expected, flags, BytesView(body.data(), body.size()));
-  after_advance(old_expected, consumed);
+  advance_in_order(flags, BytesView(body.data(), body.size()));
 }
 
 void MulticastReceiver::want_group_nak(bool force) {
@@ -709,7 +631,7 @@ void MulticastReceiver::want_group_nak(bool force) {
   if (n_missing == 0) return;
   auto pit = fec_parity_.find(group);
   const std::size_t parity_held = pit == fec_parity_.end() ? 0 : pit->second.size();
-  if (engine_->group_decodable(n_missing, parity_held)) {
+  if (n_missing <= parity_held) {
     // Parity already here covers the erasures: decode instead of asking.
     maybe_fec_decode(group);
     return;
@@ -717,14 +639,8 @@ void MulticastReceiver::want_group_nak(bool force) {
   // Unless forced (silence: nothing more is coming), hold the NAK while
   // the group's parity tail may still be in flight.
   if (!force && group >= fec_no_more_parity_group_) return;
-  const sim::Time now = rt_.now();
-  if (last_nak_ >= 0 && now - last_nak_ < config_.nak_interval) {
-    ++stats_.naks_suppressed;
-    emit(trace::EventKind::kNakSuppressed, expected_,
-         static_cast<std::uint32_t>(trace::NakSuppressReason::kRateLimited));
-    return;
-  }
-  last_nak_ = now;
+  if (nak_rate_limited()) return;
+  last_nak_ = rt_.now();
   emit_group_nak(group, missing, n_missing);
 }
 
@@ -743,7 +659,7 @@ void MulticastReceiver::emit_group_nak(std::uint32_t group, std::uint64_t missin
 void MulticastReceiver::deliver_if_complete() {
   if (delivered_ || expected_ < alloc_.total_packets) return;
   delivered_ = true;
-  disarm_inactivity_timer();
+  rt_.disarm(inactivity_timer_);
   ++stats_.messages_delivered;
   if (delivery_latency_ != nullptr) {
     delivery_latency_->record_seconds(sim::to_seconds(rt_.now() - session_started_));
@@ -755,27 +671,20 @@ void MulticastReceiver::deliver_if_complete() {
 }
 
 void MulticastReceiver::arm_inactivity_timer() {
-  disarm_inactivity_timer();
+  rt_.disarm(inactivity_timer_);
   inactivity_timer_ = rt_.schedule_after(config_.receiver_timeout, [this] {
     inactivity_timer_ = rt::kInvalidTimerId;
     if (!session_active_ || delivered_) return;
     // The stream went quiet with the message incomplete: ask for the gap
     // ourselves instead of waiting out the sender's timer. Silence means
     // no parity is coming either, so the FEC fallback is forced.
-    if (engine_->is_fec()) {
+    if (config_.fec.is_set()) {
       want_group_nak(/*force=*/true);
     } else {
       want_nak();
     }
     arm_inactivity_timer();
   });
-}
-
-void MulticastReceiver::disarm_inactivity_timer() {
-  if (inactivity_timer_ != rt::kInvalidTimerId) {
-    rt_.cancel(inactivity_timer_);
-    inactivity_timer_ = rt::kInvalidTimerId;
-  }
 }
 
 void MulticastReceiver::schedule_repair(std::uint32_t seq) {
@@ -819,26 +728,19 @@ void MulticastReceiver::emit_repair(std::uint32_t seq) {
   // Reconstruct the data packet from the assembled message buffer and
   // multicast it: every receiver missing it is healed at once, and other
   // would-be repairers cancel on seeing it.
-  const std::size_t offset = std::size_t{seq} * alloc_.packet_bytes;
-  const std::size_t len =
-      std::min<std::size_t>(alloc_.packet_bytes,
-                            buffer_.size() - std::min<std::size_t>(buffer_.size(), offset));
   std::uint8_t flags = kFlagRetrans;
   if (seq + 1 == alloc_.total_packets) flags |= kFlagLast;
   // Reconstruct the deterministic protocol flags (NAK-polling's POLL bit):
   // a repaired poll packet must still solicit the acknowledgments the
   // sender's buffer release waits for, or the repair fixes the receivers
   // while the sender times out.
-  flags |= engine_->repair_flags(seq, config_);
+  flags |= engine_->data_flags(seq, /*force_poll=*/false, config_);
   Header h{PacketType::kData, flags, static_cast<std::uint16_t>(node_id_), session_, seq};
-  net::ArenaWriter w(kHeaderBytes + len);
-  write_header(w, h);
-  if (len > 0) {
-    w.bytes(BytesView(buffer_.data() + offset, len));
-  }
+  const BytesView body(buffer_.data() + std::size_t{seq} * alloc_.packet_bytes,
+                       alloc_.block_len(seq));
   ++stats_.repairs_sent;
   emit(trace::EventKind::kRepairTx, seq);
-  control_socket_.send_ref(membership_.group, w.take());
+  control_socket_.send_ref(membership_.group, make_packet_ref(h, body));
 }
 
 void MulticastReceiver::handle_evict(const Header& h) {
@@ -884,7 +786,7 @@ void MulticastReceiver::rebuild_tree_links() {
   if (all_children_alloc_done()) {
     send_alloc_response();
   }
-  maybe_forward_chain_state(/*resend_allowed=*/true);
+  forward_chain_state(/*resend_allowed=*/true);
   if (eviction_enabled() && !links_.children.empty() &&
       child_monitor_timer_ == rt::kInvalidTimerId) {
     arm_child_monitor();
@@ -892,18 +794,11 @@ void MulticastReceiver::rebuild_tree_links() {
 }
 
 void MulticastReceiver::arm_child_monitor() {
-  disarm_child_monitor();
+  rt_.disarm(child_monitor_timer_);
   child_monitor_timer_ = rt_.schedule_after(config_.rto, [this] {
     child_monitor_timer_ = rt::kInvalidTimerId;
     on_child_monitor();
   });
-}
-
-void MulticastReceiver::disarm_child_monitor() {
-  if (child_monitor_timer_ != rt::kInvalidTimerId) {
-    rt_.cancel(child_monitor_timer_);
-    child_monitor_timer_ = rt::kInvalidTimerId;
-  }
 }
 
 void MulticastReceiver::on_child_monitor() {
@@ -963,7 +858,7 @@ void MulticastReceiver::send_suspect(std::size_t child) {
            static_cast<std::uint32_t>(child)};
   ++stats_.suspects_sent;
   emit(trace::EventKind::kSuspectTx, static_cast<std::uint32_t>(child));
-  control_socket_.send_ref(membership_.sender_control, make_control_ref(h));
+  control_socket_.send_ref(membership_.sender_control, make_packet_ref(h));
 }
 
 void MulticastReceiver::emit(trace::EventKind kind, std::uint32_t a, std::uint32_t b) {

@@ -1,8 +1,9 @@
 // Reliable multicast receiver — the protocol shell.
 //
 // Mirrors the sender: one class drives the receive side of every protocol
-// family, and the per-kind acknowledgment policy lives in a ReceiverEngine
-// looked up in the ProtocolRegistry by config.kind (paper §3):
+// family, and the per-kind acknowledgment policy lives in the kind's
+// ProtocolEngine, looked up in the ProtocolRegistry by config.kind
+// (paper §3):
 //
 //   * ACK-based — acknowledge every in-order data packet;
 //   * NAK-based with polling — acknowledge only packets flagged POLL (or
@@ -17,11 +18,16 @@
 //
 // The engine answers the per-packet acknowledgment decision (one
 // on_data_event call covering in-order advances and duplicates), supplies
-// the aggregation links, and reconstructs protocol flags on peer repairs;
-// the shell owns everything the policies share — Go-Back-N/selective
-// repeat reception, NAK pacing and suppression, the buffer-allocation
-// handshake (paper Figure 6), graceful-degradation bookkeeping, and the
-// tree child monitor.
+// the aggregation links, and names the protocol flags (data_flags) a peer
+// repair or an FEC-recovered block must carry; the shell owns everything
+// the policies share — Go-Back-N/selective repeat reception through one
+// in-order advance, NAK pacing and suppression behind one rate limit, the
+// buffer-allocation handshake (paper Figure 6), one handler for a tree
+// child's ACK and ALLOC_RSP, graceful-degradation bookkeeping, the tree
+// child monitor, and, when config.fec is set, the FEC groups: parity
+// buffering, the MDS decode rule, one cumulative ACK per closed group and
+// the GROUP_NAK fallback. Per-packet and per-group sizes come from the
+// session's AllocRequest.
 //
 // Reception is Go-Back-N by default (out-of-order packets are dropped and
 // NAKed), or selective repeat when configured (out-of-order packets are
@@ -88,7 +94,7 @@ class MulticastReceiver : private ReceiverOps {
 
   std::size_t node_id() const override { return node_id_; }
   const ReceiverStats& stats() const { return stats_; }
-  const ProtocolConfig& config() const override { return config_; }
+  const ProtocolConfig& config() const { return config_; }
 
   // Graceful degradation: true once the sender announced this node's own
   // eviction (the receiver goes passive for the rest of the session).
@@ -116,35 +122,35 @@ class MulticastReceiver : private ReceiverOps {
   std::uint32_t expected() const override { return expected_; }
   std::uint32_t total_packets() const override { return alloc_.total_packets; }
   void send_cum_ack() override { send_ack(expected_); }
-  void forward_chain_state(bool resend_allowed) override {
-    maybe_forward_chain_state(resend_allowed);
-  }
+  void forward_chain_state(bool resend_allowed) override;
 
   void on_packet(const net::Endpoint& src, BytesView payload);
   void handle_alloc_request(const Header& h, Reader& r);
   void handle_data(const Header& h, BytesView body);
-  void handle_chain_ack(const Header& h);        // tree: from a child
-  void handle_chain_alloc_rsp(const Header& h);  // tree: from a child
+  // Tree: a child's ACK or ALLOC_RSP; reports for a future session are
+  // held until its ALLOC_REQ arrives.
+  void handle_child_report(const Header& h);
   void handle_foreign_nak(const Header& h);      // multicast NAK suppression
   void handle_evict(const Header& h);            // sender evicted a node
   void handle_parity(const Header& h, BytesView body);  // hybrid FEC
 
-  // Copies an in-order packet into the message buffer and advances the
-  // in-order point, draining the reorder buffer under selective repeat.
-  // Returns the flags accumulated over all packets consumed.
-  std::uint8_t consume_in_order(std::uint32_t seq, std::uint8_t flags, BytesView body);
-  void after_advance(std::uint32_t old_expected, std::uint8_t consumed_flags);
+  // Copies the packet at the in-order point into the message buffer,
+  // drains the reorder buffer under selective repeat, then reports the
+  // advance (flags accumulated over everything consumed) to the engine,
+  // acknowledges each FEC group it closed, and delivers a complete message.
+  void advance_in_order(std::uint8_t flags, BytesView body);
   void on_duplicate(const Header& h);
   void send_ack(std::uint32_t cum);
+  // The NAK and GROUP_NAK rate limit: true (and counted as suppressed)
+  // while the previous one is younger than nak_interval.
+  bool nak_rate_limited();
   void want_nak();       // request a NAK, subject to rate limit / backoff
   void emit_nak();       // actually put the NAK on the wire
   void send_alloc_response();
-  void maybe_forward_chain_state(bool resend_allowed);
   void deliver_if_complete();
   // Receiver-driven error control: (re)arms the inactivity timer while a
   // message is incomplete; fires a NAK after silence.
   void arm_inactivity_timer();
-  void disarm_inactivity_timer();
   // Cancels the NAK, inactivity, child-monitor and repair timers: on
   // destruction, leave() and self-eviction.
   void cancel_timers();
@@ -154,16 +160,12 @@ class MulticastReceiver : private ReceiverOps {
   void cancel_repair(std::uint32_t seq);
   void emit_repair(std::uint32_t seq);
 
-  // Hybrid FEC (engine_->is_fec()). Data blocks of the group live in
+  // Hybrid FEC (config_.fec.is_set()). Data blocks of the group live in
   // buffer_/reorder_ as usual; only parity needs dedicated storage.
   // Data packets of the oldest incomplete group count as erased once the
   // group's repair window provably closed (parity tail seen, or anything
   // from a later group); a group whose erasures exceed its held parity
   // falls back to a GROUP_NAK naming the missing blocks.
-  std::size_t fec_group_data(std::uint32_t group) const;   // blocks in group
-  // Bytes packet `seq` carries (only the last may be short); every data
-  // body must be exactly this long.
-  std::size_t fec_block_len(std::uint32_t seq) const;
   std::uint64_t fec_missing_bitmap(std::uint32_t group, std::size_t* n_missing) const;
   // Schedules a decode of `group` behind its modelled GF(2^8) CPU cost
   // when it is decodable; the completion re-verifies (state may shift
@@ -177,7 +179,7 @@ class MulticastReceiver : private ReceiverOps {
                       std::size_t n_missing);
 
   net::Endpoint ack_target() const;  // sender, or tree parent
-  int child_index(std::uint16_t node) const;
+  bool is_child(std::size_t node) const;
   bool all_children_alloc_done() const;
 
   // Graceful degradation.
@@ -188,7 +190,6 @@ class MulticastReceiver : private ReceiverOps {
   // stalls for max_retransmit_rounds monitor ticks to the sender (SUSPECT)
   // — the sender only sees the heads, never the interior nodes.
   void arm_child_monitor();
-  void disarm_child_monitor();
   void on_child_monitor();
   // Aggregation levels below `node` in the current live structure.
   std::size_t subtree_height(std::size_t node) const;
@@ -208,7 +209,7 @@ class MulticastReceiver : private ReceiverOps {
   std::size_t node_id_;
   ProtocolConfig config_;
   // Per-protocol acknowledgment policy (registry-owned singleton).
-  const ReceiverEngine* engine_;
+  const ProtocolEngine* engine_;
   bool is_tree_ = false;
   TreeLinks links_;
   Rng rng_;  // NAK backoff randomisation, seeded by node id
@@ -243,7 +244,7 @@ class MulticastReceiver : private ReceiverOps {
   // Selective repeat reorder buffer: seq -> (flags, payload).
   std::map<std::uint32_t, std::pair<std::uint8_t, Buffer>> reorder_;
 
-  // Hybrid FEC state (engine_->is_fec() only; reset per session).
+  // Hybrid FEC state (config_.fec.is_set() only; reset per session).
   std::optional<fec::Codec> fec_codec_;
   // group -> (parity index -> payload); released at group close/decode.
   std::map<std::uint32_t, std::map<std::uint32_t, Buffer>> fec_parity_;
@@ -268,23 +269,19 @@ class MulticastReceiver : private ReceiverOps {
     bool monitor_alloc = false;
     std::uint32_t stall_rounds = 0;
   };
-  std::unordered_map<std::size_t, PeerState> peers_;
+  using PeerMap = std::unordered_map<std::size_t, PeerState>;
+  PeerMap peers_;
   PeerState& peer(std::size_t node) { return peers_[node]; }
   // Read-only view; absent peers read as the all-zero state (exactly what
   // the old vectors held for a child that never reported).
   const PeerState& peer_view(std::size_t node) const;
 
-  bool alloc_rsp_sent_ = false;
   std::uint32_t upstream_sent_ = 0;
   // Tree traffic that raced ahead of our ALLOC_REQ (the multicast REQ and
   // the unicast tree traffic take different paths); held for the newest
-  // future session seen. Keyed by peer node id.
-  struct PendingPeer {
-    bool rsp = false;
-    std::uint32_t cum = 0;
-  };
+  // future session seen and moved into peers_ when that session starts.
   std::uint32_t pending_session_ = 0;
-  std::unordered_map<std::size_t, PendingPeer> pending_peers_;
+  PeerMap pending_peers_;
 
   // Graceful-degradation state, reset per session.
   std::vector<bool> alive_;  // indexed by node id

@@ -19,7 +19,7 @@ MulticastSender::MulticastSender(rt::Runtime& runtime, rt::UdpSocket& control_so
       socket_(control_socket),
       membership_(std::move(membership)),
       config_(config),
-      engine_(ProtocolRegistry::instance().entry(config_.kind).sender_engine()),
+      engine_(ProtocolRegistry::instance().entry(config_.kind).engine()),
       core_(*engine_, config_) {
   std::string group_error = membership_.validate();
   RMC_ENSURE(group_error.empty(), group_error);
@@ -28,9 +28,7 @@ MulticastSender::MulticastSender(rt::Runtime& runtime, rt::UdpSocket& control_so
 
   // Hybrid FEC: one codec serves every group of every session (the
   // parity matrix depends only on k and m, both fixed per config).
-  if (engine_->parity_per_group(config_) > 0) {
-    fec_codec_.emplace(config_.fec.k, config_.fec.m);
-  }
+  if (config_.fec.is_set()) fec_codec_.emplace(config_.fec.k, config_.fec.m);
 
   core_.reset_units(membership_.n_receivers());
 
@@ -40,9 +38,9 @@ MulticastSender::MulticastSender(rt::Runtime& runtime, rt::UdpSocket& control_so
 }
 
 MulticastSender::~MulticastSender() {
-  disarm_rto();
-  if (alloc_timer_ != rt::kInvalidTimerId) rt_.cancel(alloc_timer_);
-  if (rate_timer_ != rt::kInvalidTimerId) rt_.cancel(rate_timer_);
+  rt_.disarm(rto_timer_);
+  rt_.disarm(alloc_timer_);
+  rt_.disarm(rate_timer_);
   BufferRecycler::instance().release(std::move(message_));
 }
 
@@ -67,16 +65,11 @@ void MulticastSender::send(BytesView message, CompletionHandler on_complete) {
   }
   on_complete_ = std::move(on_complete);
 
-  total_packets_ = static_cast<std::uint32_t>(
-      std::max<std::size_t>(1, (message_view_.size() + config_.packet_size - 1) /
-                                   config_.packet_size));
+  request_ = AllocRequest::for_message(message_view_.size(), config_.packet_size);
   ++session_;
   tx_chain_active_ = false;
   next_tx_allowed_ = 0;
-  if (rate_timer_ != rt::kInvalidTimerId) {
-    rt_.cancel(rate_timer_);
-    rate_timer_ = rt::kInvalidTimerId;
-  }
+  rt_.disarm(rate_timer_);
   state_ = State::kAllocating;
   core_.begin_send(membership_.n_receivers());
   send_started_ = rt_.now();
@@ -86,13 +79,11 @@ void MulticastSender::send(BytesView message, CompletionHandler on_complete) {
 
 void MulticastSender::send_alloc_request() {
   Header h{PacketType::kAllocReq, 0, kSenderNodeId, session_, 0};
-  AllocRequest req{message_view_.size(), static_cast<std::uint32_t>(config_.packet_size),
-                   total_packets_};
   net::ArenaWriter w(kHeaderBytes + kAllocRequestBytes);
   write_header(w, h);
-  write_alloc_request(w, req);
+  write_alloc_request(w, request_);
   ++core_.stats.alloc_requests_sent;
-  emit(trace::EventKind::kAllocReq, total_packets_, session_);
+  emit(trace::EventKind::kAllocReq, request_.total_packets, session_);
   socket_.send_ref(membership_.group, w.take());
 }
 
@@ -171,13 +162,10 @@ void MulticastSender::on_alloc_response(const Header& h) {
 }
 
 void MulticastSender::start_data_phase() {
-  if (alloc_timer_ != rt::kInvalidTimerId) {
-    rt_.cancel(alloc_timer_);
-    alloc_timer_ = rt::kInvalidTimerId;
-  }
+  rt_.disarm(alloc_timer_);
   state_ = State::kSending;
   window_stalled_ = false;
-  core_.window.reset(total_packets_, config_.window_size);
+  core_.window.reset(request_.total_packets, config_.window_size);
   core_.tracker.reset(core_.unit_nodes().size());
   pump();
   arm_rto();
@@ -239,16 +227,11 @@ void MulticastSender::pump() {
 
 void MulticastSender::transmit(std::uint32_t seq, bool retransmission, bool force_poll,
                                const net::Endpoint* unicast_to) {
-  const std::size_t offset = std::size_t{seq} * config_.packet_size;
-  const std::size_t len =
-      std::min(config_.packet_size,
-               message_view_.size() - std::min(message_view_.size(), offset));
-
+  const std::size_t len = request_.block_len(seq);
   Header h{PacketType::kData, data_flags(seq, retransmission, force_poll), kSenderNodeId,
            session_, seq};
-  net::ArenaWriter w(kHeaderBytes + len);
-  write_header(w, h);
-  if (len > 0) w.bytes(message_view_.subspan(offset, len));
+  net::PayloadRef packet =
+      make_packet_ref(h, message_view_.subspan(std::size_t{seq} * config_.packet_size, len));
 
   RMC_DEBUG("[%.6f] sender tx: seq=%u flags=%02x", sim::to_seconds(rt_.now()), seq,
             h.flags);
@@ -262,12 +245,12 @@ void MulticastSender::transmit(std::uint32_t seq, bool retransmission, bool forc
     // copy happened on first transmission — so no copy cost applies.
     ++core_.stats.retransmissions;
     const net::Endpoint& dst = unicast_to != nullptr ? *unicast_to : membership_.group;
-    socket_.send_ref(dst, w.take());
+    socket_.send_ref(dst, std::move(packet));
     return;
   }
 
   ++core_.stats.data_packets_sent;
-  auto finish = [this, seq, packet = w.take()]() mutable {
+  auto finish = [this, seq, packet = std::move(packet)]() mutable {
     socket_.send_ref(membership_.group, std::move(packet));
     if (group_closes_at(seq)) {
       // The group's parity rides the same tx chain as its data: the
@@ -294,23 +277,19 @@ bool MulticastSender::group_closes_at(std::uint32_t seq) const {
   // First transmissions are claimed sequentially, so each seq passes
   // through here exactly once; the last seq of the message closes a
   // (possibly partial) tail group.
-  return (seq + 1) % k == 0 || seq + 1 == total_packets_;
+  return (seq + 1) % k == 0 || seq + 1 == request_.total_packets;
 }
 
 void MulticastSender::emit_group_parity(std::uint32_t group) {
   const std::size_t k = config_.fec.k;
   const std::size_t m = config_.fec.m;
-  const std::uint64_t first = std::uint64_t{group} * k;
-  const std::size_t group_data = static_cast<std::size_t>(
-      std::min<std::uint64_t>(k, total_packets_ - first));
+  const std::uint32_t first = group * static_cast<std::uint32_t>(k);
   // Parity blocks span the group's longest data block (its first).
   // Shorter tail blocks contribute as if zero-padded: folding only their
   // real bytes leaves the remainder untouched, which is exactly the
   // zero-pad's contribution.
-  const std::size_t first_off = static_cast<std::size_t>(first) * config_.packet_size;
-  const std::size_t parity_len =
-      std::min(config_.packet_size,
-               message_view_.size() - std::min(message_view_.size(), first_off));
+  const std::size_t parity_len = request_.block_len(first);
+  const std::size_t group_data = request_.group_blocks(group, k);
 
   std::vector<Buffer> parity(m);
   std::vector<std::uint8_t*> parity_ptrs(m);
@@ -320,13 +299,11 @@ void MulticastSender::emit_group_parity(std::uint32_t group) {
   }
   std::uint64_t folded_bytes = 0;
   for (std::size_t i = 0; i < group_data; ++i) {
-    const std::size_t off = first_off + i * config_.packet_size;
-    const std::size_t len =
-        std::min(config_.packet_size,
-                 message_view_.size() - std::min(message_view_.size(), off));
+    const std::uint32_t seq = first + static_cast<std::uint32_t>(i);
+    const std::size_t len = request_.block_len(seq);
     if (len == 0) continue;
-    fec_codec_->encode_add(i, message_view_.data() + off, parity_ptrs.data(), len,
-                           fec::Backend::kWide);
+    fec_codec_->encode_add(i, message_view_.data() + std::size_t{seq} * config_.packet_size,
+                           parity_ptrs.data(), len, fec::Backend::kWide);
     folded_bytes += std::uint64_t{len} * m;
   }
 
@@ -336,23 +313,14 @@ void MulticastSender::emit_group_parity(std::uint32_t group) {
       const std::uint32_t pseq =
           group * static_cast<std::uint32_t>(m) + static_cast<std::uint32_t>(j);
       Header h{PacketType::kParity, 0, kSenderNodeId, session_, pseq};
-      net::ArenaWriter w(kHeaderBytes + parity[j].size());
-      write_header(w, h);
-      if (!parity[j].empty()) w.bytes(BytesView(parity[j].data(), parity[j].size()));
       ++core_.stats.parity_packets_sent;
       emit(trace::EventKind::kParityTx, pseq, group);
-      socket_.send_ref(membership_.group, w.take());
+      socket_.send_ref(membership_.group, make_packet_ref(h, parity[j]));
     }
     tx_chain_active_ = false;
     if (state_ == State::kSending) pump();
   };
-  // XOR parity (m == 1) folds at memory speed; general coefficients pay
-  // the bit-plane multiply rate. Same cost model as the receive-side
-  // decode (inet/host_params.h).
-  const double rate = m == 1 ? inet::kFecXorNsPerByte : inet::kFecMulNsPerByte;
-  const auto encode_cost =
-      static_cast<sim::Time>(rate * static_cast<double>(folded_bytes));
-  rt_.run_cost(encode_cost, std::move(finish));
+  rt_.run_cost(inet::fec_fold_cost(m, folded_bytes), std::move(finish));
 }
 
 void MulticastSender::on_group_nak(const Header& h, Reader& r) {
@@ -368,17 +336,16 @@ void MulticastSender::on_group_nak(const Header& h, Reader& r) {
   }
   ++core_.stats.group_naks_received;
   emit(trace::EventKind::kGroupNakRx, h.node_id, h.seq);
-  const std::uint64_t first = std::uint64_t{h.seq} * config_.fec.k;
-  if (first >= total_packets_) {
+  const std::size_t group_data = request_.group_blocks(h.seq, config_.fec.k);
+  if (group_data == 0) {
     ++core_.stats.stale_packets;
     return;
   }
-  const std::size_t group_data = static_cast<std::size_t>(
-      std::min<std::uint64_t>(config_.fec.k, total_packets_ - first));
-  const std::vector<std::uint32_t> plan =
-      engine_->make_repair_plan(h.seq, body->missing, group_data, config_);
+  // Retransmit exactly the data blocks the bitmap names. Parity is never
+  // retransmitted: once the sender is retransmitting anyway, the named
+  // blocks repair the group directly.
   const sim::Time now = rt_.now();
-  for (std::uint32_t seq : plan) {
+  for (std::uint32_t seq : body->missing_seqs(h.seq, config_.fec.k, group_data)) {
     // Below the window base every unit (the complainer included) has
     // acknowledged past it — the NAK is stale; at or past next() the
     // block was never transmitted — the bitmap is garbage.
@@ -488,27 +455,20 @@ void MulticastSender::retransmit_from(std::uint32_t from, bool force_poll,
     resent_any = true;
     last_resent = seq;
   }
-  if (force_poll && engine_->needs_forced_poll()) {
-    if (!resent_any) return;  // everything was suppressed
-    // Resend the final packet of the batch once more with the poll flag if
-    // it did not already carry one.
-    if ((data_flags(last_resent, true, false) & (kFlagPoll | kFlagLast)) == 0) {
-      transmit(last_resent, /*retransmission=*/true, /*force_poll=*/true, unicast_to);
-    }
+  // A kind whose forced data_flags set kFlagPoll needs a timer-driven
+  // round to end in a soliciting packet: resend the batch's final packet
+  // once more with the poll flag if it did not already carry one.
+  if (!force_poll || !resent_any) return;  // not timer-driven, or all suppressed
+  const bool polls = (engine_->data_flags(last_resent, true, config_) & kFlagPoll) != 0;
+  if (polls && (data_flags(last_resent, true, false) & (kFlagPoll | kFlagLast)) == 0) {
+    transmit(last_resent, /*retransmission=*/true, /*force_poll=*/true, unicast_to);
   }
 }
 
 void MulticastSender::arm_rto() {
-  disarm_rto();
+  rt_.disarm(rto_timer_);
   rto_timer_ = rt_.schedule_after(
       core_.current_rto > 0 ? core_.current_rto : config_.rto, [this] { on_rto(); });
-}
-
-void MulticastSender::disarm_rto() {
-  if (rto_timer_ != rt::kInvalidTimerId) {
-    rt_.cancel(rto_timer_);
-    rto_timer_ = rt::kInvalidTimerId;
-  }
 }
 
 void MulticastSender::on_rto() {
@@ -540,7 +500,7 @@ void MulticastSender::on_rto() {
 void MulticastSender::send_evict_notice(std::size_t node) {
   Header h{PacketType::kEvict, 0, kSenderNodeId, session_,
            static_cast<std::uint32_t>(node)};
-  socket_.send_ref(membership_.group, make_control_ref(h));
+  socket_.send_ref(membership_.group, make_packet_ref(h));
 }
 
 void MulticastSender::announce_evictions() {
@@ -591,7 +551,7 @@ void MulticastSender::on_suspect(const Header& h) {
   // SUSPECT is a tree parent telling the sender its child (h.seq) has
   // stopped responding — the sender cannot see interior nodes stall, only
   // the heads that aggregate for them.
-  if (!core_.eviction_enabled() || !engine_->accepts_suspects() ||
+  if (!core_.eviction_enabled() || !engine_->is_tree() ||
       state_ == State::kIdle || h.session != session_) {
     ++core_.stats.stale_packets;
     return;
@@ -604,19 +564,13 @@ void MulticastSender::on_suspect(const Header& h) {
 }
 
 void MulticastSender::complete() {
-  disarm_rto();
-  if (alloc_timer_ != rt::kInvalidTimerId) {
-    rt_.cancel(alloc_timer_);
-    alloc_timer_ = rt::kInvalidTimerId;
-  }
-  if (rate_timer_ != rt::kInvalidTimerId) {
-    rt_.cancel(rate_timer_);
-    rate_timer_ = rt::kInvalidTimerId;
-  }
+  rt_.disarm(rto_timer_);
+  rt_.disarm(alloc_timer_);
+  rt_.disarm(rate_timer_);
   SendOutcome outcome;
   outcome.session = session_;
   outcome.message_bytes = message_view_.size();
-  outcome.total_packets = total_packets_;
+  outcome.total_packets = request_.total_packets;
   outcome.elapsed = rt_.now() - send_started_;
   outcome.retransmit_rounds = core_.rto_rounds;
   outcome.receivers.resize(membership_.n_receivers());
@@ -624,7 +578,7 @@ void MulticastSender::complete() {
     if (core_.is_evicted(i)) {
       outcome.receivers[i] = {DeliveryStatus::kEvicted, core_.node_cum[i]};
     } else {
-      outcome.receivers[i] = {DeliveryStatus::kDelivered, total_packets_};
+      outcome.receivers[i] = {DeliveryStatus::kDelivered, request_.total_packets};
     }
   }
   state_ = State::kIdle;

@@ -1,16 +1,20 @@
 // Reliable multicast sender — the protocol shell.
 //
 // One class drives the sender side of every protocol family, but the
-// per-kind policy lives elsewhere: a SenderEngine (looked up in the
-// ProtocolRegistry by config.kind) answers who must acknowledge, which
-// data packets solicit acknowledgments, and how long a stalled unit's
-// grace period is; a ProtocolCore owns the machinery the paper's §4
-// calls common — the acknowledgment roster, window-based flow control,
-// the buffer-allocation handshake (Figure 6), sender-driven
-// retransmission timers with backoff/eviction, and the retransmission
-// suppression that lets one retransmission answer many NAKs. What stays
-// here is the shell: wire parsing, sockets, timers, and the transmit
-// pipeline (user-space copy modelling, pacing, the per-packet tx chain).
+// per-kind policy lives elsewhere: the kind's ProtocolEngine (looked up in
+// the ProtocolRegistry by config.kind) answers who must acknowledge, which
+// data packets solicit acknowledgments (and whether a timer-driven round
+// must end in a forced poll), how long a stalled unit's grace period is,
+// and whether tree parents may report stalled children; a ProtocolCore
+// owns the machinery the paper's §4 calls common — the acknowledgment
+// roster, window-based flow control, the buffer-allocation handshake
+// (Figure 6), sender-driven retransmission timers with backoff/eviction,
+// and the retransmission suppression that lets one retransmission answer
+// many NAKs. What stays here is the shell: wire parsing, sockets, timers,
+// the transmit pipeline (user-space copy modelling, pacing, the
+// per-packet tx chain) and, when config.fec is set, the parity groups and
+// their GROUP_NAK repairs. The message's packetization is the AllocRequest
+// the handshake announces.
 //
 // The class is single-message: send() transfers one message reliably to
 // the whole group and invokes the completion handler once every receiver
@@ -117,7 +121,7 @@ class MulticastSender {
   void on_nak(const Header& h);
   void on_suspect(const Header& h);
   // Hybrid FEC fallback: a receiver names a group's missing data blocks
-  // (bitmap body) and the engine's repair plan is multicast back.
+  // (bitmap body) and exactly those blocks are multicast back.
   void on_group_nak(const Header& h, Reader& r);
 
   void send_alloc_request();
@@ -131,8 +135,8 @@ class MulticastSender {
   // repeat resends only `from`.
   void retransmit_from(std::uint32_t from, bool force_poll,
                        const net::Endpoint* unicast_to = nullptr);
-  // Hybrid FEC: true when the engine emits parity and `seq` is the final
-  // data block of its group (so its tx chain must append the parity).
+  // Hybrid FEC: true when config.fec is set and `seq` is the final data
+  // block of its group (so its tx chain must append the parity).
   bool group_closes_at(std::uint32_t seq) const;
   // Encodes and multicasts the m parity frames for `group` inside the tx
   // chain: the GF(2^8) encode occupies the host CPU (run_cost) exactly
@@ -141,7 +145,6 @@ class MulticastSender {
   void emit_group_parity(std::uint32_t group);
 
   void arm_rto();
-  void disarm_rto();
   void on_rto();
   void arm_alloc_timer();
   void on_alloc_timeout();
@@ -168,17 +171,18 @@ class MulticastSender {
   std::uint16_t trace_track_ = 0;
   // Per-protocol policy (registry-owned singleton) and the shared
   // machinery it parameterizes.
-  const SenderEngine* engine_;
+  const ProtocolEngine* engine_;
   ProtocolCore core_;
-  // Hybrid FEC only (engine_->parity_per_group() > 0): the GF(2^8)
-  // erasure codec shared by every group of the transfer.
+  // Hybrid FEC only (config_.fec.is_set()): the GF(2^8) erasure codec
+  // shared by every group of the transfer.
   std::optional<fec::Codec> fec_codec_;
 
   State state_ = State::kIdle;
   std::uint32_t session_ = 0;
   Buffer message_;
   BytesView message_view_;  // what transmit() slices (message_ or caller's)
-  std::uint32_t total_packets_ = 0;
+  // The current message's packetization, as announced in ALLOC_REQ.
+  AllocRequest request_;
   sim::Time send_started_ = 0;
   // True while a first-transmission copy/send chain occupies the CPU; the
   // chain claims the next packet itself when it finishes.

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "common/serial.h"
 #include "net/frame_arena.h"
@@ -100,11 +101,27 @@ struct Header {
 };
 
 // Body of an allocation request (paper Figure 6): tells receivers how much
-// buffer to reserve and how the message will be packetized.
+// buffer to reserve and how the message will be packetized. Both ends
+// derive every per-packet and per-group size from it.
 struct AllocRequest {
   std::uint64_t message_bytes = 0;
   std::uint32_t packet_bytes = 0;
   std::uint32_t total_packets = 0;
+
+  // The packetization of a `message_bytes` message into `packet_bytes`
+  // packets; an empty message still travels as one (empty) packet.
+  static AllocRequest for_message(std::uint64_t message_bytes, std::size_t packet_bytes);
+  // True when the three fields agree and a packet fits one UDP datagram.
+  // A request that does not add up would size the message buffer for one
+  // message and index it for another (and, with a recycled buffer, could
+  // deliver bytes a previous session left there).
+  bool well_formed() const;
+  // Bytes data packet `seq` carries: packet_bytes, except a short final
+  // packet (0 past the message end).
+  std::size_t block_len(std::uint32_t seq) const;
+  // Data blocks in FEC group `group` of `k`-block groups: k, except a
+  // short tail group (0 past the message end).
+  std::size_t group_blocks(std::uint32_t group, std::size_t k) const;
 };
 
 inline constexpr std::size_t kAllocRequestBytes = 16;
@@ -114,6 +131,12 @@ inline constexpr std::size_t kAllocRequestBytes = 16;
 // bitmap caps FEC groups at 64 data blocks (fec::kMaxK).
 struct GroupNak {
   std::uint64_t missing = 0;
+
+  // The data sequence numbers the bitmap names in `group` of `k`-block
+  // groups, ascending. Bits at or past `group_blocks` (the blocks a short
+  // tail group actually holds) are ignored.
+  std::vector<std::uint32_t> missing_seqs(std::uint32_t group, std::size_t k,
+                                          std::size_t group_blocks) const;
 };
 
 inline constexpr std::size_t kGroupNakBytes = 8;
@@ -149,8 +172,9 @@ std::optional<GroupNak> read_group_nak(Reader& r);
 
 // Convenience: serialize a header-only control packet.
 Buffer make_control_packet(const Header& h);
-// Same packet as an arena payload, ready for UdpSocket::send_ref.
-net::PayloadRef make_control_ref(const Header& h);
+// A header plus an opaque body (a data or parity block; empty for a
+// control packet) as an arena payload, ready for UdpSocket::send_ref.
+net::PayloadRef make_packet_ref(const Header& h, BytesView body = {});
 
 const char* packet_type_name(PacketType type);
 

@@ -34,6 +34,15 @@ class Runtime {
   virtual TimerId schedule_after(sim::Time delay, std::function<void()> fn) = 0;
   virtual void cancel(TimerId id) = 0;
 
+  // Cancels `id` if it is armed and resets it to kInvalidTimerId; true
+  // when there was a timer to cancel.
+  bool disarm(TimerId& id) {
+    if (id == kInvalidTimerId) return false;
+    cancel(id);
+    id = kInvalidTimerId;
+    return true;
+  }
+
   // Accounts for `cost` nanoseconds of CPU work, then runs `fn`. The
   // simulated backend occupies the host CPU (serializing with all other
   // work on that host); the real backend runs `fn` immediately because the

@@ -14,13 +14,7 @@ const EngineEntry& entry(ProtocolKind kind) {
   return ProtocolRegistry::instance().entry(kind);
 }
 
-const SenderEngine& sender_engine(ProtocolKind kind) {
-  return *entry(kind).sender_engine();
-}
-
-const ReceiverEngine& receiver_engine(ProtocolKind kind) {
-  return *entry(kind).receiver_engine();
-}
+const ProtocolEngine& engine(ProtocolKind kind) { return *entry(kind).engine(); }
 
 TEST(ProtocolRegistryTest, CoversEveryKindInEnumOrder) {
   const auto& entries = ProtocolRegistry::instance().entries();
@@ -35,16 +29,12 @@ TEST(ProtocolRegistryTest, CoversEveryKindInEnumOrder) {
   for (const EngineEntry& e : entries) {
     EXPECT_STRNE(e.traits.id, "");
     EXPECT_STRNE(e.traits.display_name, "");
-    EXPECT_NE(e.sender_engine(), nullptr);
-    EXPECT_NE(e.receiver_engine(), nullptr);
+    EXPECT_NE(e.engine(), nullptr);
   }
 }
 
 TEST(ProtocolRegistryTest, EnginesAreSingletons) {
-  EXPECT_EQ(entry(ProtocolKind::kRing).sender_engine(),
-            entry(ProtocolKind::kRing).sender_engine());
-  EXPECT_EQ(entry(ProtocolKind::kRing).receiver_engine(),
-            entry(ProtocolKind::kRing).receiver_engine());
+  EXPECT_EQ(entry(ProtocolKind::kRing).engine(), entry(ProtocolKind::kRing).engine());
 }
 
 TEST(ProtocolRegistryTest, FindsEntriesById) {
@@ -72,59 +62,60 @@ TEST(ProtocolRegistryTest, DisplayNamesMatchProtocolName) {
   }
 }
 
-TEST(SenderEngineTest, FlatProtocolsTrackEveryReceiver) {
+TEST(EngineSenderSide, FlatProtocolsTrackEveryReceiver) {
   ProtocolConfig config;
   for (ProtocolKind kind :
        {ProtocolKind::kAck, ProtocolKind::kNakPolling, ProtocolKind::kRing}) {
     config.kind = kind;
-    const std::vector<std::size_t> units = sender_engine(kind).initial_units(4, config);
+    const std::vector<std::size_t> units = engine(kind).initial_units(4, config);
     EXPECT_EQ(units, (std::vector<std::size_t>{0, 1, 2, 3}));
     const std::vector<std::size_t> live = {0, 2, 3};
-    EXPECT_EQ(sender_engine(kind).live_units(live, config), live);
-    EXPECT_FALSE(sender_engine(kind).accepts_suspects());
+    EXPECT_EQ(engine(kind).live_units(live, config), live);
+    // SUSPECT reports are accepted from tree protocols only.
+    EXPECT_FALSE(engine(kind).is_tree());
   }
 }
 
-TEST(SenderEngineTest, FlatTreeUnitsAreChainHeads) {
+TEST(EngineSenderSide, FlatTreeUnitsAreChainHeads) {
   ProtocolConfig config;
   config.kind = ProtocolKind::kFlatTree;
   config.tree_height = 3;
-  const SenderEngine& engine = sender_engine(ProtocolKind::kFlatTree);
-  EXPECT_EQ(engine.initial_units(7, config), tree_chain_heads(7, 3));
+  const ProtocolEngine& flat = engine(ProtocolKind::kFlatTree);
+  EXPECT_EQ(flat.initial_units(7, config), tree_chain_heads(7, 3));
   const std::vector<std::size_t> live = {1, 2, 4, 5, 6};
-  EXPECT_EQ(engine.live_units(live, config), tree_chain_heads_live(live, 3));
-  EXPECT_TRUE(engine.accepts_suspects());
+  EXPECT_EQ(flat.live_units(live, config), tree_chain_heads_live(live, 3));
+  EXPECT_TRUE(flat.is_tree());  // accepts SUSPECT reports
 }
 
-TEST(SenderEngineTest, BinaryTreeUnitIsTheRoot) {
+TEST(EngineSenderSide, BinaryTreeUnitIsTheRoot) {
   ProtocolConfig config;
   config.kind = ProtocolKind::kBinaryTree;
-  const SenderEngine& engine = sender_engine(ProtocolKind::kBinaryTree);
-  EXPECT_EQ(engine.initial_units(7, config), (std::vector<std::size_t>{0}));
-  EXPECT_EQ(engine.live_units({3, 4, 6}, config), (std::vector<std::size_t>{3}));
-  EXPECT_TRUE(engine.accepts_suspects());
+  const ProtocolEngine& btree = engine(ProtocolKind::kBinaryTree);
+  EXPECT_EQ(btree.initial_units(7, config), (std::vector<std::size_t>{0}));
+  EXPECT_EQ(btree.live_units({3, 4, 6}, config), (std::vector<std::size_t>{3}));
+  EXPECT_TRUE(btree.is_tree());  // accepts SUSPECT reports
 }
 
-TEST(SenderEngineTest, OnlyNakPollingSetsThePollFlag) {
+TEST(EngineSenderSide, OnlyNakPollingSetsThePollFlag) {
   ProtocolConfig config;
   config.poll_interval = 4;
   for (const EngineEntry& e : ProtocolRegistry::instance().entries()) {
     config.kind = e.kind;
-    const SenderEngine& engine = *e.sender_engine();
+    const ProtocolEngine& policy = *e.engine();
+    // A forced request that answers with kFlagPoll is what makes the
+    // sender end a timer-driven round in a forced poll.
     if (e.kind == ProtocolKind::kNakPolling) {
-      EXPECT_EQ(engine.data_flags(3, false, config), kFlagPoll);
-      EXPECT_EQ(engine.data_flags(4, false, config), 0);
-      EXPECT_EQ(engine.data_flags(4, true, config), kFlagPoll);  // forced
-      EXPECT_TRUE(engine.needs_forced_poll());
+      EXPECT_EQ(policy.data_flags(3, false, config), kFlagPoll);
+      EXPECT_EQ(policy.data_flags(4, false, config), 0);
+      EXPECT_EQ(policy.data_flags(4, true, config), kFlagPoll);  // forced
     } else {
-      EXPECT_EQ(engine.data_flags(3, false, config), 0);
-      EXPECT_EQ(engine.data_flags(3, true, config), 0);
-      EXPECT_FALSE(engine.needs_forced_poll());
+      EXPECT_EQ(policy.data_flags(3, false, config), 0);
+      EXPECT_EQ(policy.data_flags(3, true, config), 0);
     }
   }
 }
 
-TEST(SenderEngineTest, EvictThresholdsScaleWithTreeDepth) {
+TEST(EngineSenderSide, EvictThresholdsScaleWithTreeDepth) {
   ProtocolConfig config;
   config.max_retransmit_rounds = 5;
 
@@ -132,53 +123,53 @@ TEST(SenderEngineTest, EvictThresholdsScaleWithTreeDepth) {
   for (ProtocolKind kind :
        {ProtocolKind::kAck, ProtocolKind::kNakPolling, ProtocolKind::kRing}) {
     config.kind = kind;
-    EXPECT_EQ(sender_engine(kind).evict_threshold(30, config), 5u);
-    EXPECT_EQ(sender_engine(kind).evict_threshold(1, config), 5u);
+    EXPECT_EQ(engine(kind).evict_threshold(30, config), 5u);
+    EXPECT_EQ(engine(kind).evict_threshold(1, config), 5u);
   }
 
   // Flat tree: rounds * (levels + 2), levels = min(H, n_live) - 1.
   config.kind = ProtocolKind::kFlatTree;
   config.tree_height = 6;
-  EXPECT_EQ(sender_engine(ProtocolKind::kFlatTree).evict_threshold(30, config),
+  EXPECT_EQ(engine(ProtocolKind::kFlatTree).evict_threshold(30, config),
             5u * (5 + 2));
-  EXPECT_EQ(sender_engine(ProtocolKind::kFlatTree).evict_threshold(3, config),
+  EXPECT_EQ(engine(ProtocolKind::kFlatTree).evict_threshold(3, config),
             5u * (2 + 2));
-  EXPECT_EQ(sender_engine(ProtocolKind::kFlatTree).evict_threshold(1, config),
+  EXPECT_EQ(engine(ProtocolKind::kFlatTree).evict_threshold(1, config),
             5u * (0 + 2));
 
   // Binary tree: levels is the depth of the largest full tree under n_live.
   config.kind = ProtocolKind::kBinaryTree;
-  EXPECT_EQ(sender_engine(ProtocolKind::kBinaryTree).evict_threshold(1, config),
+  EXPECT_EQ(engine(ProtocolKind::kBinaryTree).evict_threshold(1, config),
             5u * (0 + 2));
-  EXPECT_EQ(sender_engine(ProtocolKind::kBinaryTree).evict_threshold(3, config),
+  EXPECT_EQ(engine(ProtocolKind::kBinaryTree).evict_threshold(3, config),
             5u * (1 + 2));
-  EXPECT_EQ(sender_engine(ProtocolKind::kBinaryTree).evict_threshold(30, config),
+  EXPECT_EQ(engine(ProtocolKind::kBinaryTree).evict_threshold(30, config),
             5u * (4 + 2));
 }
 
-TEST(ReceiverEngineTest, TreeClassification) {
-  EXPECT_FALSE(receiver_engine(ProtocolKind::kAck).is_tree());
-  EXPECT_FALSE(receiver_engine(ProtocolKind::kNakPolling).is_tree());
-  EXPECT_FALSE(receiver_engine(ProtocolKind::kRing).is_tree());
-  EXPECT_TRUE(receiver_engine(ProtocolKind::kFlatTree).is_tree());
-  EXPECT_TRUE(receiver_engine(ProtocolKind::kBinaryTree).is_tree());
+TEST(EngineReceiverSide, TreeClassification) {
+  EXPECT_FALSE(engine(ProtocolKind::kAck).is_tree());
+  EXPECT_FALSE(engine(ProtocolKind::kNakPolling).is_tree());
+  EXPECT_FALSE(engine(ProtocolKind::kRing).is_tree());
+  EXPECT_TRUE(engine(ProtocolKind::kFlatTree).is_tree());
+  EXPECT_TRUE(engine(ProtocolKind::kBinaryTree).is_tree());
   // The classification must agree with the config-layer predicate.
   for (const EngineEntry& e : ProtocolRegistry::instance().entries()) {
-    EXPECT_EQ(e.receiver_engine()->is_tree(), is_tree_protocol(e.kind));
+    EXPECT_EQ(e.engine()->is_tree(), is_tree_protocol(e.kind));
   }
 }
 
-TEST(ReceiverEngineTest, OnlyTheRingReformsWithoutLinks) {
+TEST(EngineReceiverSide, OnlyTheRingReformsWithoutLinks) {
   for (const EngineEntry& e : ProtocolRegistry::instance().entries()) {
-    EXPECT_EQ(e.receiver_engine()->reforms_on_evict(), e.kind == ProtocolKind::kRing);
+    EXPECT_EQ(e.engine()->reforms_on_evict(), e.kind == ProtocolKind::kRing);
   }
 }
 
-TEST(ReceiverEngineTest, TreeEnginesMirrorTheLinkBuilders) {
+TEST(EngineReceiverSide, TreeEnginesMirrorTheLinkBuilders) {
   ProtocolConfig config;
   config.kind = ProtocolKind::kFlatTree;
   config.tree_height = 3;
-  const ReceiverEngine& flat = receiver_engine(ProtocolKind::kFlatTree);
+  const ProtocolEngine& flat = engine(ProtocolKind::kFlatTree);
   for (std::size_t id = 0; id < 7; ++id) {
     const TreeLinks expected = flat_tree_links(id, 7, 3);
     const TreeLinks got = flat.full_links(id, 7, config);
@@ -187,7 +178,7 @@ TEST(ReceiverEngineTest, TreeEnginesMirrorTheLinkBuilders) {
     EXPECT_EQ(got.children, expected.children);
   }
   config.kind = ProtocolKind::kBinaryTree;
-  const ReceiverEngine& btree = receiver_engine(ProtocolKind::kBinaryTree);
+  const ProtocolEngine& btree = engine(ProtocolKind::kBinaryTree);
   const std::vector<std::size_t> live = {0, 2, 3, 5};
   for (std::size_t id : live) {
     const TreeLinks expected = binary_tree_links_live(id, live);
@@ -198,16 +189,18 @@ TEST(ReceiverEngineTest, TreeEnginesMirrorTheLinkBuilders) {
   }
 }
 
-TEST(ReceiverEngineTest, RepairFlagsReconstructTheDeterministicPoll) {
+TEST(EngineReceiverSide, RepairFlagsReconstructTheDeterministicPoll) {
+  // A peer repair or an FEC-recovered block carries the unforced
+  // data_flags of its sequence number.
   ProtocolConfig config;
   config.poll_interval = 4;
   for (const EngineEntry& e : ProtocolRegistry::instance().entries()) {
     config.kind = e.kind;
     if (e.kind == ProtocolKind::kNakPolling) {
-      EXPECT_EQ(e.receiver_engine()->repair_flags(3, config), kFlagPoll);
-      EXPECT_EQ(e.receiver_engine()->repair_flags(4, config), 0);
+      EXPECT_EQ(e.engine()->data_flags(3, /*force_poll=*/false, config), kFlagPoll);
+      EXPECT_EQ(e.engine()->data_flags(4, /*force_poll=*/false, config), 0);
     } else {
-      EXPECT_EQ(e.receiver_engine()->repair_flags(3, config), 0);
+      EXPECT_EQ(e.engine()->data_flags(3, /*force_poll=*/false, config), 0);
     }
   }
 }
@@ -302,43 +295,15 @@ TEST(ProtocolRegistryTest, OnlyTheEcKindsCarryTheFecTrait) {
     const bool ec =
         e.kind == ProtocolKind::kEcXor || e.kind == ProtocolKind::kEcRs;
     EXPECT_EQ(e.traits.fec, ec);
-    EXPECT_EQ(e.receiver_engine()->is_fec(), ec);
     EXPECT_EQ(is_fec_protocol(e.kind), ec);
+    // The shells key the FEC machinery on config.fec.is_set(): a valid
+    // config of the kind carries the FEC shape exactly when the trait says.
+    ProtocolConfig config;
+    config.kind = e.kind;
+    e.traits.apply_recommended_tuning(config, 1'000'000, 10);
+    ASSERT_EQ(validate(config, 10), "");
+    EXPECT_EQ(config.fec.is_set(), ec);
   }
-}
-
-TEST(SenderEngineTest, EcParityAndRepairPlansFollowTheGroupShape) {
-  ProtocolConfig config;
-  config.kind = ProtocolKind::kEcRs;
-  config.fec.k = 8;
-  config.fec.m = 3;
-  const SenderEngine& engine = sender_engine(ProtocolKind::kEcRs);
-  EXPECT_EQ(engine.parity_per_group(config), 3u);
-
-  // The repair plan expands the missing-bitmap into absolute sequence
-  // numbers within the group; bits at or past group_data are ignored
-  // (a short tail group has no blocks there).
-  const std::uint64_t missing = 0b1000'0101;
-  EXPECT_EQ(engine.make_repair_plan(2, missing, 8, config),
-            (std::vector<std::uint32_t>{16, 18, 23}));
-  EXPECT_EQ(engine.make_repair_plan(2, missing, 3, config),
-            (std::vector<std::uint32_t>{16, 18}));
-  EXPECT_EQ(engine.make_repair_plan(0, 0, 8, config), std::vector<std::uint32_t>{});
-
-  // ARQ engines keep the do-nothing defaults: no parity, empty plans.
-  const SenderEngine& nak = sender_engine(ProtocolKind::kNakPolling);
-  EXPECT_EQ(nak.parity_per_group(config), 0u);
-  EXPECT_TRUE(nak.make_repair_plan(2, missing, 8, config).empty());
-}
-
-TEST(ReceiverEngineTest, EcGroupDecodabilityIsTheMdsBound) {
-  const ReceiverEngine& engine = receiver_engine(ProtocolKind::kEcRs);
-  EXPECT_TRUE(engine.group_decodable(0, 0));
-  EXPECT_TRUE(engine.group_decodable(3, 3));
-  EXPECT_TRUE(engine.group_decodable(2, 3));
-  EXPECT_FALSE(engine.group_decodable(4, 3));
-  // ARQ receivers never claim decodability.
-  EXPECT_FALSE(receiver_engine(ProtocolKind::kAck).group_decodable(0, 0));
 }
 
 TEST(ProtocolRegistryTest, DescribeKnobsCarryTheKindSpecificSuffix) {

@@ -570,5 +570,54 @@ TEST(ReceiverTree, ReAckFromSuccessorPropagatesUpstream) {
   EXPECT_EQ(sent[0].seq, 1u);
 }
 
+// Tree ALLOC_RSP relay: a node answers upstream once its whole subtree
+// has, and re-answers when a child repeats itself (the child's duplicate
+// means some response above it was lost).
+TEST(ReceiverTree, DuplicateAllocRspFromTailResendsUpstream) {
+  ReceiverUnit u(ProtocolKind::kFlatTree, 0);  // head of chain {0,1}
+  u.start_session(1, 3);
+  u.control_socket_.inject(u.membership_.receiver_control[1], chain_alloc_rsp(1, 1));
+  ASSERT_EQ(u.control_sent().size(), 1u);
+  u.clear_sent();
+  u.control_socket_.inject(u.membership_.receiver_control[1], chain_alloc_rsp(1, 1));
+  auto sent = u.control_sent();
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].type, PacketType::kAllocRsp);
+  EXPECT_EQ(sent[0].session, 1u);
+  EXPECT_EQ(sent[0].node_id, 0);
+  EXPECT_EQ(u.control_socket_.sent()[0].dst, u.membership_.sender_control);
+  EXPECT_EQ(u.receiver_->stats().alloc_responses_sent, 2u);
+  EXPECT_EQ(u.receiver_->stats().relayed_acks_received, 2u);
+}
+
+TEST(ReceiverTree, BinaryNodeAnswersAllocOnlyAfterBothChildren) {
+  // Binary heap over 4 receivers: node 0's children are 1 and 2.
+  ReceiverUnit u(ProtocolKind::kBinaryTree, 0);
+  u.start_session(1, 3);
+  EXPECT_TRUE(u.control_sent().empty());
+  u.control_socket_.inject(u.membership_.receiver_control[2], chain_alloc_rsp(1, 2));
+  EXPECT_TRUE(u.control_sent().empty());
+  u.control_socket_.inject(u.membership_.receiver_control[1], chain_alloc_rsp(1, 1));
+  auto sent = u.control_sent();
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].type, PacketType::kAllocRsp);
+  EXPECT_EQ(u.control_socket_.sent()[0].dst, u.membership_.sender_control);
+}
+
+TEST(ReceiverTree, ReportsFromNonChildrenAreStale) {
+  ReceiverUnit u(ProtocolKind::kFlatTree, 0);  // child is node 1 only
+  u.start_session(1, 3);
+  u.inject_data(1, 0);
+  ASSERT_TRUE(u.control_sent().empty());
+  const std::uint64_t stale = u.receiver_->stats().stale_packets;
+  u.control_socket_.inject(u.membership_.receiver_control[2], chain_ack(1, 2, 1));
+  EXPECT_EQ(u.receiver_->stats().stale_packets, stale + 1);
+  EXPECT_TRUE(u.control_sent().empty());
+  u.control_socket_.inject(u.membership_.receiver_control[3], chain_alloc_rsp(1, 3));
+  EXPECT_EQ(u.receiver_->stats().stale_packets, stale + 2);
+  EXPECT_TRUE(u.control_sent().empty());
+  EXPECT_EQ(u.receiver_->stats().relayed_acks_received, 0u);
+}
+
 }  // namespace
 }  // namespace rmc

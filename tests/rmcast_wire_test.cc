@@ -1,9 +1,12 @@
-// Wire-format tests: header and alloc-request codecs, robustness against
-// truncation and garbage (the receive path must drop malformed datagrams,
-// never crash or misparse).
+// Wire-format tests: header and alloc-request codecs, the message
+// geometry and GROUP_NAK expansion both ends derive from them, robustness
+// against truncation and garbage (the receive path must drop malformed
+// datagrams, never crash or misparse).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "common/rng.h"
 #include "rmcast/wire.h"
@@ -127,6 +130,83 @@ TEST(Wire, TruncatedGroupNakRejected) {
   write_group_nak(w, GroupNak{7});
   Reader r(BytesView(w.buffer().data(), kGroupNakBytes - 1));
   EXPECT_FALSE(read_group_nak(r).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Message geometry: both ends derive every packet and group size from the
+// AllocRequest the handshake carries.
+
+TEST(AllocGeometry, EmptyMessageIsOneEmptyPacket) {
+  const AllocRequest a = AllocRequest::for_message(0, 100);
+  EXPECT_EQ(a.message_bytes, 0u);
+  EXPECT_EQ(a.packet_bytes, 100u);
+  EXPECT_EQ(a.total_packets, 1u);
+  EXPECT_TRUE(a.well_formed());
+  EXPECT_EQ(a.block_len(0), 0u);
+  EXPECT_EQ(a.group_blocks(0, 8), 1u);
+  EXPECT_EQ(a.group_blocks(1, 8), 0u);
+}
+
+TEST(AllocGeometry, ExactlyOneFecGroup) {
+  const AllocRequest a = AllocRequest::for_message(800, 100);
+  EXPECT_EQ(a.total_packets, 8u);
+  EXPECT_TRUE(a.well_formed());
+  EXPECT_EQ(a.block_len(0), 100u);
+  EXPECT_EQ(a.block_len(7), 100u);
+  EXPECT_EQ(a.block_len(8), 0u);  // past the message end
+  EXPECT_EQ(a.group_blocks(0, 8), 8u);
+  EXPECT_EQ(a.group_blocks(1, 8), 0u);
+}
+
+TEST(AllocGeometry, OneGroupPlusAByte) {
+  const AllocRequest a = AllocRequest::for_message(801, 100);
+  EXPECT_EQ(a.total_packets, 9u);
+  EXPECT_TRUE(a.well_formed());
+  EXPECT_EQ(a.block_len(7), 100u);
+  EXPECT_EQ(a.block_len(8), 1u);
+  EXPECT_EQ(a.group_blocks(0, 8), 8u);
+  EXPECT_EQ(a.group_blocks(1, 8), 1u);
+  EXPECT_EQ(a.group_blocks(2, 8), 0u);
+}
+
+TEST(AllocGeometry, ShortTailGroup) {
+  const AllocRequest a = AllocRequest::for_message(1050, 100);
+  EXPECT_EQ(a.total_packets, 11u);
+  EXPECT_TRUE(a.well_formed());
+  EXPECT_EQ(a.block_len(9), 100u);
+  EXPECT_EQ(a.block_len(10), 50u);
+  EXPECT_EQ(a.group_blocks(0, 8), 8u);
+  EXPECT_EQ(a.group_blocks(1, 8), 3u);
+  EXPECT_EQ(a.group_blocks(0, 4), 4u);
+  EXPECT_EQ(a.group_blocks(2, 4), 3u);
+}
+
+TEST(AllocGeometry, MalformedRequestsRejected) {
+  EXPECT_FALSE((AllocRequest{100, 0, 1}).well_formed());  // zero packet size
+  // A packet that does not fit one UDP datagram with its header.
+  EXPECT_FALSE((AllocRequest{70'000, 65'500, 2}).well_formed());
+  EXPECT_TRUE((AllocRequest{70'000, 65'495, 2}).well_formed());
+  // Packet counts that do not add up.
+  EXPECT_FALSE((AllocRequest{1050, 100, 10}).well_formed());
+  EXPECT_FALSE((AllocRequest{1050, 100, 12}).well_formed());
+  EXPECT_FALSE((AllocRequest{0, 100, 0}).well_formed());
+  // A length near the top of the 64-bit space must not wrap into a match.
+  EXPECT_FALSE((AllocRequest{UINT64_MAX, 1, 0}).well_formed());
+  EXPECT_FALSE((AllocRequest{UINT64_MAX, 1, UINT32_MAX}).well_formed());
+}
+
+TEST(GroupNakExpansion, NamesExactlyTheMissingBlocksOfTheGroup) {
+  // Bits expand into absolute sequence numbers within the group; bits at
+  // or past the blocks a short tail group holds are ignored.
+  const GroupNak nak{0b1000'0101};
+  EXPECT_EQ(nak.missing_seqs(2, 8, 8), (std::vector<std::uint32_t>{16, 18, 23}));
+  EXPECT_EQ(nak.missing_seqs(2, 8, 3), (std::vector<std::uint32_t>{16, 18}));
+  EXPECT_EQ(nak.missing_seqs(0, 8, 0), std::vector<std::uint32_t>{});
+  EXPECT_EQ(GroupNak{0}.missing_seqs(0, 8, 8), std::vector<std::uint32_t>{});
+  // The full 64-block bitmap.
+  EXPECT_EQ(GroupNak{~std::uint64_t{0}}.missing_seqs(1, 64, 64).size(), 64u);
+  EXPECT_EQ(GroupNak{std::uint64_t{1} << 63}.missing_seqs(1, 64, 64),
+            (std::vector<std::uint32_t>{127}));
 }
 
 // Fuzz-style property: random byte strings must either parse into a
