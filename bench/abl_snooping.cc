@@ -63,7 +63,7 @@ int run(int argc, char** argv) {
   bench::BenchOptions options = bench::parse_options(argc, argv);
 
   harness::Table table({"switch_mode", "seconds", "frames_at_bystander_nics"});
-  // Both modes ride the sweep runner as uncached tasks; the bystander
+  // Both modes ride the sweep runner as submit_task()s; the bystander
   // count travels through a per-slot side channel (one writer per slot,
   // read only after the handle resolves).
   harness::SweepRunner& runner = bench::bench_runner(options);

@@ -7,7 +7,7 @@
 //   --quick             1 trial and a reduced sweep, for fast iteration
 //   --seed=N            base seed
 //   --jobs=N            worker threads for the sweep (default: all cores;
-//                       1 runs the old serial path)
+//                       1 runs the points one at a time, in grid order)
 //   --metrics-out=FILE  write a JSON metrics snapshot (counters, gauges,
 //                       latency histograms — see docs/OBSERVABILITY.md)
 //                       accumulated over every simulated run to FILE at exit
@@ -226,40 +226,30 @@ inline RunHandle run_async(const harness::MulticastRunSpec& spec,
 }
 
 // run_multicast through the sweep runner, so the run lands in the
-// --metrics-out snapshot and the fingerprint cache. Binaries that consume
-// RunResult fields row by row call this (or run_async to overlap rows).
+// --metrics-out snapshot. Binaries that consume RunResult fields row by
+// row call this (or run_async to overlap rows).
 inline harness::RunResult run_instrumented(const harness::MulticastRunSpec& spec,
                                            const BenchOptions& options) {
   return run_async(spec, options).get();
 }
 
-// An in-flight repeated-trials measurement: one ticket per trial seed.
+// An in-flight repeated-trials measurement: one ticket per trial seed,
+// the seeds running consecutively from `base_seed`.
 class Measurement {
  public:
-  explicit Measurement(harness::SweepRunner* runner) : runner_(runner) {}
+  Measurement(harness::SweepRunner* runner, std::uint64_t base_seed)
+      : runner_(runner), base_seed_(base_seed) {}
 
-  void add(std::uint64_t seed, harness::SweepRunner::Ticket ticket) {
-    seeds_.push_back(seed);
-    tickets_.push_back(ticket);
-  }
+  void add(harness::SweepRunner::Ticket ticket) { tickets_.push_back(ticket); }
 
   // Blocks for the trials; returns the outcome with the mean (or, on any
   // failed trial, the failing seed and the run's error).
   harness::TrialsOutcome outcome() const {
-    harness::TrialsOutcome out;
-    double sum = 0.0;
-    for (std::size_t i = 0; i < tickets_.size(); ++i) {
-      const harness::RunResult& result = runner_->result(tickets_[i]);
-      if (!result.completed) {
-        out.failed_seed = seeds_[i];
-        out.error = result.error.empty() ? "run did not complete" : result.error;
-        return out;
-      }
-      sum += result.seconds;
-    }
-    out.ok = true;
-    out.mean_seconds = tickets_.empty() ? 0.0 : sum / static_cast<double>(tickets_.size());
-    return out;
+    return harness::run_trials(
+        [this](std::uint64_t seed) -> const harness::RunResult& {
+          return runner_->result(tickets_[seed - base_seed_]);
+        },
+        static_cast<int>(tickets_.size()), base_seed_);
   }
 
   // Mean seconds, or -1 after reporting the failing trial on stderr (a
@@ -275,7 +265,7 @@ class Measurement {
 
  private:
   harness::SweepRunner* runner_;
-  std::vector<std::uint64_t> seeds_;
+  std::uint64_t base_seed_;
   std::vector<harness::SweepRunner::Ticket> tickets_;
 };
 
@@ -285,46 +275,28 @@ class Measurement {
 inline Measurement measure_async(const harness::MulticastRunSpec& base,
                                  const BenchOptions& options) {
   harness::SweepRunner& runner = bench_runner(options);
-  Measurement m(&runner);
+  Measurement m(&runner, options.seed);
   for (int t = 0; t < options.trials; ++t) {
     harness::MulticastRunSpec spec = base;
     spec.seed = options.seed + static_cast<std::uint64_t>(t);
-    m.add(spec.seed, runner.submit(spec));
+    m.add(runner.submit(spec));
   }
   return m;
 }
 
-// measure_async for runs the sweep cache cannot fingerprint (TCP/UDP
+// measure_async for runs that are not a MulticastRunSpec (TCP/UDP
 // baselines, bespoke probes): `runner_fn(seed)` executes on a worker.
 inline Measurement measure_async(
     const std::function<harness::RunResult(std::uint64_t)>& runner_fn,
     const BenchOptions& options) {
   harness::SweepRunner& runner = bench_runner(options);
-  Measurement m(&runner);
+  Measurement m(&runner, options.seed);
   for (int t = 0; t < options.trials; ++t) {
     const std::uint64_t seed = options.seed + static_cast<std::uint64_t>(t);
-    m.add(seed, runner.submit_task(
-                    [runner_fn, seed](metrics::Registry*) { return runner_fn(seed); }));
+    m.add(runner.submit_task(
+        [runner_fn, seed](metrics::Registry*) { return runner_fn(seed); }));
   }
   return m;
-}
-
-// Mean communication time over the configured trials; negative on failure.
-inline double measure(const harness::MulticastRunSpec& base, const BenchOptions& options) {
-  return measure_async(base, options).seconds();
-}
-
-// Declarative batch: every spec submitted up front, results in input order.
-inline std::vector<harness::RunResult> sweep(
-    const std::vector<harness::MulticastRunSpec>& specs, const BenchOptions& options) {
-  harness::SweepRunner& runner = bench_runner(options);
-  std::vector<harness::SweepRunner::Ticket> tickets;
-  tickets.reserve(specs.size());
-  for (const harness::MulticastRunSpec& spec : specs) tickets.push_back(runner.submit(spec));
-  std::vector<harness::RunResult> results;
-  results.reserve(tickets.size());
-  for (harness::SweepRunner::Ticket t : tickets) results.push_back(runner.result(t));
-  return results;
 }
 
 inline std::string seconds_cell(double seconds) {

@@ -18,7 +18,7 @@ int run(int argc, char** argv) {
 
   harness::Table table({"receivers", "tcp_seconds", "ack_multicast_seconds"});
   // Two-phase: enqueue both curves for every count (the TCP baseline rides
-  // the runner as an uncached task), then redeem rows in order.
+  // the runner as a submit_task), then redeem rows in order.
   std::vector<bench::Measurement> tcp_cells;
   std::vector<bench::Measurement> ack_cells;
   for (std::size_t n : counts) {

@@ -18,7 +18,7 @@ int run(int argc, char** argv) {
   harness::Table table(
       {"message_bytes", "udp_seconds", "ack_seconds", "ack_nocopy_seconds"});
   // Two-phase: enqueue all three curves for every size (the raw-UDP
-  // baseline rides the runner as an uncached task), then redeem in order.
+  // baseline rides the runner as a submit_task), then redeem in order.
   std::vector<bench::Measurement> udp_cells;
   std::vector<bench::Measurement> ack_cells;
   std::vector<bench::Measurement> nocopy_cells;

@@ -223,9 +223,10 @@ def trace_export(g):
 
 
 def sweep_speedup(g):
-    """The sweep engine exists to use the cores: abl_straggler --quick, a
-    grid of independent half-second points, runs >= 2x faster at 4 jobs
-    than serially. Fewer than 4 CPUs writes a skip marker instead."""
+    """The sweep engine exists to use the cores: fig10_ack_window --quick,
+    a grid of 25 independent points with no point longer than about a
+    tenth of the serial total, runs >= 2x faster at 4 jobs than serially.
+    Fewer than 4 CPUs writes a skip marker instead."""
     report = g.build / "BENCH_sweep_parallel.json"
     cpus = os.cpu_count() or 1
     if cpus < 4:
@@ -235,7 +236,7 @@ def sweep_speedup(g):
 
     def timed(jobs):
         start = time.monotonic()
-        run([g.bench / "abl_straggler", "--quick", f"--jobs={jobs}"])
+        run([g.bench / "fig10_ack_window", "--quick", f"--jobs={jobs}"])
         return time.monotonic() - start
 
     timed(1)  # warm caches/page-ins so the timed pair is comparable
@@ -243,7 +244,7 @@ def sweep_speedup(g):
     parallel = min(timed(4) for _ in range(2))
     speedup = serial / parallel if parallel > 0 else 0.0
     write_json(report, {
-        "benchmark": "sweep_parallel", "grid": "abl_straggler --quick", "cpus": cpus,
+        "benchmark": "sweep_parallel", "grid": "fig10_ack_window --quick", "cpus": cpus,
         "serial_seconds": round(serial, 4), "parallel_seconds": round(parallel, 4),
         "speedup": round(speedup, 3), "threshold": 2.0, "pass": speedup >= 2.0})
     print(f"sweep-gate: 4-job speedup = {speedup:.2f}x over serial "
@@ -394,7 +395,7 @@ def smoke(g):
            g.bench / "fig_multitenant")
     g.gate("abl_loss_sweep trace export + attribution gate", lambda: trace_export(g))
     g.gate("sweep parallel-speedup gate", lambda: sweep_speedup(g),
-           g.bench / "abl_straggler")
+           g.bench / "fig10_ack_window")
     for spec in MICRO_GATES:
         g.gate(spec["label"], lambda: micro_ratio(g, spec), g.bench / "micro_core")
     g.gate("fig_scalability_xl sub-linear scaling gate", lambda: scalability(g),

@@ -70,7 +70,13 @@ int run(int argc, char** argv) {
         entry.traits.tuning_variants(c, out);
       }
     }
-    return out;
+    // A kind's expansion can map distinct grid points onto one config (the
+    // EC kinds raise the window to k + m); probe each config once.
+    std::vector<rmcast::ProtocolConfig> unique;
+    for (const rmcast::ProtocolConfig& c : out) {
+      if (std::find(unique.begin(), unique.end(), c) == unique.end()) unique.push_back(c);
+    }
+    return unique;
   };
 
   // The probe rows ARE the registry: every protocol kind — name, paper

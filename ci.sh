@@ -61,7 +61,7 @@ for preset in "${PRESETS[@]}"; do
     fi
   fi
   if [ "$preset" = tsan ]; then
-    # Drive the sweep engine's threaded path (workers, stealing, fold
+    # Drive the sweep engine's threaded path (workers, FIFO queue, fold
     # cursor) under TSan with more workers than cores, so interleavings
     # the ctest lane may not hit get exercised. Table/metrics correctness
     # is covered elsewhere; this lane exists for the race detector.

@@ -173,7 +173,7 @@ TrialsOutcome run_trials(Runner&& runner, int trials = 3, std::uint64_t base_see
   double sum = 0.0;
   for (int t = 0; t < trials; ++t) {
     const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(t);
-    RunResult result = runner(seed);
+    const RunResult& result = runner(seed);
     if (!result.completed) {
       outcome.failed_seed = seed;
       outcome.error = result.error.empty() ? "run did not complete" : result.error;

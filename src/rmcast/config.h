@@ -54,6 +54,8 @@ struct FecParams {
   // wire.
   constexpr std::size_t group_size() const { return k + m; }
   constexpr bool is_set() const { return k != 0 || m != 0; }
+
+  bool operator==(const FecParams&) const = default;
 };
 
 struct ProtocolConfig {
@@ -174,6 +176,8 @@ struct ProtocolConfig {
   double copy_ns_per_byte = 55.0;
 
   std::string describe() const;
+
+  bool operator==(const ProtocolConfig&) const = default;
 };
 
 // Validates a configuration against a group size; returns an error message

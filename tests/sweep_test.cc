@@ -3,14 +3,12 @@
 // The bench tier trusts SweepRunner with every figure/table grid, so this
 // suite pins the properties that make --jobs=N safe to default on:
 //
-//   * spec_fingerprint covers every knob that can change a run's outcome
-//     (and ignores the out-of-band channels that cannot);
 //   * a parallel sweep produces the same per-point results AND the same
 //     merged metrics snapshot (full JSON) as a serial one;
-//   * the content-hash cache deduplicates identical points without
-//     changing any observable output, and can be turned off;
+//   * every ticket runs its own spec, and the merged snapshot equals the
+//     serial run_multicast accumulation of the same specs;
 //   * a failed or throwing point is reported on its own ticket without
-//     poisoning the rest of the batch;
+//     poisoning the rest of the batch, at one worker or several;
 //   * run_trials surfaces which seed failed and why.
 #include <gtest/gtest.h>
 
@@ -50,50 +48,6 @@ std::vector<MulticastRunSpec> small_grid() {
     }
   }
   return grid;
-}
-
-TEST(SpecFingerprint, EqualSpecsHashEqual) {
-  MulticastRunSpec a = small_spec(rmcast::ProtocolKind::kAck, 7);
-  MulticastRunSpec b = small_spec(rmcast::ProtocolKind::kAck, 7);
-  EXPECT_EQ(spec_fingerprint(a), spec_fingerprint(b));
-}
-
-TEST(SpecFingerprint, SensitiveToEveryOutcomeAffectingKnob) {
-  const MulticastRunSpec base = small_spec(rmcast::ProtocolKind::kAck, 7);
-  const std::uint64_t base_fp = spec_fingerprint(base);
-
-  auto differs = [&](auto mutate) {
-    MulticastRunSpec spec = base;
-    mutate(spec);
-    return spec_fingerprint(spec) != base_fp;
-  };
-  EXPECT_TRUE(differs([](MulticastRunSpec& s) { s.seed = 8; }));
-  EXPECT_TRUE(differs([](MulticastRunSpec& s) { s.n_receivers = 9; }));
-  EXPECT_TRUE(differs([](MulticastRunSpec& s) { s.message_bytes += 1; }));
-  EXPECT_TRUE(differs(
-      [](MulticastRunSpec& s) { s.protocol.kind = rmcast::ProtocolKind::kRing; }));
-  EXPECT_TRUE(differs([](MulticastRunSpec& s) { s.protocol.window_size = 21; }));
-  EXPECT_TRUE(differs([](MulticastRunSpec& s) { s.protocol.selective_repeat = true; }));
-  EXPECT_TRUE(
-      differs([](MulticastRunSpec& s) { s.cluster.link.frame_error_rate = 0.01; }));
-  EXPECT_TRUE(differs(
-      [](MulticastRunSpec& s) { s.cluster.wiring = inet::Wiring::kSharedBus; }));
-  EXPECT_TRUE(differs(
-      [](MulticastRunSpec& s) { s.cluster.host.send_syscall = sim::microseconds(9); }));
-  EXPECT_TRUE(
-      differs([](MulticastRunSpec& s) { s.faults.crash(3, sim::milliseconds(5)); }));
-  EXPECT_TRUE(differs([](MulticastRunSpec& s) { s.time_limit = sim::seconds(1.0); }));
-  EXPECT_TRUE(differs([](MulticastRunSpec& s) { s.verify_payload = false; }));
-}
-
-TEST(SpecFingerprint, IgnoresOutOfBandChannels) {
-  const MulticastRunSpec base = small_spec(rmcast::ProtocolKind::kAck, 7);
-  MulticastRunSpec spec = base;
-  metrics::Registry registry;
-  spec.metrics = &registry;
-  trace::Tracer tracer;
-  spec.tracer = &tracer;
-  EXPECT_EQ(spec_fingerprint(spec), spec_fingerprint(base));
 }
 
 // The tentpole property: run the same grid serially and with four workers
@@ -137,72 +91,73 @@ TEST(SweepRunner, ParallelSweepIsByteIdenticalToSerial) {
   EXPECT_EQ(serial_json, parallel_json);
 }
 
-TEST(SweepRunner, CacheDeduplicatesIdenticalSpecs) {
-  const MulticastRunSpec spec = small_spec(rmcast::ProtocolKind::kAck, 3);
-
-  SweepRunner::Options options;
-  options.jobs = 1;
-  SweepRunner runner(options);
-  const SweepRunner::Ticket a = runner.submit(spec);
-  const SweepRunner::Ticket b = runner.submit(spec);
-  const SweepRunner::Ticket c = runner.submit(spec);
-
-  const RunResult& ra = runner.result(a);
-  const RunResult& rb = runner.result(b);
-  const RunResult& rc = runner.result(c);
-  EXPECT_TRUE(ra.completed);
-  EXPECT_EQ(ra.seconds, rb.seconds);
-  EXPECT_EQ(ra.seconds, rc.seconds);
-
-  const SweepRunner::Stats stats = runner.stats();
-  EXPECT_EQ(stats.submitted, 3u);
-  EXPECT_EQ(stats.executed, 1u);
-  EXPECT_EQ(stats.cache_hits, 2u);
+// Two EC-RS specs that differ only in their erasure-code geometry: each
+// ticket must carry the outcome of its own spec, exactly as a direct
+// run_multicast of that spec reports it.
+TEST(SweepRunner, EveryTicketRunsItsOwnSpec) {
+  std::vector<MulticastRunSpec> specs;
+  for (std::size_t k : {16, 32}) {
+    MulticastRunSpec spec = small_spec(rmcast::ProtocolKind::kEcRs, 3);
+    spec.message_bytes = 41 * spec.protocol.packet_size;
+    spec.protocol.fec.k = k;
+    spec.protocol.fec.m = k / 4;
+    spec.protocol.window_size = 44;
+    spec.protocol.selective_repeat = true;
+    spec.protocol.receiver_driven_timeouts = true;
+    specs.push_back(spec);
+  }
+  std::vector<RunResult> direct;
+  for (const MulticastRunSpec& spec : specs) {
+    direct.push_back(run_multicast(spec));
+    ASSERT_TRUE(direct.back().completed) << direct.back().error;
+  }
+  for (std::size_t jobs : {1, 4}) {
+    SweepRunner::Options options;
+    options.jobs = jobs;
+    SweepRunner runner(options);
+    std::vector<SweepRunner::Ticket> tickets;
+    for (const MulticastRunSpec& spec : specs) tickets.push_back(runner.submit(spec));
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const RunResult& swept = runner.result(tickets[i]);
+      ASSERT_TRUE(swept.completed) << swept.error;
+      EXPECT_EQ(swept.sender.parity_packets_sent, direct[i].sender.parity_packets_sent)
+          << "jobs " << jobs << ", k " << specs[i].protocol.fec.k;
+      EXPECT_EQ(swept.seconds, direct[i].seconds) << "jobs " << jobs << ", point " << i;
+    }
+  }
 }
 
-// A cache hit must fold the shared point's metrics once per ticket, so the
-// merged snapshot reads as if every ticket had re-run — identical to a
-// cache-off sweep of the same tickets.
-TEST(SweepRunner, CacheDoesNotChangeTheMergedSnapshot) {
-  const MulticastRunSpec spec = small_spec(rmcast::ProtocolKind::kNakPolling, 5);
+// The merged snapshot is the serial accumulation: run_multicast on each
+// spec in submission order, each run's registry merged into one. The grid
+// repeats a spec, and the repeat folds its metrics a second time like any
+// other point.
+TEST(SweepRunner, FoldMatchesSerialRunMulticast) {
+  std::vector<MulticastRunSpec> grid = small_grid();
+  grid.push_back(grid.front());
 
-  auto sweep = [&](bool cache) {
-    metrics::Registry registry;
+  metrics::Registry serial;
+  for (MulticastRunSpec spec : grid) {
+    metrics::Registry point;
+    spec.metrics = &point;
+    ASSERT_TRUE(run_multicast(spec).completed);
+    serial.merge(point);
+  }
+  for (std::size_t jobs : {1, 4}) {
+    metrics::Registry swept;
     {
       SweepRunner::Options options;
-      options.jobs = 1;
-      options.metrics = &registry;
-      options.cache = cache;
+      options.jobs = jobs;
+      options.metrics = &swept;
       SweepRunner runner(options);
-      runner.submit(spec);
-      runner.submit(spec);
+      for (const MulticastRunSpec& spec : grid) runner.submit(spec);
       runner.wait_all();
     }
-    return registry.to_json();
-  };
-
-  EXPECT_EQ(sweep(true), sweep(false));
+    EXPECT_EQ(swept.to_json(), serial.to_json()) << "jobs " << jobs;
+  }
 }
 
-TEST(SweepRunner, CacheOffReexecutesEveryTicket) {
-  const MulticastRunSpec spec = small_spec(rmcast::ProtocolKind::kAck, 3);
-
-  SweepRunner::Options options;
-  options.jobs = 1;
-  options.cache = false;
-  SweepRunner runner(options);
-  runner.submit(spec);
-  runner.submit(spec);
-  runner.wait_all();
-
-  const SweepRunner::Stats stats = runner.stats();
-  EXPECT_EQ(stats.executed, 2u);
-  EXPECT_EQ(stats.cache_hits, 0u);
-}
-
-// A spec carrying its own tracer writes through an out-of-band channel
-// the cache cannot replay, so it must bypass the cache.
-TEST(SweepRunner, TracerBypassesCache) {
+// Without a runner trace sink, a spec's own tracer receives its trace.
+TEST(SweepRunner, SpecTracerReceivesItsTraceWithoutASink) {
   MulticastRunSpec spec = small_spec(rmcast::ProtocolKind::kAck, 3);
   trace::Tracer trace_a, trace_b;
 
@@ -215,57 +170,58 @@ TEST(SweepRunner, TracerBypassesCache) {
   runner.submit(spec);
   runner.wait_all();
 
-  const SweepRunner::Stats stats = runner.stats();
-  EXPECT_EQ(stats.executed, 2u);
-  EXPECT_EQ(stats.cache_hits, 0u);
   EXPECT_FALSE(trace_a.events().empty());
-  EXPECT_EQ(trace_a.events().size(), trace_b.events().size());
+  EXPECT_TRUE(trace_a.same_as(trace_b));
 }
 
 TEST(SweepRunner, SubmitTaskRunsArbitraryWork) {
-  SweepRunner::Options options;
-  options.jobs = 4;
-  SweepRunner runner(options);
-  std::vector<SweepRunner::Ticket> tickets;
-  for (int i = 0; i < 8; ++i) {
-    tickets.push_back(runner.submit_task([i](metrics::Registry*) {
-      RunResult result;
-      result.completed = true;
-      result.seconds = 0.25 * i;
-      return result;
-    }));
-  }
-  for (int i = 0; i < 8; ++i) {
-    const RunResult& r = runner.result(tickets[i]);
-    EXPECT_TRUE(r.completed);
-    EXPECT_EQ(r.seconds, 0.25 * i);
+  for (std::size_t jobs : {1, 4}) {
+    SweepRunner::Options options;
+    options.jobs = jobs;
+    SweepRunner runner(options);
+    std::vector<SweepRunner::Ticket> tickets;
+    for (int i = 0; i < 8; ++i) {
+      tickets.push_back(runner.submit_task([i](metrics::Registry*) {
+        RunResult result;
+        result.completed = true;
+        result.seconds = 0.25 * i;
+        return result;
+      }));
+    }
+    for (int i = 0; i < 8; ++i) {
+      const RunResult& r = runner.result(tickets[i]);
+      EXPECT_TRUE(r.completed) << "jobs " << jobs;
+      EXPECT_EQ(r.seconds, 0.25 * i) << "jobs " << jobs;
+    }
   }
 }
 
-// One bad point in a parallel batch: its ticket reports the failure, every
-// other ticket is unaffected.
+// One bad point in a batch: its ticket reports the failure, every other
+// ticket is unaffected.
 TEST(SweepRunner, FailureStaysOnItsOwnTicket) {
-  SweepRunner::Options options;
-  options.jobs = 4;
-  SweepRunner runner(options);
-  std::vector<SweepRunner::Ticket> tickets;
-  for (int i = 0; i < 6; ++i) {
-    tickets.push_back(runner.submit_task([i](metrics::Registry*) -> RunResult {
-      if (i == 3) throw std::runtime_error("injected point failure");
-      RunResult result;
-      result.completed = true;
-      result.seconds = 1.0 + i;
-      return result;
-    }));
-  }
-  for (int i = 0; i < 6; ++i) {
-    const RunResult& r = runner.result(tickets[i]);
-    if (i == 3) {
-      EXPECT_FALSE(r.completed);
-      EXPECT_EQ(r.error, "injected point failure");
-    } else {
-      EXPECT_TRUE(r.completed) << "point " << i;
-      EXPECT_EQ(r.seconds, 1.0 + i);
+  for (std::size_t jobs : {1, 4}) {
+    SweepRunner::Options options;
+    options.jobs = jobs;
+    SweepRunner runner(options);
+    std::vector<SweepRunner::Ticket> tickets;
+    for (int i = 0; i < 6; ++i) {
+      tickets.push_back(runner.submit_task([i](metrics::Registry*) -> RunResult {
+        if (i == 3) throw std::runtime_error("injected point failure");
+        RunResult result;
+        result.completed = true;
+        result.seconds = 1.0 + i;
+        return result;
+      }));
+    }
+    for (int i = 0; i < 6; ++i) {
+      const RunResult& r = runner.result(tickets[i]);
+      if (i == 3) {
+        EXPECT_FALSE(r.completed);
+        EXPECT_EQ(r.error, "injected point failure");
+      } else {
+        EXPECT_TRUE(r.completed) << "jobs " << jobs << ", point " << i;
+        EXPECT_EQ(r.seconds, 1.0 + i);
+      }
     }
   }
 }

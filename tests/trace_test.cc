@@ -311,7 +311,7 @@ TEST(SweepTrace, FoldedTraceLogIsIdenticalAcrossJobCounts) {
     options.jobs = jobs;
     options.trace = log.get();
     SweepRunner runner(options);
-    for (std::uint64_t seed : {3u, 5u, 7u, 3u}) {  // repeat hits the cache
+    for (std::uint64_t seed : {3u, 5u, 7u, 3u}) {  // seed 3 runs twice
       runner.submit(small_spec(/*fer=*/0.004, seed),
                     "seed" + std::to_string(seed));
     }
@@ -328,7 +328,7 @@ TEST(SweepTrace, FoldedTraceLogIsIdenticalAcrossJobCounts) {
     EXPECT_TRUE(serial->tracer(i).same_as(parallel->tracer(i))) << i;
     EXPECT_FALSE(serial->tracer(i).events().empty()) << i;
   }
-  // The cached repeat of seed 3 folded the same trace twice.
+  // Both runs of seed 3 traced the same events.
   EXPECT_TRUE(serial->tracer(0).same_as(serial->tracer(3)));
 }
 
