@@ -226,13 +226,15 @@ def sweep_speedup(g):
     """The sweep engine exists to use the cores: fig10_ack_window --quick,
     a grid of 25 independent points with no point longer than about a
     tenth of the serial total, runs >= 2x faster at 4 jobs than serially.
-    Fewer than 4 CPUs writes a skip marker instead."""
+    Fewer than 4 CPUs writes a skip marker instead. The count is the CPUs
+    this process may run on (its affinity mask, as taskset or a cpuset
+    limits it), not the machine's."""
     report = g.build / "BENCH_sweep_parallel.json"
-    cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0))
     if cpus < 4:
         write_json(report, {"benchmark": "sweep_parallel", "skipped": True,
                             "reason": f"needs >=4 CPUs, have {cpus}", "cpus": cpus})
-        raise Skip(f"{cpus} CPU(s) online, needs >= 4")
+        raise Skip(f"{cpus} CPU(s) usable, needs >= 4")
 
     def timed(jobs):
         start = time.monotonic()

@@ -303,7 +303,7 @@ BENCHMARK(BM_GfMulAddRegion)->Arg(0)->Arg(1);
 void BM_RsDecode(benchmark::State& state) {
   const auto backend = static_cast<rmcast::fec::Backend>(state.range(0));
   constexpr std::size_t kK = 32, kM = 8, kLen = 8192;
-  rmcast::fec::Codec codec(kK, kM);
+  const rmcast::fec::Codec& codec = rmcast::fec::shared_codec(kK, kM);
   std::vector<std::vector<std::uint8_t>> data(kK), parity(kM);
   std::uint8_t* data_ptrs[kK];
   std::uint8_t* parity_ptrs[kM];

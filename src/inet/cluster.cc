@@ -157,12 +157,19 @@ void Cluster::build_from_spec(const net::TopologySpec& spec) {
     switches_[trunk.sw_b]->override_port_params(trunk.port_b, trunk_link, &rng_);
   }
 
-  // Snooping needs, per member switch m and every other switch s, the
-  // egress port of s toward m — the trunk-tree first hop — so group
-  // traffic is steered down the tree toward members only. (The two-switch
+  // Datacenter fabrics start warm: a fabric controller has installed
+  // every host's MAC in every switch before traffic starts, so no first
+  // unicast floods the fabric. The paper's testbeds (Figure 7, one
+  // switch) start empty and learn, as its switches did.
+  const bool warm_fdb = spec.kind == net::TopologyKind::kSpineLeaf ||
+                        spec.kind == net::TopologyKind::kFatTree;
+
+  // Snooping and the warm FDB need, per host switch m and every other
+  // switch s, the egress port of s toward m — the trunk-tree first hop —
+  // so traffic is steered down the tree toward m only. (The two-switch
   // case degenerates to the far switch's uplink port.)
   std::vector<std::vector<std::size_t>> routes;
-  if (params_.multicast_snooping && switches_.size() > 1) {
+  if ((params_.multicast_snooping || warm_fdb) && switches_.size() > 1) {
     routes = net::switch_routes(wiring_);
   }
 
@@ -182,6 +189,13 @@ void Cluster::build_from_spec(const net::TopologySpec& spec) {
     // is woken whenever a frame leaves it.
     host->set_nic_backlog_fn([nic] { return nic->queued_wire_bytes(); });
     nic->set_dequeue_hook([host](std::size_t bytes) { host->on_nic_dequeue(bytes); });
+
+    if (warm_fdb) {
+      sw.install_fdb_entry(host->mac(), port);
+      for (std::size_t s = 0; s < switches_.size(); ++s) {
+        if (s != at.sw) switches_[s]->install_fdb_entry(host->mac(), routes[s][at.sw]);
+      }
+    }
 
     if (params_.multicast_snooping) {
       // Joins register the host's own port, then the toward-the-member

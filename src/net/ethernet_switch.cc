@@ -40,6 +40,11 @@ FrameSink EthernetSwitch::attach(std::size_t port, FrameSink deliver) {
   return [this, port](const Frame& frame) { handle_frame(port, frame); };
 }
 
+void EthernetSwitch::install_fdb_entry(MacAddr station, std::size_t port) {
+  RMC_ENSURE(port < ports_.size(), "switch port out of range");
+  fdb_[station] = port;
+}
+
 void EthernetSwitch::set_tracer(trace::Tracer* tracer, const std::string& prefix) {
   tracer_ = tracer;
   if (tracer != nullptr) {

@@ -7,7 +7,10 @@
 // and forwarded point-to-point; group-addressed (multicast/broadcast) and
 // unknown-unicast frames flood to every port except the ingress — this is
 // what makes IP multicast cost one transmission per segment, the property
-// the paper's protocols exploit.
+// the paper's protocols exploit. The Figure-7 and single-switch fabrics
+// start with an empty FDB and learn; datacenter fabrics (spine-leaf,
+// fat-tree) start with every host installed, as a fabric controller
+// would (install_fdb_entry), and learning then re-confirms those ports.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +51,11 @@ class EthernetSwitch {
   // logical cable) more rate and queue than a host port. Must be called
   // before the port is attached: the replacement discards any sink.
   void override_port_params(std::size_t port, LinkParams params, Rng* rng = nullptr);
+
+  // Installs `station` behind `port` in the forwarding database, as a
+  // fabric controller pushing host reachability would. Learning still
+  // runs: a frame from `station` on another port overwrites the entry.
+  void install_fdb_entry(MacAddr station, std::size_t port);
 
   // Ingress entry point (what attach() returns, exposed for tests).
   void handle_frame(std::size_t ingress_port, const Frame& frame);

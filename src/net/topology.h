@@ -15,6 +15,11 @@
 // by its capacity_factor — one logical trunk standing for spine_count
 // parallel cables, which preserves aggregate bandwidth while keeping the
 // flood-safe tree.
+//
+// Datacenter shapes (kSpineLeaf, kFatTree) start with a controller-
+// installed forwarding database: inet::Cluster installs every host in
+// every switch along switch_routes(), so no first unicast floods. The
+// paper's shapes (kSingleSwitch, kTwoSwitch) start empty and learn.
 #pragma once
 
 #include <cstddef>

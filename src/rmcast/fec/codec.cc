@@ -1,6 +1,9 @@
 #include "rmcast/fec/codec.h"
 
 #include <cstring>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "common/panic.h"
 
@@ -146,6 +149,15 @@ bool Codec::decode(std::uint8_t* const* data, const bool* data_present,
     }
   }
   return true;
+}
+
+const Codec& shared_codec(std::size_t k, std::size_t m) {
+  // Map nodes never move, so handed-out references stay valid as the
+  // map grows.
+  static std::mutex mu;
+  static std::map<std::pair<std::size_t, std::size_t>, Codec> codecs;
+  std::lock_guard<std::mutex> lock(mu);
+  return codecs.try_emplace({k, m}, k, m).first->second;
 }
 
 }  // namespace rmc::rmcast::fec

@@ -77,4 +77,12 @@ class Codec {
   std::vector<std::uint8_t> p_;  // m x k, row-major
 };
 
+// The process-wide Codec(k, m): built on first use (thread-safe), never
+// evicted, and shared by every sender and receiver that codes with
+// (k, m), so a group of N receivers pays the Vandermonde inversion once
+// instead of N + 1 times. (k, m) is a codec's entire input and a built
+// codec is immutable, so sharing it cannot leak one configuration's
+// state into another. Same preconditions as the constructor.
+const Codec& shared_codec(std::size_t k, std::size_t m);
+
 }  // namespace rmc::rmcast::fec

@@ -36,29 +36,20 @@ std::string GroupMembership::validate() const {
   return "";
 }
 
-std::string GroupMembership::validate(
-    const std::vector<const GroupMembership*>& registered) const {
-  std::string error = validate();
-  if (!error.empty()) return error;
-  for (std::size_t g = 0; g < registered.size(); ++g) {
-    const GroupMembership& other = *registered[g];
-    if (other.group == group) {
-      return str_format("group data endpoint %s collides with registered group %zu",
-                        group.str().c_str(), g);
-    }
-  }
-  return "";
+SharedMembership::SharedMembership(GroupMembership membership) {
+  std::string error = membership.validate();
+  RMC_ENSURE(error.empty(), error);
+  roster_ = std::make_shared<const GroupMembership>(std::move(membership));
 }
 
-std::string GroupDirectory::add(std::uint64_t id, const GroupMembership& membership) {
-  std::vector<const GroupMembership*> registered;
-  registered.reserve(groups_.size());
-  for (const auto& [key, m] : groups_) {
-    RMC_ENSURE(key != id, "group id already registered");
-    registered.push_back(&m);
+std::string GroupDirectory::add(std::uint64_t id, const SharedMembership& membership) {
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    RMC_ENSURE(groups_[g].first != id, "group id already registered");
+    if (groups_[g].second->group == membership->group) {
+      return str_format("group data endpoint %s collides with registered group %zu",
+                        membership->group.str().c_str(), g);
+    }
   }
-  std::string error = membership.validate(registered);
-  if (!error.empty()) return error;
   groups_.emplace_back(id, membership);
   return "";
 }

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,31 +29,43 @@ struct GroupMembership {
 
   // Returns an error message, or empty if the membership is well-formed.
   std::string validate() const;
+};
 
-  // Multi-group form: validates this membership in the context of groups
-  // already on the air. On top of the single-group checks it rejects
-  // data-address collisions — two concurrent groups sharing a multicast
-  // data endpoint would deliver one tenant's DATA stream into another
-  // tenant's reassembly buffers (every receiver binds the group port and
-  // joins the group address, so the collision is silent on the wire).
-  std::string validate(const std::vector<const GroupMembership*>& registered) const;
+// A GroupMembership that passed validate(), shared read-only by a group's
+// sender and every receiver: one roster per group, instead of one copy
+// and one O(N) validation per endpoint. The constructor is the only way
+// to make one and it always validates, so an endpoint handed a
+// SharedMembership can trust the roster without checking it again.
+class SharedMembership {
+ public:
+  // Validates `membership`; panics with validate()'s message on failure.
+  explicit SharedMembership(GroupMembership membership);
+
+  const GroupMembership& operator*() const { return *roster_; }
+  const GroupMembership* operator->() const { return roster_.get(); }
+
+ private:
+  std::shared_ptr<const GroupMembership> roster_;
 };
 
 // Registry of concurrently active groups — the multi-tenant guard rail.
-// Sessions sharing one fabric register their membership here before
-// opening sockets; add() runs the cross-group validate() so a colliding
-// data address is rejected up front instead of corrupting two transfers.
+// Sessions sharing one fabric register their (already validated)
+// membership here before opening sockets. add() rejects data-address
+// collisions: two concurrent groups sharing a multicast data endpoint
+// would deliver one tenant's DATA stream into another tenant's reassembly
+// buffers (every receiver binds the group port and joins the group
+// address, so the collision is silent on the wire).
 class GroupDirectory {
  public:
   // Returns an error message and registers nothing on failure; empty on
   // success. `id` is any caller-unique key (tenant index works).
-  std::string add(std::uint64_t id, const GroupMembership& membership);
+  std::string add(std::uint64_t id, const SharedMembership& membership);
   void remove(std::uint64_t id);
 
   std::size_t size() const { return groups_.size(); }
 
  private:
-  std::vector<std::pair<std::uint64_t, GroupMembership>> groups_;
+  std::vector<std::pair<std::uint64_t, SharedMembership>> groups_;
 };
 
 // A receiver's place in a flat tree of height `height` over `n` receivers

@@ -14,7 +14,7 @@ namespace rmc::rmcast {
 
 MulticastReceiver::MulticastReceiver(rt::Runtime& runtime, rt::UdpSocket& data_socket,
                                      rt::UdpSocket& control_socket,
-                                     GroupMembership membership, std::size_t node_id,
+                                     SharedMembership membership, std::size_t node_id,
                                      ProtocolConfig config)
     : rt_(runtime),
       data_socket_(data_socket),
@@ -24,14 +24,14 @@ MulticastReceiver::MulticastReceiver(rt::Runtime& runtime, rt::UdpSocket& data_s
       config_(config),
       engine_(ProtocolRegistry::instance().entry(config_.kind).engine()),
       rng_(0x9E3779B9u ^ node_id) {
-  std::string group_error = membership_.validate();
-  RMC_ENSURE(group_error.empty(), group_error);
-  std::string config_error = validate(config_, membership_.n_receivers());
+  std::string config_error = validate(config_, membership_->n_receivers());
   RMC_ENSURE(config_error.empty(), config_error);
-  RMC_ENSURE(node_id_ < membership_.n_receivers(), "node id out of range");
+  RMC_ENSURE(node_id_ < membership_->n_receivers(), "node id out of range");
 
   is_tree_ = engine_->is_tree();
-  if (config_.fec.is_set()) fec_codec_.emplace(config_.fec.k, config_.fec.m);
+  if (config_.fec.is_set()) {
+    fec_codec_ = &fec::shared_codec(config_.fec.k, config_.fec.m);
+  }
   reset_full_structure();
 
   auto handler = [this](const net::Endpoint& src, BytesView payload) {
@@ -41,17 +41,25 @@ MulticastReceiver::MulticastReceiver(rt::Runtime& runtime, rt::UdpSocket& data_s
   control_socket_.set_handler(handler);
 }
 
+MulticastReceiver::MulticastReceiver(rt::Runtime& runtime, rt::UdpSocket& data_socket,
+                                     rt::UdpSocket& control_socket,
+                                     GroupMembership membership, std::size_t node_id,
+                                     ProtocolConfig config)
+    : MulticastReceiver(runtime, data_socket, control_socket,
+                        SharedMembership(std::move(membership)), node_id,
+                        std::move(config)) {}
+
 MulticastReceiver::~MulticastReceiver() {
   cancel_timers();
   BufferRecycler::instance().release(std::move(buffer_));
 }
 
 void MulticastReceiver::reset_full_structure() {
-  alive_.assign(membership_.n_receivers(), true);
+  alive_.assign(membership_->n_receivers(), true);
   live_dirty_ = true;
   evicted_self_ = false;
   if (is_tree_) {
-    links_ = engine_->full_links(node_id_, membership_.n_receivers(), config_);
+    links_ = engine_->full_links(node_id_, membership_->n_receivers(), config_);
   }
 }
 
@@ -93,9 +101,9 @@ const MulticastReceiver::PeerState& MulticastReceiver::peer_view(
 
 net::Endpoint MulticastReceiver::ack_target() const {
   if (is_tree_ && links_.has_parent) {
-    return membership_.receiver_control[links_.parent];
+    return membership_->receiver_control[links_.parent];
   }
-  return membership_.sender_control;
+  return membership_->sender_control;
 }
 
 bool MulticastReceiver::is_child(std::size_t node) const {
@@ -414,9 +422,9 @@ void MulticastReceiver::emit_nak() {
     // REPEAT request for the same gap, no peer could repair it (e.g. the
     // frame died on the sender's own uplink and nobody holds it):
     // escalate to the sender.
-    control_socket_.send_ref(membership_.group, packet);
+    control_socket_.send_ref(membership_->group, packet);
     if (expected_ == last_emitted_nak_seq_) {
-      control_socket_.send_ref(membership_.sender_control, std::move(packet));
+      control_socket_.send_ref(membership_->sender_control, std::move(packet));
     }
     last_emitted_nak_seq_ = expected_;
     return;
@@ -426,10 +434,10 @@ void MulticastReceiver::emit_nak() {
   if (config_.multicast_nak_suppression) {
     // Also let the other receivers hear it, so they can suppress theirs.
     // (The sender does not join the group, hence the unicast copy above.)
-    control_socket_.send_ref(membership_.sender_control, packet);
-    control_socket_.send_ref(membership_.group, std::move(packet));
+    control_socket_.send_ref(membership_->sender_control, packet);
+    control_socket_.send_ref(membership_->group, std::move(packet));
   } else {
-    control_socket_.send_ref(membership_.sender_control, std::move(packet));
+    control_socket_.send_ref(membership_->sender_control, std::move(packet));
   }
 }
 
@@ -653,7 +661,7 @@ void MulticastReceiver::emit_group_nak(std::uint32_t group, std::uint64_t missin
   write_group_nak(w, GroupNak{missing});
   ++stats_.group_naks_sent;
   emit(trace::EventKind::kGroupNakTx, group, static_cast<std::uint32_t>(n_missing));
-  control_socket_.send_ref(membership_.sender_control, w.take());
+  control_socket_.send_ref(membership_->sender_control, w.take());
 }
 
 void MulticastReceiver::deliver_if_complete() {
@@ -740,7 +748,7 @@ void MulticastReceiver::emit_repair(std::uint32_t seq) {
                        alloc_.block_len(seq));
   ++stats_.repairs_sent;
   emit(trace::EventKind::kRepairTx, seq);
-  control_socket_.send_ref(membership_.group, make_packet_ref(h, body));
+  control_socket_.send_ref(membership_->group, make_packet_ref(h, body));
 }
 
 void MulticastReceiver::handle_evict(const Header& h) {
@@ -858,7 +866,7 @@ void MulticastReceiver::send_suspect(std::size_t child) {
            static_cast<std::uint32_t>(child)};
   ++stats_.suspects_sent;
   emit(trace::EventKind::kSuspectTx, static_cast<std::uint32_t>(child));
-  control_socket_.send_ref(membership_.sender_control, make_packet_ref(h));
+  control_socket_.send_ref(membership_->sender_control, make_packet_ref(h));
 }
 
 void MulticastReceiver::emit(trace::EventKind kind, std::uint32_t a, std::uint32_t b) {

@@ -41,7 +41,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -67,6 +66,13 @@ class MulticastReceiver : private ReceiverOps {
   // `data_socket` must be bound to the group port and joined to the group;
   // `control_socket` must be bound to membership.receiver_control[node_id].
   // Both must outlive the receiver; their handlers are installed here.
+  // The receiver shares `membership` with the rest of its group (Session
+  // validates the roster once and hands every endpoint the same one, so
+  // N receivers hold one roster, not N copies); the by-value form
+  // validates its own copy, for endpoints built by hand.
+  MulticastReceiver(rt::Runtime& runtime, rt::UdpSocket& data_socket,
+                    rt::UdpSocket& control_socket, SharedMembership membership,
+                    std::size_t node_id, ProtocolConfig config);
   MulticastReceiver(rt::Runtime& runtime, rt::UdpSocket& data_socket,
                     rt::UdpSocket& control_socket, GroupMembership membership,
                     std::size_t node_id, ProtocolConfig config);
@@ -95,6 +101,7 @@ class MulticastReceiver : private ReceiverOps {
   std::size_t node_id() const override { return node_id_; }
   const ReceiverStats& stats() const { return stats_; }
   const ProtocolConfig& config() const { return config_; }
+  const GroupMembership& membership() const { return *membership_; }
 
   // Graceful degradation: true once the sender announced this node's own
   // eviction (the receiver goes passive for the rest of the session).
@@ -205,7 +212,7 @@ class MulticastReceiver : private ReceiverOps {
   rt::Runtime& rt_;
   rt::UdpSocket& data_socket_;
   rt::UdpSocket& control_socket_;
-  GroupMembership membership_;
+  SharedMembership membership_;
   std::size_t node_id_;
   ProtocolConfig config_;
   // Per-protocol acknowledgment policy (registry-owned singleton).
@@ -245,7 +252,8 @@ class MulticastReceiver : private ReceiverOps {
   std::map<std::uint32_t, std::pair<std::uint8_t, Buffer>> reorder_;
 
   // Hybrid FEC state (config_.fec.is_set() only; reset per session).
-  std::optional<fec::Codec> fec_codec_;
+  // The codec is the process-wide one for (k, m) (fec::shared_codec).
+  const fec::Codec* fec_codec_ = nullptr;
   // group -> (parity index -> payload); released at group close/decode.
   std::map<std::uint32_t, std::map<std::uint32_t, Buffer>> fec_parity_;
   // One decode occupies the (modelled) CPU at a time.

@@ -14,28 +14,34 @@
 namespace rmc::rmcast {
 
 MulticastSender::MulticastSender(rt::Runtime& runtime, rt::UdpSocket& control_socket,
-                                 GroupMembership membership, ProtocolConfig config)
+                                 SharedMembership membership, ProtocolConfig config)
     : rt_(runtime),
       socket_(control_socket),
       membership_(std::move(membership)),
       config_(config),
       engine_(ProtocolRegistry::instance().entry(config_.kind).engine()),
       core_(*engine_, config_) {
-  std::string group_error = membership_.validate();
-  RMC_ENSURE(group_error.empty(), group_error);
-  std::string config_error = validate(config_, membership_.n_receivers());
+  std::string config_error = validate(config_, membership_->n_receivers());
   RMC_ENSURE(config_error.empty(), config_error);
 
   // Hybrid FEC: one codec serves every group of every session (the
   // parity matrix depends only on k and m, both fixed per config).
-  if (config_.fec.is_set()) fec_codec_.emplace(config_.fec.k, config_.fec.m);
+  if (config_.fec.is_set()) {
+    fec_codec_ = &fec::shared_codec(config_.fec.k, config_.fec.m);
+  }
 
-  core_.reset_units(membership_.n_receivers());
+  core_.reset_units(membership_->n_receivers());
 
   socket_.set_handler([this](const net::Endpoint& src, BytesView payload) {
     on_packet(src, payload);
   });
 }
+
+MulticastSender::MulticastSender(rt::Runtime& runtime, rt::UdpSocket& control_socket,
+                                 GroupMembership membership, ProtocolConfig config)
+    : MulticastSender(runtime, control_socket,
+                      SharedMembership(std::move(membership)),
+                      std::move(config)) {}
 
 MulticastSender::~MulticastSender() {
   rt_.disarm(rto_timer_);
@@ -71,7 +77,7 @@ void MulticastSender::send(BytesView message, CompletionHandler on_complete) {
   next_tx_allowed_ = 0;
   rt_.disarm(rate_timer_);
   state_ = State::kAllocating;
-  core_.begin_send(membership_.n_receivers());
+  core_.begin_send(membership_->n_receivers());
   send_started_ = rt_.now();
   send_alloc_request();
   arm_alloc_timer();
@@ -84,7 +90,7 @@ void MulticastSender::send_alloc_request() {
   write_alloc_request(w, request_);
   ++core_.stats.alloc_requests_sent;
   emit(trace::EventKind::kAllocReq, request_.total_packets, session_);
-  socket_.send_ref(membership_.group, w.take());
+  socket_.send_ref(membership_->group, w.take());
 }
 
 void MulticastSender::arm_alloc_timer() {
@@ -244,14 +250,14 @@ void MulticastSender::transmit(std::uint32_t seq, bool retransmission, bool forc
     // Retransmissions resend from the protocol buffer — the user-space
     // copy happened on first transmission — so no copy cost applies.
     ++core_.stats.retransmissions;
-    const net::Endpoint& dst = unicast_to != nullptr ? *unicast_to : membership_.group;
+    const net::Endpoint& dst = unicast_to != nullptr ? *unicast_to : membership_->group;
     socket_.send_ref(dst, std::move(packet));
     return;
   }
 
   ++core_.stats.data_packets_sent;
   auto finish = [this, seq, packet = std::move(packet)]() mutable {
-    socket_.send_ref(membership_.group, std::move(packet));
+    socket_.send_ref(membership_->group, std::move(packet));
     if (group_closes_at(seq)) {
       // The group's parity rides the same tx chain as its data: the
       // GF(2^8) encode occupies the CPU, the m frames go out back to
@@ -272,7 +278,7 @@ void MulticastSender::transmit(std::uint32_t seq, bool retransmission, bool forc
 }
 
 bool MulticastSender::group_closes_at(std::uint32_t seq) const {
-  if (!fec_codec_.has_value()) return false;
+  if (fec_codec_ == nullptr) return false;
   const std::uint32_t k = static_cast<std::uint32_t>(config_.fec.k);
   // First transmissions are claimed sequentially, so each seq passes
   // through here exactly once; the last seq of the message closes a
@@ -315,7 +321,7 @@ void MulticastSender::emit_group_parity(std::uint32_t group) {
       Header h{PacketType::kParity, 0, kSenderNodeId, session_, pseq};
       ++core_.stats.parity_packets_sent;
       emit(trace::EventKind::kParityTx, pseq, group);
-      socket_.send_ref(membership_.group, make_packet_ref(h, parity[j]));
+      socket_.send_ref(membership_->group, make_packet_ref(h, parity[j]));
     }
     tx_chain_active_ = false;
     if (state_ == State::kSending) pump();
@@ -325,7 +331,7 @@ void MulticastSender::emit_group_parity(std::uint32_t group) {
 
 void MulticastSender::on_group_nak(const Header& h, Reader& r) {
   if (state_ != State::kSending || h.session != session_ ||
-      !fec_codec_.has_value()) {
+      fec_codec_ == nullptr) {
     ++core_.stats.stale_packets;
     return;
   }
@@ -418,11 +424,11 @@ void MulticastSender::on_nak(const Header& h) {
   ++core_.stats.naks_received;
   emit(trace::EventKind::kNakRx, h.node_id, h.seq);
   if (seq_lt(h.seq, core_.window.base()) || seq_ge(h.seq, core_.window.next())) return;
-  if (config_.unicast_nak_retransmissions && h.node_id < membership_.n_receivers()) {
+  if (config_.unicast_nak_retransmissions && h.node_id < membership_->n_receivers()) {
     // Answer only the complaining receiver; the group keeps its bandwidth
     // and, more importantly on a LAN, its CPUs (paper §3: multicast
     // retransmission makes every unintended receiver process the packet).
-    const net::Endpoint dst = membership_.receiver_control[h.node_id];
+    const net::Endpoint dst = membership_->receiver_control[h.node_id];
     retransmit_from(h.seq, /*force_poll=*/false, &dst);
     return;
   }
@@ -500,7 +506,7 @@ void MulticastSender::on_rto() {
 void MulticastSender::send_evict_notice(std::size_t node) {
   Header h{PacketType::kEvict, 0, kSenderNodeId, session_,
            static_cast<std::uint32_t>(node)};
-  socket_.send_ref(membership_.group, make_packet_ref(h));
+  socket_.send_ref(membership_->group, make_packet_ref(h));
 }
 
 void MulticastSender::announce_evictions() {
@@ -573,7 +579,7 @@ void MulticastSender::complete() {
   outcome.total_packets = request_.total_packets;
   outcome.elapsed = rt_.now() - send_started_;
   outcome.retransmit_rounds = core_.rto_rounds;
-  outcome.receivers.resize(membership_.n_receivers());
+  outcome.receivers.resize(membership_->n_receivers());
   for (std::size_t i = 0; i < outcome.receivers.size(); ++i) {
     if (core_.is_evicted(i)) {
       outcome.receivers[i] = {DeliveryStatus::kEvicted, core_.node_cum[i]};

@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/metrics.h"
@@ -56,6 +55,11 @@ class MulticastSender {
 
   // `control_socket` must be bound to membership.sender_control and stay
   // alive as long as the sender; the sender installs its receive handler.
+  // The sender shares `membership` with the group's receivers (Session
+  // hands every endpoint the one roster it validated); the by-value form
+  // validates its own copy, for endpoints built by hand.
+  MulticastSender(rt::Runtime& runtime, rt::UdpSocket& control_socket,
+                  SharedMembership membership, ProtocolConfig config);
   MulticastSender(rt::Runtime& runtime, rt::UdpSocket& control_socket,
                   GroupMembership membership, ProtocolConfig config);
   ~MulticastSender();
@@ -106,7 +110,7 @@ class MulticastSender {
   }
   const SenderStats& stats() const { return core_.stats; }
   const ProtocolConfig& config() const { return config_; }
-  const GroupMembership& membership() const { return membership_; }
+  const GroupMembership& membership() const { return *membership_; }
 
   // Packets sent but not yet released by acknowledgments — what the
   // timeline sampler snapshots as the outstanding window.
@@ -165,7 +169,7 @@ class MulticastSender {
 
   rt::Runtime& rt_;
   rt::UdpSocket& socket_;
-  GroupMembership membership_;
+  SharedMembership membership_;
   ProtocolConfig config_;
   trace::Tracer* tracer_ = nullptr;
   std::uint16_t trace_track_ = 0;
@@ -173,9 +177,10 @@ class MulticastSender {
   // machinery it parameterizes.
   const ProtocolEngine* engine_;
   ProtocolCore core_;
-  // Hybrid FEC only (config_.fec.is_set()): the GF(2^8) erasure codec
-  // shared by every group of the transfer.
-  std::optional<fec::Codec> fec_codec_;
+  // Hybrid FEC only (config_.fec.is_set(), else null): the process-wide
+  // GF(2^8) erasure codec for (k, m), shared by every group of the
+  // transfer and by every receiver coding with the same (k, m).
+  const fec::Codec* fec_codec_ = nullptr;
 
   State state_ = State::kIdle;
   std::uint32_t session_ = 0;

@@ -50,7 +50,7 @@ Session::Session(inet::Cluster& fabric, SessionPlacement placement,
 Session::Session(GroupMembership membership, ProtocolConfig protocol,
                  const PosixSessionOptions& options)
     : posix_(std::make_unique<rt::PosixRuntime>()),
-      membership_(std::move(membership)),
+      membership_(SharedMembership(std::move(membership))),
       multicast_if_(options.multicast_if) {
   params_.protocol = std::move(protocol);
   params_.metrics = options.metrics;
@@ -62,28 +62,27 @@ void Session::place(inet::Cluster& fabric) {
   const std::size_t n = placement_.receiver_hosts.size();
   RMC_ENSURE(n > 0, "session needs at least one receiver");
 
-  membership_.group = placement_.group;
-  membership_.sender_control = {inet::Cluster::host_addr(placement_.sender_host),
-                                placement_.sender_control_port};
+  GroupMembership membership;
+  membership.group = placement_.group;
+  membership.sender_control = {inet::Cluster::host_addr(placement_.sender_host),
+                               placement_.sender_control_port};
   for (std::size_t i = 0; i < n; ++i) {
     RMC_ENSURE(placement_.receiver_hosts[i] < cluster_->size(),
                "receiver host out of range");
     RMC_ENSURE(placement_.receiver_hosts[i] != placement_.sender_host,
                "receiver host collides with the sender's");
-    membership_.receiver_control.push_back(
+    membership.receiver_control.push_back(
         {inet::Cluster::host_addr(placement_.receiver_hosts[i]),
          placement_.receiver_control_port});
   }
+  // Validated once here; the sender and every receiver share the result.
+  membership_.emplace(std::move(membership));
   if (directory_ != nullptr) {
     // The data endpoint is unique among registered groups (the directory
     // rejects collisions), so it doubles as the registration key.
-    directory_id_ =
-        (static_cast<std::uint64_t>(membership_.group.addr.bits()) << 16) |
-        membership_.group.port;
-    std::string error = directory_->add(directory_id_, membership_);
-    RMC_ENSURE(error.empty(), error);
-  } else {
-    std::string error = membership_.validate();
+    const net::Endpoint& group = placement_.group;
+    directory_id_ = (static_cast<std::uint64_t>(group.addr.bits()) << 16) | group.port;
+    std::string error = directory_->add(directory_id_, *membership_);
     RMC_ENSURE(error.empty(), error);
   }
 
@@ -97,14 +96,14 @@ void Session::place(inet::Cluster& fabric) {
 }
 
 void Session::wire() {
-  rt::UdpSocket* control = open_socket(0, membership_.sender_control, false);
+  rt::UdpSocket* control = open_socket(0, membership().sender_control, false);
   if (control == nullptr) return;
-  sender_ = std::make_unique<MulticastSender>(endpoint_runtime(0), *control, membership_,
-                                              params_.protocol);
+  sender_ = std::make_unique<MulticastSender>(endpoint_runtime(0), *control,
+                                              *membership_, params_.protocol);
   if (placement_.session_base != 0) sender_->set_session_base(placement_.session_base);
   if (params_.metrics != nullptr) sender_->set_metrics(params_.metrics);
 
-  const std::size_t n = membership_.n_receivers();
+  const std::size_t n = n_receivers();
   receivers_.resize(n);
   data_raw_.resize(n, nullptr);
   std::vector<bool> deferred(n, false);
@@ -155,12 +154,12 @@ rt::UdpSocket* Session::open_socket(std::size_t endpoint, const net::Endpoint& l
 
 void Session::join_receiver(std::size_t i) {
   if (receivers_.at(i) != nullptr) return;
-  rt::UdpSocket* data = open_socket(i + 1, membership_.group, true);
-  rt::UdpSocket* control = open_socket(i + 1, membership_.receiver_control[i], false);
+  rt::UdpSocket* data = open_socket(i + 1, membership().group, true);
+  rt::UdpSocket* control = open_socket(i + 1, membership().receiver_control[i], false);
   if (data == nullptr || control == nullptr) return;
 
   receivers_[i] = std::make_unique<MulticastReceiver>(
-      endpoint_runtime(i + 1), *data, *control, membership_, i, params_.protocol);
+      endpoint_runtime(i + 1), *data, *control, *membership_, i, params_.protocol);
   if (params_.metrics != nullptr) receivers_[i]->set_metrics(params_.metrics);
   if (tracer_ != nullptr) trace_receiver(i);
   receivers_[i]->set_message_handler(
@@ -175,7 +174,7 @@ void Session::leave_receiver(std::size_t i) {
   // Drop the IGMP membership so snooping switches stop forwarding the
   // group's data stream to this port — the departure is visible to the
   // fabric, not just the protocol.
-  if (data_raw_[i] != nullptr) data_raw_[i]->leave(membership_.group.addr);
+  if (data_raw_[i] != nullptr) data_raw_[i]->leave(membership().group.addr);
 }
 
 Session::~Session() {

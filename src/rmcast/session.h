@@ -149,8 +149,9 @@ class Session {
   // join never fired read false; left receivers still read true).
   bool receiver_joined(std::size_t i) const { return receivers_.at(i) != nullptr; }
 
-  std::size_t n_receivers() const { return membership_.n_receivers(); }
-  const GroupMembership& membership() const { return membership_; }
+  std::size_t n_receivers() const { return membership().n_receivers(); }
+  // The one validated roster the sender and every receiver share.
+  const GroupMembership& membership() const { return **membership_; }
   MulticastSender& sender() { return *sender_; }
   MulticastReceiver& receiver(std::size_t i) { return *receivers_.at(i); }
   rt::Runtime& sender_runtime() { return endpoint_runtime(0); }
@@ -192,7 +193,9 @@ class Session {
   SessionPlacement placement_;
   GroupDirectory* directory_ = nullptr;
   std::uint64_t directory_id_ = 0;
-  GroupMembership membership_;
+  // Set once the roster is validated: in place() on the simulator, in the
+  // constructor on sockets.
+  std::optional<SharedMembership> membership_;
   net::Ipv4Addr multicast_if_;
   // runtimes_[0] is the sender's, runtimes_[i + 1] receiver i's.
   std::vector<std::unique_ptr<rt::SimRuntime>> runtimes_;

@@ -5,6 +5,8 @@
 
 #include <array>
 #include <cstdint>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -277,6 +279,41 @@ TEST(Codec, ParityMatrixMinorsAreNonsingular) {
       }
     }
   }
+}
+
+TEST(SharedCodec, RepeatedShapeReturnsTheSameCodec) {
+  const Codec& first = shared_codec(32, 8);
+  EXPECT_EQ(&shared_codec(32, 8), &first);
+  EXPECT_NE(&shared_codec(32, 4), &first);
+  EXPECT_EQ(first.k(), 32u);
+  EXPECT_EQ(first.m(), 8u);
+}
+
+TEST(SharedCodec, CoefficientsMatchAFreshCodec) {
+  const std::pair<std::size_t, std::size_t> shapes[] = {{16, 1}, {32, 8}, {64, 64}};
+  for (const auto& [k, m] : shapes) {
+    const Codec fresh(k, m);
+    const Codec& shared = shared_codec(k, m);
+    for (std::size_t r = 0; r < m; ++r) {
+      for (std::size_t c = 0; c < k; ++c) {
+        ASSERT_EQ(shared.coefficient(r, c), fresh.coefficient(r, c))
+            << "k=" << k << " m=" << m << " P[" << r << "][" << c << "]";
+      }
+    }
+  }
+}
+
+// Concurrent first use (sweep workers starting EC transfers at once)
+// builds one codec, and every caller gets it.
+TEST(SharedCodec, ConcurrentFirstUseBuildsOneCodec) {
+  constexpr std::size_t kThreads = 4;
+  std::array<const Codec*, kThreads> got{};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&got, t] { got[t] = &shared_codec(23, 5); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 1; t < kThreads; ++t) EXPECT_EQ(got[t], got[0]) << "thread " << t;
 }
 
 }  // namespace

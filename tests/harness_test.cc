@@ -32,6 +32,19 @@ TEST(Testbed, WiresSocketsAndMembership) {
   EXPECT_EQ(bed.total_rcvbuf_drops(), 0u);
 }
 
+// One validated roster per group: the sender and every receiver of a
+// Session read the Session's own membership object, not a copy each.
+TEST(Session, EveryEndpointSharesOneRoster) {
+  rmcast::SessionParams params;
+  params.n_receivers = 5;
+  rmcast::Session session(params);
+  const rmcast::GroupMembership* roster = &session.membership();
+  EXPECT_EQ(&session.sender().membership(), roster);
+  for (std::size_t i = 0; i < session.n_receivers(); ++i) {
+    EXPECT_EQ(&session.receiver(i).membership(), roster) << "receiver " << i;
+  }
+}
+
 TEST(RunMulticast, ReportsStatsAndTiming) {
   MulticastRunSpec spec;
   spec.n_receivers = 4;

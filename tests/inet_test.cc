@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "inet/cluster.h"
@@ -567,6 +568,66 @@ TEST(Cluster, SnoopingTracksLeaves) {
   // After the leave the switch floods again (unknown group) but the NIC
   // filters, or the switch drops it as memberless — either way, no
   // delivery and no crash.
+}
+
+// Sends one small unicast datagram from host `from` to host `to` of
+// `cluster` and runs it to completion; returns how many times it was
+// delivered.
+int first_unicast(Cluster& cluster, std::size_t from, std::size_t to) {
+  Socket* tx = cluster.host(from).open_socket();
+  Socket* rx = cluster.host(to).open_socket();
+  rx->bind(7000);
+  int got = 0;
+  rx->set_handler([&](const Datagram&) { ++got; });
+  Buffer payload = pattern(100);
+  tx->send_to({Cluster::host_addr(to), 7000}, BytesView(payload.data(), payload.size()));
+  cluster.simulator().run();
+  return got;
+}
+
+ClusterParams params_on(net::TopologySpec topology, std::size_t n_hosts) {
+  ClusterParams params;
+  params.n_hosts = n_hosts;
+  params.topology = topology;
+  return params;
+}
+
+// Datacenter fabrics start with every host in every switch's FDB, so even
+// the very first unicast between two leaves goes point-to-point: no
+// switch floods it and no bystander's NIC sees it.
+TEST(Cluster, DatacenterFabricsForwardTheFirstUnicastWithoutFlooding) {
+  const std::pair<net::TopologySpec, std::size_t> fabrics[] = {
+      {net::TopologySpec::spine_leaf(4, 2), 12},      // 3 leaves under a spine
+      {net::TopologySpec::fat_tree(4, 2, 2, 2), 20},  // 3 pods, 5 edges, core
+  };
+  for (const auto& [topology, n] : fabrics) {
+    Cluster cluster(params_on(topology, n));
+    ASSERT_GT(cluster.switches().size(), 3u);
+    ASSERT_NE(cluster.wiring().hosts[0].sw, cluster.wiring().hosts[n - 1].sw);
+    EXPECT_EQ(first_unicast(cluster, 0, n - 1), 1);
+    for (std::size_t s = 0; s < cluster.switches().size(); ++s) {
+      const net::EthernetSwitch::Stats& stats = cluster.switches()[s]->stats();
+      EXPECT_EQ(stats.frames_flooded, 0u) << "switch " << s << " of " << n << " hosts";
+      EXPECT_EQ(stats.frames_filtered, 0u) << "switch " << s << " of " << n << " hosts";
+    }
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      EXPECT_EQ(cluster.host(i).stats().frames_in, 0u) << "host " << i;
+      EXPECT_EQ(cluster.host(i).stats().frames_filtered, 0u) << "host " << i;
+    }
+  }
+}
+
+// The paper's Figure-7 testbed keeps pure learning: the first unicast to
+// a silent host floods once on each switch it crosses and reaches every
+// bystander's NIC.
+TEST(Cluster, Figure7FloodsTheFirstUnicastOnEverySwitch) {
+  Cluster cluster(params_on(net::TopologySpec::figure7(), 31));
+  EXPECT_EQ(first_unicast(cluster, 0, 30), 1);
+  ASSERT_EQ(cluster.switches().size(), 2u);
+  for (const auto& sw : cluster.switches()) EXPECT_EQ(sw->stats().frames_flooded, 1u);
+  // Bystanders on both switches: their NICs drop the frame by MAC.
+  EXPECT_EQ(cluster.host(5).stats().frames_filtered, 1u);
+  EXPECT_EQ(cluster.host(20).stats().frames_filtered, 1u);
 }
 
 TEST(Cluster, SharedBusWiringDelivers) {

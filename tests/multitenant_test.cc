@@ -236,7 +236,7 @@ TEST(GroupDirectory, RejectsDataEndpointCollisions) {
     m.sender_control = {net::Ipv4Addr(0x0A00'0001u), control_base};
     m.receiver_control = {{net::Ipv4Addr(0x0A00'0002u), control_base},
                           {net::Ipv4Addr(0x0A00'0003u), control_base}};
-    return m;
+    return rmcast::SharedMembership(m);
   };
 
   rmcast::GroupDirectory directory;

@@ -619,5 +619,19 @@ TEST(ReceiverTree, ReportsFromNonChildrenAreStale) {
   EXPECT_EQ(u.receiver_->stats().relayed_acks_received, 0u);
 }
 
+// Only Session's receivers skip validation (they share the roster it
+// validated); a receiver built by hand still refuses a malformed roster.
+TEST(ReceiverDeathTest, HandBuiltReceiverValidatesItsRoster) {
+  rmcast::GroupMembership membership = fake_membership(kN);
+  membership.receiver_control[2] = membership.receiver_control[1];
+  FakeRuntime runtime;
+  FakeSocket data(membership.group);
+  FakeSocket control(membership.receiver_control[0]);
+  ProtocolConfig config;
+  config.kind = ProtocolKind::kAck;
+  EXPECT_DEATH(rmcast::MulticastReceiver(runtime, data, control, membership, 0, config),
+               "share control endpoint");
+}
+
 }  // namespace
 }  // namespace rmc

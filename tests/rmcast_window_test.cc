@@ -338,12 +338,16 @@ TEST(TreeLayout, LiveFullRosterMatchesStaticLayout) {
     TreeLinks a = flat_tree_links_live(id, all, h);
     TreeLinks b = flat_tree_links(id, n, h);
     EXPECT_EQ(a.has_parent, b.has_parent);
-    if (a.has_parent) EXPECT_EQ(a.parent, b.parent);
+    if (a.has_parent) {
+      EXPECT_EQ(a.parent, b.parent);
+    }
     EXPECT_EQ(a.children, b.children);
     TreeLinks ba = binary_tree_links_live(id, all);
     TreeLinks bb = binary_tree_links(id, n);
     EXPECT_EQ(ba.has_parent, bb.has_parent);
-    if (ba.has_parent) EXPECT_EQ(ba.parent, bb.parent);
+    if (ba.has_parent) {
+      EXPECT_EQ(ba.parent, bb.parent);
+    }
     EXPECT_EQ(ba.children, bb.children);
   }
 }
