@@ -2,6 +2,7 @@
 // tables; kept because it is the fastest way to see where a configuration's
 // time goes (retransmissions, drops, ACK load).
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 
@@ -127,7 +128,13 @@ int run(int argc, char** argv) {
   }
   spec.time_limit = sim::seconds(flags.get_double("limit", 5.0));
 
+  const auto host_start = std::chrono::steady_clock::now();
   harness::RunResult r = bench::run_instrumented(spec, options);
+  // Host time varies run to run, so it goes to stderr: stdout stays a
+  // deterministic golden.
+  std::fprintf(stderr, "host_seconds=%.3f\n",
+               std::chrono::duration<double>(std::chrono::steady_clock::now() - host_start)
+                   .count());
   std::printf("completed=%d seconds=%.9f (%s) error='%s'\n", r.completed, r.seconds,
               str_format("%.1fMbps", r.throughput_bps() / 1e6).c_str(), r.error.c_str());
   const auto& s = r.sender;
@@ -169,6 +176,7 @@ int run(int argc, char** argv) {
               (unsigned long long)r.link_drops);
   std::printf("sender: cpu_busy=%.4fs nic_busy=%.4fs of %.4fs\n",
               r.sender_cpu_busy_seconds, r.sender_nic_busy_seconds, r.seconds);
+  std::printf("events=%llu\n", (unsigned long long)r.events_executed);
   return 0;
 }
 

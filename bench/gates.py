@@ -485,9 +485,12 @@ def ci(g):
 GOLDEN_SKIP = {"micro_core", "posix_loopback"}
 # debug_probe scenarios run for every registry id: error-free, lossy with
 # peer repair, and bursty loss with a short receiver timeout (the NAK,
-# GROUP_NAK and decode paths).
+# GROUP_NAK and decode paths), all on the Figure-7 testbed; then 255
+# receivers on a spine-leaf fabric, which pins the datacenter forwarding
+# path.
 PROBE_SCENARIOS = [[], ["--loss=0.02", "--peer"],
-                   ["--loss=0.02", "--burst=0.01", "--rtimeout=5"]]
+                   ["--loss=0.02", "--burst=0.01", "--rtimeout=5"],
+                   ["--topo=spineleaf", "--n=255", "--bytes=131072"]]
 
 
 def digest(path, keep=None):

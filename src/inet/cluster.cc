@@ -32,7 +32,7 @@ Cluster::Cluster(ClusterParams params) : params_(std::move(params)), rng_(params
           static_cast<sim::Time>(host_params.interrupt_per_frame * f);
     }
     hosts_.push_back(std::make_unique<Host>(sim_, str_format("P%zu", i), addr, mac,
-                                            host_params));
+                                            host_params, reassembly_));
   }
   // Shared static ARP table: cluster membership never changes mid-run.
   auto resolver = [arp](net::Ipv4Addr addr) {
@@ -157,19 +157,19 @@ void Cluster::build_from_spec(const net::TopologySpec& spec) {
     switches_[trunk.sw_b]->override_port_params(trunk.port_b, trunk_link, &rng_);
   }
 
-  // Datacenter fabrics start warm: a fabric controller has installed
-  // every host's MAC in every switch before traffic starts, so no first
-  // unicast floods the fabric. The paper's testbeds (Figure 7, one
-  // switch) start empty and learn, as its switches did.
-  const bool warm_fdb = spec.kind == net::TopologyKind::kSpineLeaf ||
-                        spec.kind == net::TopologyKind::kFatTree;
+  // Datacenter fabrics are switched statically, as by a fabric controller
+  // that knows every host's seat: no first unicast floods and no switch
+  // keeps per-host state. The paper's testbeds (Figure 7, one switch)
+  // start empty and learn, as its switches did.
+  const bool static_fabric = spec.kind == net::TopologyKind::kSpineLeaf ||
+                             spec.kind == net::TopologyKind::kFatTree;
 
-  // Snooping and the warm FDB need, per host switch m and every other
+  // Snooping and static forwarding need, per host switch m and every other
   // switch s, the egress port of s toward m — the trunk-tree first hop —
   // so traffic is steered down the tree toward m only. (The two-switch
   // case degenerates to the far switch's uplink port.)
-  std::vector<std::vector<std::size_t>> routes;
-  if ((params_.multicast_snooping || warm_fdb) && switches_.size() > 1) {
+  std::vector<std::vector<std::size_t>> routes(switches_.size());
+  if ((params_.multicast_snooping || static_fabric) && switches_.size() > 1) {
     routes = net::switch_routes(wiring_);
   }
 
@@ -190,13 +190,6 @@ void Cluster::build_from_spec(const net::TopologySpec& spec) {
     host->set_nic_backlog_fn([nic] { return nic->queued_wire_bytes(); });
     nic->set_dequeue_hook([host](std::size_t bytes) { host->on_nic_dequeue(bytes); });
 
-    if (warm_fdb) {
-      sw.install_fdb_entry(host->mac(), port);
-      for (std::size_t s = 0; s < switches_.size(); ++s) {
-        if (s != at.sw) switches_[s]->install_fdb_entry(host->mac(), routes[s][at.sw]);
-      }
-    }
-
     if (params_.multicast_snooping) {
       // Joins register the host's own port, then the toward-the-member
       // port on every other switch; leaves unregister symmetrically.
@@ -216,6 +209,12 @@ void Cluster::build_from_spec(const net::TopologySpec& spec) {
               }
             }
           });
+    }
+  }
+
+  if (static_fabric) {
+    for (std::size_t s = 0; s < switches_.size(); ++s) {
+      switches_[s]->set_static_routes(s, wiring_.hosts, std::move(routes[s]));
     }
   }
 

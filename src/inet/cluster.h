@@ -7,8 +7,8 @@
 // §3 discussion raises.
 //
 // The Cluster owns the Simulator, the hosts, the switches/bus, every
-// TxPort, and the Rng used for loss injection — one object to stand up a
-// whole experiment.
+// TxPort, the Rng used for loss injection, and the ReassemblyCache its
+// hosts share — one object to stand up a whole experiment.
 #pragma once
 
 #include <cstdint>
@@ -118,6 +118,7 @@ class Cluster {
   sim::Simulator sim_;
   Rng rng_;
   net::TopologyWiring wiring_;  // compiled plan (switched wirings)
+  ReassemblyCache reassembly_;  // shared by every host
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<net::TxPort>> nics_;  // host-side transmit ports
   std::vector<std::unique_ptr<net::EthernetSwitch>> switches_;

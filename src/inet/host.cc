@@ -29,7 +29,7 @@ void Socket::send_ref(const net::Endpoint& dst, net::PayloadRef payload) {
 net::Endpoint Socket::local_endpoint() const { return {host_->addr(), port_}; }
 
 Host::Host(sim::Simulator& simulator, std::string name, net::Ipv4Addr addr,
-           net::MacAddr mac, HostParams params)
+           net::MacAddr mac, HostParams params, ReassemblyCache& reassembly)
     : sim_(simulator),
       name_(std::move(name)),
       addr_(addr),
@@ -38,7 +38,8 @@ Host::Host(sim::Simulator& simulator, std::string name, net::Ipv4Addr addr,
       reassembler_(simulator, params.reassembly_timeout,
                    [this](Datagram d, std::size_t n_fragments) {
                      deliver(std::move(d), n_fragments);
-                   }) {}
+                   },
+                   &reassembly) {}
 
 Socket* Host::open_socket() {
   auto socket = std::unique_ptr<Socket>(new Socket(this));

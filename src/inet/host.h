@@ -94,8 +94,10 @@ class Host {
     sim::Time cpu_busy = 0;
   };
 
+  // `reassembly` is the cluster's cache of finished reassemblies, shared
+  // by all its hosts (see ReassemblyCache); it must outlive the host.
   Host(sim::Simulator& simulator, std::string name, net::Ipv4Addr addr, net::MacAddr mac,
-       HostParams params);
+       HostParams params, ReassemblyCache& reassembly);
   Host(const Host&) = delete;
   Host& operator=(const Host&) = delete;
 

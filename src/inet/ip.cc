@@ -43,6 +43,24 @@ std::uint16_t load_u16(const std::uint8_t* p) {
   return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
 }
 
+// The UDP payload carried by a fragmented datagram's frame payloads
+// (`fragments`, in offset order, already validated against each other),
+// copied once into a fresh arena block of `payload_bytes`.
+net::PayloadRef join_fragments(std::span<const net::PayloadRef> fragments,
+                               std::size_t payload_bytes) {
+  net::PayloadRef out = net::PayloadRef::allocate(payload_bytes);
+  std::uint8_t* p = out.mutable_data();  // freshly allocated: always unique
+  for (std::size_t i = 0; i < fragments.size(); ++i) {
+    // Fragment 0 opens with the UDP header, which the payload leaves out.
+    const std::size_t skip = kIpHeaderBytes + (i == 0 ? kUdpHeaderBytes : 0);
+    const BytesView data = fragments[i].view().subspan(skip);
+    std::memcpy(p, data.data(), data.size());
+    p += data.size();
+  }
+  RMC_ENSURE(p == out.data() + payload_bytes, "fragments do not fill the datagram");
+  return out;
+}
+
 // Fragments of a UDP segment of `segment_bytes`.
 std::size_t segment_fragments(std::size_t segment_bytes) {
   return (segment_bytes + kIpPayloadPerFrame - 1) / kIpPayloadPerFrame;
@@ -107,9 +125,29 @@ std::size_t fragment_count(std::size_t payload_bytes) {
   return segment_fragments(kUdpHeaderBytes + payload_bytes);
 }
 
+net::PayloadRef ReassemblyCache::assemble(std::span<const net::PayloadRef> fragments,
+                                          std::size_t payload_bytes) {
+  const auto same_block = [](const net::PayloadRef& a, const net::PayloadRef& b) {
+    return a.data() == b.data();
+  };
+  for (std::size_t age = 1; age <= kEntries; ++age) {
+    const Entry& e = entries_[(next_ + kEntries - age) % kEntries];
+    if (std::equal(fragments.begin(), fragments.end(), e.fragments.begin(),
+                   e.fragments.end(), same_block)) {
+      return e.payload;
+    }
+  }
+  Entry& e = entries_[next_];
+  next_ = (next_ + 1) % kEntries;
+  e.fragments.assign(fragments.begin(), fragments.end());
+  e.payload = join_fragments(fragments, payload_bytes);
+  return e.payload;
+}
+
 Reassembler::Reassembler(sim::Simulator& simulator, sim::Time timeout,
-                         DatagramHandler on_datagram)
-    : sim_(simulator), timeout_(timeout), on_datagram_(std::move(on_datagram)) {}
+                         DatagramHandler on_datagram, ReassemblyCache* shared)
+    : sim_(simulator), timeout_(timeout), on_datagram_(std::move(on_datagram)),
+      shared_(shared) {}
 
 void Reassembler::accept(const net::PayloadRef& frame_payload) {
   const std::optional<IpFragment> parsed = IpFragment::parse(frame_payload.view());
@@ -135,42 +173,39 @@ void Reassembler::accept(const net::PayloadRef& frame_payload) {
       if (on_datagram_) on_datagram_(std::move(d), 1);
       return;
     }
-    Pending fresh;
+    Pending& fresh = pending_.emplace_back();
     fresh.src = f.src.bits();
     fresh.dst = f.dst.bits();
     fresh.ident = f.ident;
     fresh.total_bytes = f.total_bytes;
-    fresh.payload = net::PayloadRef::allocate(total - kUdpHeaderBytes);
     fresh.first_seen = sim_.now();
-    pending_.push_back(std::move(fresh));
     it = pending_.rbegin();
   }
   Pending& p = *it;
   if (p.total_bytes != f.total_bytes) return;  // inconsistent; ignore
 
-  const std::uint64_t bit = std::uint64_t{1} << (f.offset / kIpPayloadPerFrame);
+  const std::size_t index = f.offset / kIpPayloadPerFrame;
+  const std::uint64_t bit = std::uint64_t{1} << index;
   if ((p.received & bit) != 0) return;  // duplicate
   p.received |= bit;
-  std::uint8_t* out = p.payload.mutable_data();  // unique: never handed out yet
-  if (f.offset == 0) {
-    p.src_port = load_u16(f.data.data());
-    p.dst_port = load_u16(f.data.data() + 2);
-    p.length = load_u16(f.data.data() + 4);
-    std::memcpy(out, f.data.data() + kUdpHeaderBytes, f.data.size() - kUdpHeaderBytes);
-  } else {
-    std::memcpy(out + (f.offset - kUdpHeaderBytes), f.data.data(), f.data.size());
-  }
+  p.fragments[index] = frame_payload;
 
   const std::size_t n = segment_fragments(total);
   if (p.received != (std::uint64_t{1} << n) - 1) return;
-  Pending done = std::move(p);
+  const std::span<const net::PayloadRef> fragments(p.fragments.data(), n);
+  const std::uint8_t* udp = fragments[0].data() + kIpHeaderBytes;
+  std::optional<Datagram> d;
+  if (load_u16(udp + 4) == total) {
+    const std::size_t payload_bytes = total - kUdpHeaderBytes;
+    d = Datagram{net::Endpoint{net::Ipv4Addr(p.src), load_u16(udp)},
+                 net::Endpoint{net::Ipv4Addr(p.dst), load_u16(udp + 2)},
+                 shared_ != nullptr ? shared_->assemble(fragments, payload_bytes)
+                                    : join_fragments(fragments, payload_bytes),
+                 {}};
+    d->payload = d->block.view();
+  }
   pending_.erase(std::next(it).base());
-  if (done.length != done.total_bytes) return;
-  Datagram d{net::Endpoint{net::Ipv4Addr(done.src), done.src_port},
-             net::Endpoint{net::Ipv4Addr(done.dst), done.dst_port}, std::move(done.payload),
-             {}};
-  d.payload = d.block.view();
-  if (on_datagram_) on_datagram_(std::move(d), n);
+  if (d && on_datagram_) on_datagram_(std::move(*d), n);
 }
 
 void Reassembler::arm_sweep() {

@@ -5,12 +5,16 @@
 // wire, loss of any fragment losing the whole datagram, and reassembly
 // state that times out. Header fields are serialized for real (the frame
 // payload is honest bytes), but options, TTL and checksums are omitted —
-// corruption is modelled at the link layer instead.
+// corruption is modelled at the link layer instead. The hosts of one
+// cluster share finished reassemblies (ReassemblyCache), so a fragmented
+// multicast datagram is copied once per cluster, not once per receiver.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/serial.h"
@@ -28,13 +32,17 @@ inline constexpr std::size_t kIpHeaderBytes = 20;
 inline constexpr std::size_t kUdpHeaderBytes = 8;
 // IP payload per 1500-byte MTU frame.
 inline constexpr std::size_t kIpPayloadPerFrame = 1500 - kIpHeaderBytes;  // 1480
+// Fragments of the largest UDP datagram.
+inline constexpr std::size_t kMaxFragments =
+    (kUdpHeaderBytes + kMaxUdpPayload + kIpPayloadPerFrame - 1) / kIpPayloadPerFrame;  // 45
 
 // A UDP datagram as sockets receive it. `payload` views the UDP payload
 // inside `block`, which keeps those bytes alive: the sender's own block
 // for local delivery, the frame payload itself for a single-fragment
 // datagram (shared with every other host the frame reached), or the
-// reassembly block for a fragmented one. Copying a Datagram shares the
-// block; no bytes move.
+// reassembled block for a fragmented one (shared with every host of the
+// cluster that reassembled the same fragment blocks). Copying a Datagram
+// shares the block; no bytes move.
 struct Datagram {
   net::Endpoint src;
   net::Endpoint dst;
@@ -80,16 +88,49 @@ void fragment_datagram(const net::Endpoint& src, const net::Endpoint& dst,
   for (std::size_t i = 0; i < n; ++i) emit(make_fragment(src, dst, payload, ident, i));
 }
 
-// Reassembles fragments back into datagrams. A fragmented datagram's UDP
-// payload is written once, straight into a pooled arena block, with a
-// bitmap of the fragment indices received; a datagram that fits one frame
-// skips reassembly and is delivered as a view of the frame. Incomplete
-// reassemblies are discarded `timeout` after their first fragment.
+// Finished reassemblies shared by every host of one cluster. A multicast
+// datagram reaches each receiving host as the same fragment blocks, so the
+// first host to complete it copies the payload once and the others deliver
+// that block. An entry is keyed on the identity of its fragment blocks and
+// holds a reference to each: no key block can be recycled while the entry
+// names it, and a shared block copies on write, so equal keys mean equal
+// bytes. A fragment tampered in flight has its own block and misses.
+class ReassemblyCache {
+ public:
+  // Entries kept, oldest overwritten first: a datagram's receivers
+  // complete it close together in simulated time.
+  static constexpr std::size_t kEntries = 16;
+
+  // The UDP payload of a completed datagram's frame payloads
+  // (`fragments`, in offset order, validated against each other): an
+  // entry's block when one was built from exactly these blocks, else a
+  // fresh copy inserted as a new entry.
+  net::PayloadRef assemble(std::span<const net::PayloadRef> fragments,
+                           std::size_t payload_bytes);
+
+ private:
+  struct Entry {
+    std::vector<net::PayloadRef> fragments;  // the key, held
+    net::PayloadRef payload;
+  };
+  std::array<Entry, kEntries> entries_;
+  std::size_t next_ = 0;  // slot the next miss overwrites
+};
+
+// Reassembles fragments back into datagrams. A pending datagram holds a
+// reference to each fragment's frame payload, with a bitmap of the
+// fragment indices received; when the last one arrives the UDP payload is
+// joined into one block — through `shared`, when given, so the hosts of
+// one cluster copy a multicast datagram once between them. A datagram
+// that fits one frame skips reassembly and is delivered as a view of the
+// frame. Incomplete reassemblies are discarded `timeout` after their
+// first fragment.
 class Reassembler {
  public:
   using DatagramHandler = std::function<void(Datagram, std::size_t n_fragments)>;
 
-  Reassembler(sim::Simulator& simulator, sim::Time timeout, DatagramHandler on_datagram);
+  Reassembler(sim::Simulator& simulator, sim::Time timeout, DatagramHandler on_datagram,
+              ReassemblyCache* shared = nullptr);
 
   // Takes one frame payload. Malformed fragments are dropped: truncated
   // headers, offsets off the kIpPayloadPerFrame grid, lengths that do not
@@ -106,12 +147,8 @@ class Reassembler {
     std::uint32_t dst = 0;
     std::uint16_t ident = 0;
     std::uint32_t total_bytes = 0;  // UDP segment size
-    net::PayloadRef payload;        // UDP payload under assembly
+    std::array<net::PayloadRef, kMaxFragments> fragments;  // by index, as received
     std::uint64_t received = 0;     // bit i: fragment i arrived
-    // UDP header, from fragment 0.
-    std::uint16_t src_port = 0;
-    std::uint16_t dst_port = 0;
-    std::uint16_t length = 0;
     sim::Time first_seen = 0;
   };
 
@@ -121,6 +158,7 @@ class Reassembler {
   sim::Simulator& sim_;
   sim::Time timeout_;
   DatagramHandler on_datagram_;
+  ReassemblyCache* shared_;
   // A handful at most (only fragmented datagrams wait here), so a vector
   // searched linearly: no per-datagram node allocation.
   std::vector<Pending> pending_;

@@ -40,9 +40,23 @@ FrameSink EthernetSwitch::attach(std::size_t port, FrameSink deliver) {
   return [this, port](const Frame& frame) { handle_frame(port, frame); };
 }
 
-void EthernetSwitch::install_fdb_entry(MacAddr station, std::size_t port) {
-  RMC_ENSURE(port < ports_.size(), "switch port out of range");
-  fdb_[station] = port;
+void EthernetSwitch::set_static_routes(std::size_t self,
+                                       std::span<const HostAttachment> hosts,
+                                       std::vector<std::size_t> first_hop) {
+  RMC_ENSURE(!hosts.empty(), "static forwarding needs the host table");
+  self_ = self;
+  static_hosts_ = hosts;
+  first_hop_ = std::move(first_hop);
+}
+
+std::size_t EthernetSwitch::unicast_port(MacAddr dst) const {
+  if (static_hosts_.empty()) {
+    const auto it = fdb_.find(dst);
+    return it == fdb_.end() ? kUnknown : it->second;
+  }
+  if (!dst.is_host() || dst.host_number() >= static_hosts_.size()) return kUnknown;
+  const HostAttachment& at = static_hosts_[dst.host_number()];
+  return at.sw == self_ ? at.port : first_hop_[at.sw];
 }
 
 void EthernetSwitch::set_tracer(trace::Tracer* tracer, const std::string& prefix) {
@@ -70,14 +84,15 @@ void EthernetSwitch::handle_frame(std::size_t ingress_port, const Frame& frame) 
     return;
   }
   // Learn the station behind the ingress port. Group addresses are never
-  // valid sources, so no check is needed before learning.
-  fdb_[frame.src] = ingress_port;
+  // valid sources, so no check is needed before learning. A static switch
+  // learns nothing: on a trunk tree it could only rewrite the same port.
+  if (static_hosts_.empty()) fdb_[frame.src] = ingress_port;
 
   if (!frame.is_group_addressed()) {
-    if (auto it = fdb_.find(frame.dst); it != fdb_.end()) {
-      if (it->second != ingress_port) {
+    if (const std::size_t egress = unicast_port(frame.dst); egress != kUnknown) {
+      if (egress != ingress_port) {
         ++stats_.frames_forwarded;
-        enqueue(it->second, frame);
+        enqueue(egress, frame);
       } else {
         // Destination is behind the ingress port: filter (drop) the frame.
         ++stats_.frames_filtered;

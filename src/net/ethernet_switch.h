@@ -1,23 +1,27 @@
-// Store-and-forward learning Ethernet switch.
+// Store-and-forward Ethernet switch.
 //
 // Models the 3Com SuperStack-class switches of the reproduced testbed:
 // each port has a drop-tail output queue draining at the link rate; frames
 // incur a fixed forwarding latency between full reception and enqueue on
-// the egress port. Unicast destinations are learned from source addresses
-// and forwarded point-to-point; group-addressed (multicast/broadcast) and
-// unknown-unicast frames flood to every port except the ingress — this is
-// what makes IP multicast cost one transmission per segment, the property
-// the paper's protocols exploit. The Figure-7 and single-switch fabrics
-// start with an empty FDB and learn; datacenter fabrics (spine-leaf,
-// fat-tree) start with every host installed, as a fabric controller
-// would (install_fdb_entry), and learning then re-confirms those ports.
+// the egress port. Unicast destinations are forwarded point-to-point;
+// group-addressed (multicast/broadcast) and unknown-unicast frames flood
+// to every port except the ingress — this is what makes IP multicast cost
+// one transmission per segment, the property the paper's protocols
+// exploit. By default the switch learns source addresses into a hash FDB,
+// starting empty, as the Figure-7 and single-switch testbeds did.
+// Datacenter fabrics (spine-leaf, fat-tree) are switched statically
+// instead (set_static_routes): a host-addressed unicast is looked up by
+// host number in the cluster's wiring table, nothing is learned, and the
+// switch keeps O(switches) state of its own rather than an entry per host.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "net/topology.h"
 #include "net/tx_port.h"
 
 namespace rmc::net {
@@ -52,10 +56,15 @@ class EthernetSwitch {
   // before the port is attached: the replacement discards any sink.
   void override_port_params(std::size_t port, LinkParams params, Rng* rng = nullptr);
 
-  // Installs `station` behind `port` in the forwarding database, as a
-  // fabric controller pushing host reachability would. Learning still
-  // runs: a frame from `station` on another port overwrites the entry.
-  void install_fdb_entry(MacAddr station, std::size_t port);
+  // Switches statically from now on, as a fabric controller that knows
+  // every host's seat would: a unicast to host h (MacAddr::host(h), h <
+  // hosts.size()) leaves on h's own port when hosts[h].sw == self, else
+  // on first_hop[hosts[h].sw], this switch's trunk-tree first hop toward
+  // h's switch (its row of switch_routes()). Any other unicast floods, and
+  // nothing is learned. `hosts` is the cluster's wiring table, shared by
+  // all its switches; it must outlive this switch.
+  void set_static_routes(std::size_t self, std::span<const HostAttachment> hosts,
+                         std::vector<std::size_t> first_hop);
 
   // Ingress entry point (what attach() returns, exposed for tests).
   void handle_frame(std::size_t ingress_port, const Frame& frame);
@@ -97,7 +106,11 @@ class EthernetSwitch {
   std::size_t max_port_queue_now() const;
 
  private:
+  // Egress port of a unicast to `dst`, or kUnknown to flood.
+  std::size_t unicast_port(MacAddr dst) const;
   void enqueue(std::size_t egress_port, const Frame& frame);
+
+  static constexpr std::size_t kUnknown = static_cast<std::size_t>(-1);
 
   sim::Simulator& sim_;
   SwitchParams params_;
@@ -105,7 +118,11 @@ class EthernetSwitch {
   std::uint16_t ingress_track_ = 0;
   std::vector<std::unique_ptr<TxPort>> ports_;
   std::vector<bool> port_up_;
-  std::unordered_map<MacAddr, std::size_t> fdb_;  // forwarding database
+  std::unordered_map<MacAddr, std::size_t> fdb_;  // learned; unused when static
+  // Static forwarding (empty hosts: learning instead).
+  std::size_t self_ = 0;
+  std::span<const HostAttachment> static_hosts_;
+  std::vector<std::size_t> first_hop_;
   // group MAC -> port -> registration count.
   std::unordered_map<MacAddr, std::unordered_map<std::size_t, int>> group_ports_;
   Stats stats_;

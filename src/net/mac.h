@@ -21,6 +21,9 @@ class MacAddr {
   static constexpr MacAddr host(std::uint32_t n) {
     return MacAddr(0x0200'0000'0000ULL | n);
   }
+  // Whether this is some host(n), and that n.
+  constexpr bool is_host() const { return (bits_ >> 32) == 0x0200; }
+  constexpr std::uint32_t host_number() const { return static_cast<std::uint32_t>(bits_); }
 
   // RFC 1112 §6.4 mapping of an IPv4 multicast group onto an Ethernet
   // multicast MAC: 01:00:5e + low 23 bits of the group address.

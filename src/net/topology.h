@@ -16,10 +16,13 @@
 // parallel cables, which preserves aggregate bandwidth while keeping the
 // flood-safe tree.
 //
-// Datacenter shapes (kSpineLeaf, kFatTree) start with a controller-
-// installed forwarding database: inet::Cluster installs every host in
-// every switch along switch_routes(), so no first unicast floods. The
-// paper's shapes (kSingleSwitch, kTwoSwitch) start empty and learn.
+// Datacenter shapes (kSpineLeaf, kFatTree) are switched statically, as
+// by a fabric controller: inet::Cluster hands every switch the host
+// attachment table and its own row of switch_routes(), so a unicast to a
+// host is a table lookup, no first unicast floods, and forwarding state
+// is O(hosts + switches^2) for the whole fabric instead of an FDB entry
+// per host per switch. The paper's shapes (kSingleSwitch, kTwoSwitch)
+// start with an empty FDB and learn.
 #pragma once
 
 #include <cstddef>
@@ -125,9 +128,10 @@ TopologyWiring build_wiring(const TopologySpec& spec, std::size_t n_hosts);
 
 // For every ordered switch pair (s, t != s): the egress port on s of the
 // first hop toward t along the trunk tree. routes[s][s] is SIZE_MAX.
-// Used for IGMP-snooping registration: a member on switch m registers the
+// Used for IGMP-snooping registration (a member on switch m registers the
 // group on routes[s][m] of every other switch s, so group traffic is
-// steered down the tree toward members only.
+// steered down the tree toward members only) and for static forwarding
+// (row s is switch s's first-hop table).
 std::vector<std::vector<std::size_t>> switch_routes(const TopologyWiring& wiring);
 
 }  // namespace rmc::net

@@ -2,7 +2,10 @@
 // host CPU model, socket semantics, buffer overflow, and topologies.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <deque>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -464,6 +467,95 @@ TEST(Reassembly, InterleavedDatagramsDoNotCorrupt) {
   EXPECT_EQ(out[1], second);
 }
 
+// Three reassemblers sharing one cache, as the hosts of one cluster do.
+class SharedReassembly : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kHosts = 3;
+
+  SharedReassembly() : in_(pattern(4000)) {  // 4008 B segment: 3 fragments
+    for (std::size_t h = 0; h < kHosts; ++h) {
+      hosts_.push_back(std::make_unique<Reassembler>(
+          sim_, sim::milliseconds(100),
+          [this, h](Datagram d, std::size_t) { out_[h].push_back(std::move(d)); }, &cache_));
+    }
+  }
+
+  sim::Simulator sim_;
+  ReassemblyCache cache_;
+  Buffer in_;
+  std::array<std::vector<Datagram>, kHosts> out_;
+  std::vector<std::unique_ptr<Reassembler>> hosts_;
+};
+
+TEST_F(SharedReassembly, OutOfOrderAndDuplicateFragmentsStillShareOneBlock) {
+  const auto f = fragments_of(in_, 30);
+  ASSERT_EQ(f.size(), 3u);
+  for (const auto& frag : f) hosts_[0]->accept(frag);
+  for (std::size_t i = f.size(); i-- > 0;) hosts_[1]->accept(f[i]);
+  for (std::size_t i : {1, 1, 0, 1, 0, 2}) hosts_[2]->accept(f[i]);
+  for (std::size_t h = 0; h < kHosts; ++h) {
+    ASSERT_EQ(out_[h].size(), 1u) << "host " << h;
+    EXPECT_EQ(bytes_of(out_[h][0]), in_) << "host " << h;
+    EXPECT_EQ(out_[h][0].block.data(), out_[0][0].block.data()) << "host " << h;
+    EXPECT_EQ(hosts_[h]->pending(), 0u);
+  }
+}
+
+TEST_F(SharedReassembly, TamperedFragmentGetsItsOwnCorrectBlock) {
+  // One host's copy of fragment 1 had a byte flipped in flight; the flip
+  // copied on write, so only that host holds the altered block. Whether
+  // it completes first or between the others, it must deliver what it
+  // received and the others what was sent.
+  for (std::size_t tampered_host : {std::size_t{0}, std::size_t{1}}) {
+    const std::uint16_t ident = static_cast<std::uint16_t>(40 + tampered_host);
+    const auto f = fragments_of(in_, ident);
+    net::PayloadRef bad = f[1];
+    bad.mutable_data()[kIpHeaderBytes + 10] ^= 0x80;
+    ASSERT_NE(bad.data(), f[1].data());
+    Buffer altered = in_;
+    altered[kIpPayloadPerFrame - kUdpHeaderBytes + 10] ^= 0x80;
+
+    for (auto& out : out_) out.clear();
+    for (std::size_t h = 0; h < kHosts; ++h) {
+      for (std::size_t i = 0; i < f.size(); ++i) {
+        hosts_[h]->accept(h == tampered_host && i == 1 ? bad : f[i]);
+      }
+    }
+    const std::size_t clean = tampered_host == 0 ? 1 : 0;
+    for (std::size_t h = 0; h < kHosts; ++h) {
+      ASSERT_EQ(out_[h].size(), 1u) << "host " << h;
+      if (h == tampered_host) {
+        EXPECT_EQ(bytes_of(out_[h][0]), altered) << "tampered host " << h;
+        EXPECT_NE(out_[h][0].block.data(), out_[clean][0].block.data());
+      } else {
+        EXPECT_EQ(bytes_of(out_[h][0]), in_) << "host " << h;
+        EXPECT_EQ(out_[h][0].block.data(), out_[clean][0].block.data()) << "host " << h;
+      }
+    }
+  }
+}
+
+TEST_F(SharedReassembly, CacheEntriesPinTheirFragmentBlocks) {
+  // Every completed datagram is remembered by the blocks it was built
+  // from, and holds them: a block an entry names cannot be recycled into
+  // another datagram's fragment while the entry lives.
+  const auto f = fragments_of(in_, 50);
+  for (const auto& frag : f) hosts_[0]->accept(frag);
+  for (const auto& frag : f) EXPECT_EQ(frag.ref_count(), 2u);
+  // Older entries give way once kEntries newer datagrams completed.
+  for (std::uint16_t i = 0; i < ReassemblyCache::kEntries; ++i) {
+    for (const auto& frag : fragments_of(in_, static_cast<std::uint16_t>(100 + i))) {
+      hosts_[0]->accept(frag);
+    }
+  }
+  for (const auto& frag : f) EXPECT_EQ(frag.ref_count(), 1u);
+  // The evicted datagram is rebuilt, correctly, as a fresh block.
+  for (const auto& frag : f) hosts_[1]->accept(frag);
+  ASSERT_EQ(out_[1].size(), 1u);
+  EXPECT_EQ(bytes_of(out_[1][0]), in_);
+  EXPECT_NE(out_[1][0].block.data(), out_[0][0].block.data());
+}
+
 TEST(Cluster, TwoSwitchTopologyMatchesFigure7) {
   ClusterParams params;
   params.n_hosts = 31;
@@ -592,29 +684,125 @@ ClusterParams params_on(net::TopologySpec topology, std::size_t n_hosts) {
   return params;
 }
 
-// Datacenter fabrics start with every host in every switch's FDB, so even
-// the very first unicast between two leaves goes point-to-point: no
-// switch floods it and no bystander's NIC sees it.
-TEST(Cluster, DatacenterFabricsForwardTheFirstUnicastWithoutFlooding) {
+// The hosts of one cluster reassemble a fragmented multicast datagram
+// into one block between them: the first to complete it copies, the rest
+// deliver that block.
+TEST(Cluster, MulticastReceiversShareOneReassembledBlock) {
+  const std::size_t n = 12;
+  Cluster cluster(params_on(net::TopologySpec::spine_leaf(4, 2), n));
+  net::Ipv4Addr group(239, 0, 0, 1);
+  std::vector<Datagram> got;
+  for (std::size_t i = 1; i < n; ++i) {
+    Socket* rx = cluster.host(i).open_socket();
+    rx->bind(7000);
+    rx->join(group);
+    rx->set_handler([&](const Datagram& d) { got.push_back(d); });
+  }
+  const Buffer payload = pattern(8000);  // 6 fragments
+  cluster.host(0).open_socket()->send_to({group, 7000},
+                                         BytesView(payload.data(), payload.size()));
+  cluster.simulator().run();
+  ASSERT_EQ(got.size(), n - 1);
+  for (const Datagram& d : got) {
+    EXPECT_EQ(bytes_of(d), payload);
+    EXPECT_EQ(d.block.data(), got[0].block.data());
+  }
+}
+
+// Datacenter fabrics switch statically: every unicast between two hosts
+// is forwarded once by each switch on its trunk-tree path and by no other
+// switch; nothing floods, nothing is filtered, no bystander sees it.
+TEST(Cluster, DatacenterFabricsForwardEveryUnicastAlongTheTreePathOnly) {
   const std::pair<net::TopologySpec, std::size_t> fabrics[] = {
-      {net::TopologySpec::spine_leaf(4, 2), 12},      // 3 leaves under a spine
-      {net::TopologySpec::fat_tree(4, 2, 2, 2), 20},  // 3 pods, 5 edges, core
+      {net::TopologySpec::spine_leaf(4, 2), 12},
+      {net::TopologySpec::fat_tree(4, 2, 2, 2), 20},
   };
   for (const auto& [topology, n] : fabrics) {
     Cluster cluster(params_on(topology, n));
-    ASSERT_GT(cluster.switches().size(), 3u);
-    ASSERT_NE(cluster.wiring().hosts[0].sw, cluster.wiring().hosts[n - 1].sw);
-    EXPECT_EQ(first_unicast(cluster, 0, n - 1), 1);
-    for (std::size_t s = 0; s < cluster.switches().size(); ++s) {
-      const net::EthernetSwitch::Stats& stats = cluster.switches()[s]->stats();
-      EXPECT_EQ(stats.frames_flooded, 0u) << "switch " << s << " of " << n << " hosts";
-      EXPECT_EQ(stats.frames_filtered, 0u) << "switch " << s << " of " << n << " hosts";
+    const net::TopologyWiring& w = cluster.wiring();
+    const std::size_t n_switches = w.switches.size();
+    // The tree path between two switches, from a breadth-first search
+    // over the trunks (independent of the routes the switches use).
+    std::vector<std::vector<std::size_t>> adj(n_switches);
+    for (const net::TrunkPlan& t : w.trunks) {
+      adj[t.sw_a].push_back(t.sw_b);
+      adj[t.sw_b].push_back(t.sw_a);
     }
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-      EXPECT_EQ(cluster.host(i).stats().frames_in, 0u) << "host " << i;
+    const auto path = [&](std::size_t from, std::size_t to) {
+      std::vector<std::size_t> toward(n_switches, n_switches);  // next hop toward `to`
+      std::deque<std::size_t> queue{to};
+      toward[to] = to;
+      while (!queue.empty()) {
+        const std::size_t cur = queue.front();
+        queue.pop_front();
+        for (std::size_t next : adj[cur]) {
+          if (toward[next] != n_switches) continue;
+          toward[next] = cur;
+          queue.push_back(next);
+        }
+      }
+      std::vector<std::size_t> hops{from};
+      while (hops.back() != to) hops.push_back(toward[hops.back()]);
+      return hops;
+    };
+
+    std::vector<int> got(n, 0);
+    std::vector<Socket*> sockets;
+    for (std::size_t i = 0; i < n; ++i) {
+      sockets.push_back(cluster.host(i).open_socket());
+      sockets.back()->bind(7000);
+      sockets.back()->set_handler([&got, i](const Datagram&) { ++got[i]; });
+    }
+    std::vector<std::uint64_t> expected(n_switches, 0);
+    const Buffer payload = pattern(100);
+    for (std::size_t from = 0; from < n; ++from) {
+      for (std::size_t to = 0; to < n; ++to) {
+        if (to == from) continue;
+        for (std::size_t s : path(w.hosts[from].sw, w.hosts[to].sw)) ++expected[s];
+        sockets[from]->send_to({Cluster::host_addr(to), 7000},
+                               BytesView(payload.data(), payload.size()));
+        cluster.simulator().run();
+      }
+    }
+    for (std::size_t s = 0; s < n_switches; ++s) {
+      const net::EthernetSwitch::Stats& stats = cluster.switches()[s]->stats();
+      EXPECT_EQ(stats.frames_forwarded, expected[s]) << "switch " << s << " of " << n;
+      EXPECT_EQ(stats.frames_flooded, 0u) << "switch " << s << " of " << n;
+      EXPECT_EQ(stats.frames_filtered, 0u) << "switch " << s << " of " << n;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(got[i], static_cast<int>(n - 1)) << "host " << i;
+      EXPECT_EQ(cluster.host(i).stats().frames_in, n - 1) << "host " << i;
       EXPECT_EQ(cluster.host(i).stats().frames_filtered, 0u) << "host " << i;
     }
   }
+}
+
+// A datacenter switch knows hosts, not stations: a unicast to a MAC that
+// is no host of the cluster floods, and a frame whose source claims a
+// host from the wrong port teaches the switch nothing.
+TEST(Cluster, DatacenterFabricsFloodNonHostUnicastAndDoNotLearn) {
+  const std::size_t n = 12;
+  Cluster cluster(params_on(net::TopologySpec::spine_leaf(4, 2), n));
+  net::EthernetSwitch& leaf = *cluster.switches()[0];  // hosts 0..3 on ports 0..3
+  const Buffer payload = pattern(64);
+  const net::MacAddr strangers[] = {net::MacAddr::host(static_cast<std::uint32_t>(n)),
+                                    net::MacAddr(0x0A00'0000'0001ULL)};
+  for (const net::MacAddr& dst : strangers) {
+    leaf.handle_frame(0, net::make_frame(dst, net::MacAddr::host(0), payload));
+  }
+  cluster.simulator().run();
+  EXPECT_EQ(leaf.stats().frames_flooded, 2u);
+  EXPECT_EQ(leaf.stats().frames_forwarded, 0u);
+  // Host 5 (on another leaf) spoofed from port 1, then a frame to host 5:
+  // a learning switch would send it back out of port 1.
+  leaf.handle_frame(1, net::make_frame(net::MacAddr::host(2), net::MacAddr::host(5), payload));
+  leaf.handle_frame(0, net::make_frame(net::MacAddr::host(5), net::MacAddr::host(0), payload));
+  cluster.simulator().run();
+  EXPECT_EQ(leaf.stats().frames_forwarded, 2u);
+  EXPECT_EQ(leaf.stats().frames_flooded, 2u);
+  EXPECT_EQ(cluster.host(1).stats().frames_filtered, 2u);  // the two floods only
+  EXPECT_EQ(cluster.host(5).stats().frames_in, 1u);
 }
 
 // The paper's Figure-7 testbed keeps pure learning: the first unicast to

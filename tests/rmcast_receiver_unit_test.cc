@@ -619,6 +619,92 @@ TEST(ReceiverTree, ReportsFromNonChildrenAreStale) {
   EXPECT_EQ(u.receiver_->stats().relayed_acks_received, 0u);
 }
 
+// FakeRuntime whose modelled CPU costs take simulated time: run_cost()
+// completes `cost` later, on advance(), so work can be caught in flight.
+class CostedRuntime final : public rt::Runtime {
+ public:
+  sim::Time now() override { return clock_.now(); }
+  rt::TimerId schedule_after(sim::Time delay, std::function<void()> fn) override {
+    return clock_.schedule_after(delay, std::move(fn));
+  }
+  void cancel(rt::TimerId id) override { clock_.cancel(id); }
+  void run_cost(sim::Time cost, std::function<void()> fn) override {
+    clock_.schedule_after(cost, std::move(fn));
+  }
+  void advance(sim::Time delta) { clock_.advance(delta); }
+
+ private:
+  FakeRuntime clock_;
+};
+
+// EC-XOR parity of `group` (k blocks of data_packet()'s filler) in a
+// PARITY packet.
+Buffer xor_parity_packet(std::uint32_t session, std::uint32_t group, std::size_t k,
+                         std::size_t len) {
+  Writer w;
+  rmcast::write_header(w, Header{PacketType::kParity, 0, rmcast::kSenderNodeId, session,
+                                 group});
+  std::uint8_t fold = 0;
+  for (std::size_t i = 0; i < k; ++i) fold ^= static_cast<std::uint8_t>(group * k + i);
+  const Buffer body(len, fold);
+  w.bytes(BytesView(body.data(), body.size()));
+  return w.take();
+}
+
+// The tail group's parity arrives while the previous group's decode is in
+// flight, and then the stream goes silent. Everything the tail group
+// needs is held once that decode drains, but a finished decode does not
+// try the next group, and nothing else arrives to: the tail group decodes
+// only when the inactivity timer fires, receiver_timeout after the last
+// arrival. This pins that wait; a receiver that tries the next group
+// after the drain delivers at the first decode's completion instead.
+TEST(ReceiverFec, TailGroupDecodableDuringAnInFlightDecodeWaitsForSilence) {
+  CostedRuntime runtime;
+  const rmcast::GroupMembership membership = fake_membership(kN);
+  FakeSocket data(membership.group);
+  FakeSocket control(membership.receiver_control[0]);
+  ProtocolConfig config;
+  config.kind = ProtocolKind::kEcXor;
+  config.packet_size = 100;
+  config.fec.k = 4;
+  config.fec.m = 1;
+  config.window_size = 8;
+  config.selective_repeat = true;
+  config.receiver_driven_timeouts = true;
+  config.receiver_timeout = sim::milliseconds(30);
+  rmcast::MulticastReceiver receiver(runtime, data, control, membership, 0, config);
+  sim::Time delivered_at = -1;
+  Buffer message;
+  receiver.set_message_handler([&](const Buffer& m, std::uint32_t) {
+    delivered_at = runtime.now();
+    message = m;
+  });
+
+  const auto& from = membership.sender_control;
+  data.inject(from, alloc_packet(1, 800, 100, 8));  // groups {0..3} and {4..7}
+  // Group 0 loses block 1; its parity starts a decode.
+  for (std::uint32_t seq : {0u, 2u, 3u}) data.inject(from, data_packet(1, seq, 0, 100));
+  data.inject(from, xor_parity_packet(1, 0, 4, 100));
+  // While that decode runs, the tail group arrives without block 5.
+  for (std::uint32_t seq : {4u, 6u}) data.inject(from, data_packet(1, seq, 0, 100));
+  data.inject(from, data_packet(1, 7, rmcast::kFlagLast, 100));
+  data.inject(from, xor_parity_packet(1, 1, 4, 100));
+  EXPECT_EQ(receiver.stats().fec_decodes, 0u);
+
+  runtime.advance(sim::milliseconds(1));  // well past one 400-byte decode
+  EXPECT_EQ(receiver.stats().fec_decodes, 1u);
+  EXPECT_EQ(delivered_at, -1);  // the tail group is decodable but waits
+
+  runtime.advance(config.receiver_timeout);
+  EXPECT_EQ(receiver.stats().fec_decodes, 2u);
+  ASSERT_GE(delivered_at, config.receiver_timeout);
+  EXPECT_EQ(receiver.stats().group_naks_sent, 0u);  // parity covered it
+  ASSERT_EQ(message.size(), 800u);
+  for (std::size_t i = 0; i < message.size(); ++i) {
+    ASSERT_EQ(message[i], static_cast<std::uint8_t>(i / 100)) << "byte " << i;
+  }
+}
+
 // Only Session's receivers skip validation (they share the roster it
 // validated); a receiver built by hand still refuses a malformed roster.
 TEST(ReceiverDeathTest, HandBuiltReceiverValidatesItsRoster) {
