@@ -261,7 +261,8 @@ def sweep_speedup(g):
 # noisy estimate of its true cost. Every ratio (field, numerator,
 # denominator) lands in the report; the first one is gated against
 # `limit` (op, threshold). `rate` copies a throughput counter into the
-# report as <series>_<suffix>.
+# report as <series>_<suffix>. An entry with no `ratios` only records its
+# series for a later gate to read.
 MICRO_GATES = [
     # The sender asks its per-packet policy through a virtual engine
     # interface; dispatch may cost at most 5% over direct calls.
@@ -269,14 +270,13 @@ MICRO_GATES = [
          report="BENCH_engine_refactor.json", benchmark="window_cycle",
          series={"direct": "BM_WindowCycle", "engine": "BM_EngineWindowCycle"},
          ratios=[("engine_over_direct", "engine", "direct")], limit=("<=", 1.05)),
-    # The pooled-wheel core exists to make cancel/re-arm-heavy sweeps fast:
-    # 2x the legacy heap on RTO-shaped churn. Its absolute events/sec is
-    # the ci suite's cross-run ratchet input.
-    dict(label="micro_core event-core gate", filter="^BM_EventChurn/",
+    # The event core's absolute events/sec on RTO-shaped churn: the ci
+    # suite's cross-run ratchet input. The series keeps its old name,
+    # "pooled", so existing per-machine baselines still read.
+    dict(label="micro_core event-core throughput", filter="^BM_EventChurn/0$",
          report="BENCH_sim_core.json", benchmark="event_churn",
-         series={"pooled": "BM_EventChurn/0", "legacy": "BM_EventChurn/1"},
-         rate=("items_per_second", "events_per_sec"),
-         ratios=[("speedup", "legacy", "pooled")], limit=(">=", 2.0)),
+         series={"pooled": "BM_EventChurn/0"},
+         rate=("items_per_second", "events_per_sec")),
     # Every instrumented tier guards its hooks with one null-pointer test,
     # and that is all an untraced run may pay: within 5% of the plain churn.
     dict(label="micro_core trace-overhead gate", filter="^BM_EventChurn(NullTrace)?/0$",
@@ -315,6 +315,10 @@ def micro_ratio(g, spec):
         report[f"{series}_cpu_time_ns"] = best[name]["cpu_time"]
         if rate:
             report[f"{series}_{suffix}"] = best[name].get(rate, 0.0)
+    if "ratios" not in spec:
+        write_json(g.build / spec["report"], report)
+        print(f"{spec['benchmark']}: {report} ({g.build / spec['report']})")
+        return
     ratios = [report[f"{num}_cpu_time_ns"] / report[f"{den}_cpu_time_ns"]
               for _, num, den in spec["ratios"]]
     for (field, _, _), ratio in zip(spec["ratios"], ratios):
@@ -441,9 +445,9 @@ def xl_events_per_sec(path):
 # machine, failing on a drop below 0.95x. The baseline seeds itself on the
 # first run and ratchets up whenever a run beats it, so a slow creep cannot
 # hide under the floor; delete it to reset (it is per-machine state, not a
-# committed artifact). The event core's absolute events/sec complements the
-# smoke suite's in-process 2x ratio; the XL sweep's events/sec guards
-# against an O(log N)-shaped but constant-factor-slower roster tier.
+# committed artifact). The event core's absolute events/sec guards the
+# simulator's hot loop; the XL sweep's events/sec guards against an
+# O(log N)-shaped but constant-factor-slower roster tier.
 RATCHETS = [
     ("event-core throughput gate", "BENCH_sim_core.json",
      lambda path: load(path)["pooled_events_per_sec"]),

@@ -56,17 +56,19 @@ void BM_SimulatorCancelHeavy(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorCancelHeavy);
 
-// The fast-path event-core gate: a schedule/cancel/re-arm churn in the
-// shape of the sender's RTO and poll timers — every ACK cancels the
-// pending timeout and arms a fresh one, with a capture big enough (~32
-// bytes) to be realistic but still inline in the pooled core.
-// bench/smoke.sh runs this for both cores and fails unless the pooled
-// wheel clears 2x the legacy heap's events/sec.
+// The event-core churn: a schedule/cancel/re-arm pattern in the shape of
+// the sender's RTO and poll timers — every ACK cancels the pending timeout
+// and arms a fresh one, with a capture big enough (~32 bytes) to be
+// realistic but still inline in the event record. bench/gates.py records
+// its events/sec in BENCH_sim_core.json (the ci throughput ratchet's
+// input) and gates BM_EventChurnNullTrace against it.
+//
+// The argument is unused. It stays so the run name stays BM_EventChurn/0:
+// the ledger (bench/ledger/run.py, sim.event_churn_ns) and the gates look
+// it up by that exact name.
 void BM_EventChurn(benchmark::State& state) {
-  const auto core = static_cast<sim::EventCoreKind>(state.range(0));
-  state.SetLabel(sim::event_core_name(core));
   for (auto _ : state) {
-    sim::Simulator sim(core);
+    sim::Simulator sim;
     std::uint64_t sink = 0;
     std::array<std::uint64_t, 3> ctx{1, 2, 3};  // 32-byte capture with &sink
     sim::EventId rto = sim::kInvalidEventId;
@@ -82,20 +84,17 @@ void BM_EventChurn(benchmark::State& state) {
   // Two schedules + one cancel per iteration-step is ~2 executed events.
   state.SetItemsProcessed(state.iterations() * 2000);
 }
-BENCHMARK(BM_EventChurn)
-    ->Arg(static_cast<int>(sim::EventCoreKind::kPooledWheel))
-    ->Arg(static_cast<int>(sim::EventCoreKind::kLegacyHeap));
+BENCHMARK(BM_EventChurn)->Arg(0);
 
 // The tracing-disabled overhead gate: BM_EventChurn's exact churn with the
 // null-sink hook pattern added to every executed event — load the tracer
-// pointer, test, skip. bench/smoke.sh fails if this runs more than 5%
-// slower than BM_EventChurn on the pooled core (the default), i.e. if
-// untraced runs ever start paying for the tracing subsystem.
+// pointer, test, skip. bench/gates.py fails if this runs more than 5%
+// slower than BM_EventChurn, i.e. if untraced runs ever start paying for
+// the tracing subsystem. Its Arg(0) keeps the run name the gate pairs with
+// BM_EventChurn/0.
 void BM_EventChurnNullTrace(benchmark::State& state) {
-  const auto core = static_cast<sim::EventCoreKind>(state.range(0));
-  state.SetLabel(sim::event_core_name(core));
   for (auto _ : state) {
-    sim::Simulator sim(core);
+    sim::Simulator sim;
     std::uint64_t sink = 0;
     std::array<std::uint64_t, 3> ctx{1, 2, 3};  // 32-byte capture with &sink
     sim::EventId rto = sim::kInvalidEventId;
@@ -119,15 +118,12 @@ void BM_EventChurnNullTrace(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2000);
 }
-BENCHMARK(BM_EventChurnNullTrace)
-    ->Arg(static_cast<int>(sim::EventCoreKind::kPooledWheel));
+BENCHMARK(BM_EventChurnNullTrace)->Arg(0);
 
 // Cancel + re-arm of one timer, the tightest loop the RTO path has: no
 // event ever fires, so this isolates the bookkeeping cost of arming.
 void BM_TimerRearm(benchmark::State& state) {
-  const auto core = static_cast<sim::EventCoreKind>(state.range(0));
-  state.SetLabel(sim::event_core_name(core));
-  sim::Simulator sim(core);
+  sim::Simulator sim;
   sim::EventId id = sim.schedule_at(1'000'000'000, [] {});
   for (auto _ : state) {
     sim.cancel(id);
@@ -135,9 +131,7 @@ void BM_TimerRearm(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(id);
 }
-BENCHMARK(BM_TimerRearm)
-    ->Arg(static_cast<int>(sim::EventCoreKind::kPooledWheel))
-    ->Arg(static_cast<int>(sim::EventCoreKind::kLegacyHeap));
+BENCHMARK(BM_TimerRearm);
 
 // Switch-flood fan-out: one MTU-sized payload handed to N egress frames.
 // With the frame arena this is N refcount bumps on one block; the bytes

@@ -28,7 +28,7 @@
 //
 // Events carry integer sim-time nanoseconds and integer operands, so a
 // trace is bit-reproducible: the determinism suite compares whole traces
-// across seeds, event cores and sweep parallelism.
+// across repeated same-seed runs and sweep parallelism.
 //
 // Layering: this header lives in common and knows nothing about rmcast.
 // Packet tags are minted by an installable PacketTagger callback — the

@@ -1,9 +1,5 @@
-// Slab-pooled event records for the simulation core.
-//
-// Every scheduled event used to cost a std::function (heap allocation for
-// any capture over two words), an unordered_map emplace and an
-// unordered_set probe on cancel. The pool replaces all of that with one
-// flat record per event:
+// Slab-pooled event records for the simulation core: one flat record per
+// event, with no per-event allocation or hashing.
 //
 //   * callback storage is inline (kInlineCallbackBytes of small-buffer
 //     space — enough for [this] plus a few scalars, which is what every
@@ -67,8 +63,10 @@ class EventFn {
   bool engaged() const { return vtable_ != nullptr; }
 
   // Invokes the stored callable in place. The caller must keep the record
-  // alive for the duration (the simulator detaches the record and bumps
-  // its generation first, so re-entrant schedule/cancel is safe).
+  // alive for the duration. The simulator unlinks the record from the
+  // wheel and clears `armed` first, so a callback that cancels its own id
+  // is a no-op and anything it schedules gets a different record; the
+  // generation is bumped only afterwards, when the record is released.
   void invoke() {
     RMC_ENSURE(vtable_ != nullptr, "invoking an empty event callback");
     vtable_->invoke(storage_);

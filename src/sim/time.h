@@ -20,7 +20,8 @@ constexpr Time seconds(double s) { return static_cast<Time>(s * 1e9); }
 
 constexpr double to_seconds(Time t) { return static_cast<double>(t) / 1e9; }
 
-// Time to serialize `bytes` at `bits_per_second`, rounded up to whole ns.
+// Time to serialize `bytes` at `bits_per_second`, rounded to the nearest
+// whole ns (halves round up).
 constexpr Time transmission_time(std::uint64_t bytes, double bits_per_second) {
   return static_cast<Time>(static_cast<double>(bytes) * 8.0 / bits_per_second * 1e9 + 0.5);
 }

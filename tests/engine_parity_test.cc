@@ -8,19 +8,12 @@
 // message count, delivered byte and the elapsed clock itself must come
 // out identical — any drift means an engine changed protocol behavior,
 // not just code structure.
-//
-// The suite is parameterized over both event cores (the pooled timer
-// wheel and the legacy heap), so the goldens simultaneously pin the
-// engine refactor AND prove the event-core swap changed nothing
-// observable.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "harness/experiment.h"
-#include "sim/simulator.h"
 
 namespace rmc::rmcast {
 namespace {
@@ -191,45 +184,25 @@ const std::vector<EcGolden> kEcLossyGoldens = {
      30u, 15000000u, 0.096622224},
 };
 
-class EngineParity : public ::testing::TestWithParam<sim::EventCoreKind> {
- protected:
-  void SetUp() override {
-    previous_ = sim::default_event_core();
-    sim::set_default_event_core(GetParam());
-  }
-  void TearDown() override { sim::set_default_event_core(previous_); }
-
- private:
-  sim::EventCoreKind previous_ = sim::EventCoreKind::kPooledWheel;
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    BothCores, EngineParity,
-    ::testing::Values(sim::EventCoreKind::kPooledWheel,
-                      sim::EventCoreKind::kLegacyHeap),
-    [](const ::testing::TestParamInfo<sim::EventCoreKind>& info) {
-      return std::string(sim::event_core_name(info.param));
-    });
-
-TEST_P(EngineParity, ErrorFreeControlLoadMatchesPreRefactorGoldens) {
+TEST(EngineParity, ErrorFreeControlLoadMatchesPreRefactorGoldens) {
   for (const Golden& g : kErrorFreeGoldens) {
     expect_matches_golden(g, /*seed=*/1, /*frame_error_rate=*/0.0);
   }
 }
 
-TEST_P(EngineParity, LossyControlLoadMatchesPreRefactorGoldens) {
+TEST(EngineParity, LossyControlLoadMatchesPreRefactorGoldens) {
   for (const Golden& g : kLossyGoldens) {
     expect_matches_golden(g, /*seed=*/7, /*frame_error_rate=*/0.001);
   }
 }
 
-TEST_P(EngineParity, ErrorFreeEcControlLoadMatchesCapturedGoldens) {
+TEST(EngineParity, ErrorFreeEcControlLoadMatchesCapturedGoldens) {
   for (const EcGolden& g : kEcErrorFreeGoldens) {
     expect_matches_ec_golden(g, /*seed=*/1, /*frame_error_rate=*/0.0);
   }
 }
 
-TEST_P(EngineParity, LossyEcControlLoadMatchesCapturedGoldens) {
+TEST(EngineParity, LossyEcControlLoadMatchesCapturedGoldens) {
   for (const EcGolden& g : kEcLossyGoldens) {
     expect_matches_ec_golden(g, /*seed=*/7, /*frame_error_rate=*/0.001);
   }
