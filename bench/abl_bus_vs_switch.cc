@@ -53,17 +53,17 @@ int run(int argc, char** argv) {
   std::vector<bench::Measurement> switched_cells;
   std::vector<bench::Measurement> bus_cells;
   for (const Proto& proto : protos) {
-    auto measure_with = [&](inet::Wiring wiring) {
+    auto measure_with = [&](const net::TopologySpec& topology) {
       harness::MulticastRunSpec spec;
       spec.n_receivers = options.quick ? 10 : 15;
       spec.message_bytes = 500'000;
       spec.protocol = proto.config;
-      spec.cluster.wiring = wiring;
+      spec.cluster.topology = topology;
       spec.time_limit = sim::seconds(300.0);
       return bench::measure_async(spec, options);
     };
-    switched_cells.push_back(measure_with(inet::Wiring::kSingleSwitch));
-    bus_cells.push_back(measure_with(inet::Wiring::kSharedBus));
+    switched_cells.push_back(measure_with(net::TopologySpec::single_switch()));
+    bus_cells.push_back(measure_with(net::TopologySpec::shared_bus()));
   }
   for (std::size_t i = 0; i < protos.size(); ++i) {
     double switched = switched_cells[i].seconds();

@@ -13,7 +13,6 @@
 // BENCH_multitenant.json artifact) carrying every cell's full
 // TenantMixResult (per-tenant rows, distribution stats, and — on the
 // small cells, which run traced — the switch-queue contention matrix).
-#include <optional>
 
 #include "bench_util.h"
 #include "harness/tenant.h"
@@ -24,7 +23,7 @@ namespace {
 
 struct Cell {
   const char* topology;  // label AND shape selector
-  std::optional<net::TopologySpec> topo;
+  net::TopologySpec topo;
   std::size_t n_hosts = 0;
   std::size_t tenants = 0;
   bool churn = false;

@@ -12,11 +12,11 @@
 // numbers are inherently machine- and load-dependent, so they go to a
 // side-channel JSON (--wallclock-out=FILE) that smoke.sh's sub-linear
 // gate consumes instead.
-#include <algorithm>
 #include <chrono>
 
 #include "bench_util.h"
 #include "rmcast/engine/registry.h"
+#include "rmcast/recommend.h"
 
 namespace rmc {
 namespace {
@@ -92,31 +92,9 @@ int run(int argc, char** argv) {
       spec.cluster.host.default_rcvbuf_bytes = 4 * 1024 * 1024;
       spec.cluster.host.default_sndbuf_bytes = 4 * 1024 * 1024;
       spec.cluster.link.queue_frames = 16'384;
-      // The sender's timers assume a LAN-scale group too. A single ACK
-      // costs the sender ~55 us of modeled CPU (recvfrom + fragment +
-      // interrupt service), so draining one N-wide acknowledgment wave
-      // takes N x 55 us — past N ~ 2000 that exceeds the default 100 ms
-      // RTO (and the 10 ms alloc RTO long before that), the timer fires
-      // into the backlog, and every retransmission provokes another
-      // N-wide wave: a retransmission storm that never converges. Give
-      // both timers ~2x the wave-drain time.
-      const sim::Time fan_in_drain =
-          sim::microseconds(static_cast<std::int64_t>(n) * 100);
-      spec.protocol.rto = std::max(spec.protocol.rto, fan_in_drain);
-      spec.protocol.alloc_rto = std::max(spec.protocol.alloc_rto, fan_in_drain);
-      spec.protocol.max_rto = std::max(spec.protocol.max_rto, spec.protocol.rto);
-      // The receiver-driven kinds' default 30 ms silence threshold
-      // assumes a LAN-scale group. At 10^4 receivers the sender needs
-      // O(N) CPU just to drain the alloc round; a receiver that NAKs
-      // into that window starts a control-implosion feedback loop (1023
-      // forced GROUP_NAKs -> sender CPU saturates -> more silence ->
-      // more NAKs) and the transfer never starts. Scale the silence
-      // threshold with the fan-in the sender must absorb.
-      if (spec.protocol.receiver_driven_timeouts) {
-        spec.protocol.receiver_timeout =
-            std::max<sim::Time>(spec.protocol.receiver_timeout,
-                                sim::milliseconds(static_cast<std::int64_t>(n)));
-      }
+      // The protocol timers assume a LAN-scale group too: scale them to
+      // the fan-in the sender must absorb.
+      rmcast::scale_timers_to_group(spec.protocol, n);
       if (!rmcast::validate(spec.protocol, n).empty()) continue;
 
       // Deliberately serial (submit, then immediately block): the wall

@@ -486,6 +486,8 @@ def ci(g):
 # A behaviour-preserving change must reproduce the parent's simulated
 # outputs byte for byte. micro_core (Google Benchmark timings) and
 # posix_loopback (real sockets) are wall-clock measurements, not goldens.
+# The DETERMINISM_BINARIES, which the smoke suite already runs traced, also
+# compare their --trace-out file, so the trace writer is pinned too.
 GOLDEN_SKIP = {"micro_core", "posix_loopback"}
 # debug_probe scenarios run for every registry id: error-free, lossy with
 # peer repair, and bursty loss with a short receiver timeout (the NAK,
@@ -548,8 +550,10 @@ def golden(g, parent_build):
     for binary in sorted(g.bench.iterdir()):
         if (binary.is_file() and os.access(binary, os.X_OK) and "." not in binary.name
                 and binary.name not in GOLDEN_SKIP and binary.name != "debug_probe"):
-            g.gate(f"{binary.name} --quick --csv",
-                   lambda: golden_compare(g, parent, binary.name, ["--quick", "--csv"]),
+            traced = binary.name in DETERMINISM_BINARIES
+            g.gate(f"{binary.name} --quick --csv" + (" (trace included)" if traced else ""),
+                   lambda: golden_compare(g, parent, binary.name, ["--quick", "--csv"],
+                                          trace=traced),
                    binary, parent / "bench" / binary.name)
     probe = g.bench / "debug_probe"
     ids = []

@@ -67,7 +67,7 @@ struct Fabric {
   static rmc::inet::ClusterParams make_params() {
     rmc::inet::ClusterParams p;
     p.n_hosts = kRanks;
-    p.wiring = rmc::inet::Wiring::kSingleSwitch;
+    p.topology = rmc::net::TopologySpec::single_switch();
     return p;
   }
 

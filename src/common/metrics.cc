@@ -101,28 +101,6 @@ void Registry::clear() {
 
 namespace {
 
-// Metric names are dotted identifiers we mint ourselves, but escape the
-// JSON-significant characters anyway so a stray name cannot corrupt the
-// snapshot.
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += str_format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 void append_json_double(std::string& out, double v) {
   if (!std::isfinite(v)) {
     out += "0";  // JSON has no Inf/NaN; observability must not break runs

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-
-#include "common/panic.h"
 
 namespace rmc {
 
@@ -43,34 +40,5 @@ double RunningStat::variance() const {
 }
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
-
-double Samples::mean() const {
-  if (values_.empty()) return 0.0;
-  return std::accumulate(values_.begin(), values_.end(), 0.0) /
-         static_cast<double>(values_.size());
-}
-
-double Samples::min() const {
-  if (values_.empty()) return 0.0;
-  return *std::min_element(values_.begin(), values_.end());
-}
-
-double Samples::max() const {
-  if (values_.empty()) return 0.0;
-  return *std::max_element(values_.begin(), values_.end());
-}
-
-double Samples::percentile(double p) const {
-  RMC_ENSURE(p >= 0.0 && p <= 100.0, "percentile out of range");
-  if (values_.empty()) return 0.0;
-  std::vector<double> sorted = values_;
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted[0];
-  double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  auto lo = static_cast<std::size_t>(rank);
-  if (lo + 1 >= sorted.size()) return sorted.back();
-  double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
-}
 
 }  // namespace rmc

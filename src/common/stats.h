@@ -1,9 +1,8 @@
-// Running statistics and small-sample summaries for the experiment harness.
+// Running statistics and saturating counters for the experiment harness.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace rmc {
 
@@ -32,22 +31,6 @@ class RunningStat {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-// Keeps every sample; supports exact percentiles. Intended for the modest
-// sample counts of the harness (trials per point), not for streaming data.
-class Samples {
- public:
-  void add(double x) { values_.push_back(x); }
-  std::size_t count() const { return values_.size(); }
-  double mean() const;
-  double min() const;
-  double max() const;
-  // Exact percentile with linear interpolation; p in [0, 100].
-  double percentile(double p) const;
-
- private:
-  std::vector<double> values_;
 };
 
 // Saturating event counter used by protocol statistics: once the count

@@ -45,4 +45,23 @@ std::string format_rate(double bits_per_second) {
   return str_format("%.2fGbps", bits_per_second / 1e9);
 }
 
+void append_json_string(std::string& out, std::string_view s) {
+  out += '"';
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += str_format("\\u%04x", c);
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
+
 }  // namespace rmc

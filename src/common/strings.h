@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace rmc {
 
@@ -17,5 +18,10 @@ std::string format_seconds(double seconds);
 
 // Bits/second: 89700000 -> "89.7Mbps".
 std::string format_rate(double bits_per_second);
+
+// Appends `s` to `out` as a quoted JSON string: quote, backslash, newline
+// and tab get their two-character escapes, every other control character
+// \u00XX; everything else is copied as is.
+void append_json_string(std::string& out, std::string_view s);
 
 }  // namespace rmc

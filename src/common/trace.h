@@ -104,7 +104,7 @@ inline constexpr EventKind kLastEventKind = EventKind::kParityRx;
 
 // Why a receiver withheld a NAK it wanted to send (kNakSuppressed's b).
 enum class NakSuppressReason : std::uint8_t {
-  kRateLimited,  // within nak_interval of the previous NAK
+  kRateLimited,  // within kNakInterval of the previous NAK
   kPeerCovered,  // a peer's multicast NAK already covers the gap
 };
 

@@ -213,17 +213,15 @@ Buffer make_pattern(std::uint64_t n_bytes, std::uint64_t offset) {
   return data;
 }
 
-SessionTransfer::SessionTransfer(rmcast::Session& session, Buffer message,
-                                 bool verify_payload)
+SessionTransfer::SessionTransfer(rmcast::Session& session, Buffer message)
     : session_(session),
       message_(std::move(message)),
-      verify_payload_(verify_payload),
       copies_(session.n_receivers(), 0),
       intact_(session.n_receivers(), false) {
   session_.set_message_handler(
       [this](std::size_t node, const Buffer& received, std::uint32_t /*session*/) {
         ++copies_[node];
-        intact_[node] = !verify_payload_ || received == message_;
+        intact_[node] = received == message_;
       });
 }
 
@@ -303,7 +301,7 @@ RunResult run_multicast(const MulticastRunSpec& spec) {
     trace_fault_plan(tr, spec.faults);
   }
 
-  SessionTransfer transfer(session, make_pattern(spec.message_bytes), spec.verify_payload);
+  SessionTransfer transfer(session, make_pattern(spec.message_bytes));
   transfer.start();
 
   // Sim-time timeline sampler: a repeating read-only snapshot of queue

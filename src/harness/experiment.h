@@ -8,6 +8,10 @@
 // — matching §5's methodology. Like the paper, run_trials() repeats each
 // measurement (default three times, with different seeds standing in for
 // the testbed's run-to-run randomness) and reports the average.
+//
+// A reliable-multicast run always checks delivery: every receiver the
+// sender did not evict must deliver exactly one byte-exact copy, or the
+// run fails with an error naming the receiver.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +40,6 @@ struct MulticastRunSpec {
   // Scripted faults (receiver crashes, pauses, link flaps), applied to
   // the testbed before traffic starts. Targets are receiver node ids.
   sim::FaultPlan faults;
-  // Verify every receiver got a byte-exact copy (leave on; cheap).
-  // Receivers the SendOutcome marks evicted are exempt.
-  bool verify_payload = true;
   // Optional metrics sink (not owned; must outlive the run). When set,
   // the run publishes protocol histograms (delivery latency, ACK RTT),
   // mirrored protocol counters, and network-tier gauges/counters (switch
@@ -104,10 +105,10 @@ Buffer make_pattern(std::uint64_t n_bytes, std::uint64_t offset = 0);
 // session into a RunResult: sender and receiver stats (zero for receivers
 // that never joined), the outcome, the rcvbuf drops, and the delivery
 // check — every receiver the sender did not evict delivered exactly one
-// copy, byte-exact unless `verify_payload` is off.
+// byte-exact copy.
 class SessionTransfer {
  public:
-  SessionTransfer(rmcast::Session& session, Buffer message, bool verify_payload = true);
+  SessionTransfer(rmcast::Session& session, Buffer message);
   SessionTransfer(const SessionTransfer&) = delete;
   SessionTransfer& operator=(const SessionTransfer&) = delete;
 
@@ -120,7 +121,6 @@ class SessionTransfer {
  private:
   rmcast::Session& session_;
   const Buffer message_;
-  const bool verify_payload_;
   std::vector<std::uint32_t> copies_;  // deliveries per receiver
   std::vector<bool> intact_;           // the last delivered copy matched
   bool done_ = false;

@@ -95,25 +95,12 @@ bool run_posix_once(const ParitySpec& spec, std::uint16_t base_port,
   return true;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 void append_string_list(std::string& json, const char* key,
                         const std::vector<std::string>& items) {
   json += str_format("\"%s\": [", key);
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (i > 0) json += ", ";
-    json += "\"" + json_escape(items[i]) + "\"";
+    append_json_string(json, items[i]);
   }
   json += "]";
 }

@@ -319,7 +319,7 @@ TenantMixResult run_tenant_mix(const TenantMixSpec& spec) {
     // cross-tenant delivery mixup (the bug the GroupDirectory exists to
     // prevent) fails the payload check instead of passing by coincidence.
     transfers.push_back(std::make_unique<SessionTransfer>(
-        *sessions[t], make_pattern(spec.message_bytes, t * 17), spec.verify_payload));
+        *sessions[t], make_pattern(spec.message_bytes, t * 17)));
   }
 
   // Schedule the script.

@@ -26,6 +26,8 @@
 // Payload memory is shared by construction: the frame arena is
 // thread-local, and every tenant's traffic runs on the one simulator
 // thread, so all sessions carve their frames from the same arena blocks.
+// Every tenant's delivery is byte-checked as run_multicast checks it
+// (SessionTransfer), against a payload offset by the tenant's index.
 #pragma once
 
 #include <cstdint>
@@ -87,7 +89,6 @@ struct TenantMixSpec {
   TenantPlacementPolicy placement = TenantPlacementPolicy::kColliding;
   std::uint64_t seed = 1;
   sim::Time time_limit = sim::seconds(120.0);
-  bool verify_payload = true;
   // Fold target for the per-tenant registries (tenant order), plus the
   // mix-level metrics. Not owned; may be null.
   metrics::Registry* metrics = nullptr;

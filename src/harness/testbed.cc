@@ -9,17 +9,7 @@ inet::ClusterParams with_n_hosts(inet::ClusterParams params, std::size_t n_hosts
   return params;
 }
 
-inet::ClusterParams with_topology(inet::ClusterParams params,
-                                  const net::TopologySpec& topology) {
-  params.topology = topology;
-  return params;
-}
-
 }  // namespace
-
-Testbed::Testbed(std::size_t n_receivers, const net::TopologySpec& topology,
-                 inet::ClusterParams params)
-    : Testbed(n_receivers, with_topology(std::move(params), topology)) {}
 
 Testbed::Testbed(std::size_t n_receivers, inet::ClusterParams params)
     : n_receivers_(n_receivers), cluster_(with_n_hosts(params, n_receivers + 1)) {

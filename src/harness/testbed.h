@@ -28,10 +28,6 @@ class Testbed {
   // `params.n_hosts` is overridden to n_receivers + 1. The default
   // ClusterParams keep the paper's Figure-7 wiring.
   Testbed(std::size_t n_receivers, inet::ClusterParams params = {});
-  // Same, on an explicit fabric shape (spine-leaf, fat-tree, ...): sets
-  // `params.topology` before building the cluster.
-  Testbed(std::size_t n_receivers, const net::TopologySpec& topology,
-          inet::ClusterParams params = {});
 
   std::size_t n_receivers() const { return n_receivers_; }
   inet::Cluster& cluster() { return cluster_; }
@@ -45,13 +41,6 @@ class Testbed {
   rt::UdpSocket& sender_socket() { return *sender_socket_; }
   rt::UdpSocket& receiver_data_socket(std::size_t i) { return *data_sockets_[i]; }
   rt::UdpSocket& receiver_control_socket(std::size_t i) { return *control_sockets_[i]; }
-
-  // Raw simulated sockets, for drop statistics.
-  inet::Socket& raw_sender_socket() { return *raw_sender_socket_; }
-  inet::Socket& raw_receiver_data_socket(std::size_t i) { return *raw_data_sockets_[i]; }
-  inet::Socket& raw_receiver_control_socket(std::size_t i) {
-    return *raw_control_sockets_[i];
-  }
 
   // Sum of rcvbuf drops across every socket in the testbed.
   std::uint64_t total_rcvbuf_drops() const;

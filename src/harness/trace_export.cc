@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "common/strings.h"
 #include "rmcast/wire.h"
 
 namespace rmc::harness {
@@ -240,22 +241,9 @@ Attribution attribute(const trace::Tracer& tracer) {
 namespace {
 
 void write_escaped(std::FILE* out, std::string_view s) {
-  std::fputc('"', out);
-  for (char c : s) {
-    switch (c) {
-      case '"': std::fputs("\\\"", out); break;
-      case '\\': std::fputs("\\\\", out); break;
-      case '\n': std::fputs("\\n", out); break;
-      case '\t': std::fputs("\\t", out); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::fprintf(out, "\\u%04x", c);
-        } else {
-          std::fputc(c, out);
-        }
-    }
-  }
-  std::fputc('"', out);
+  std::string quoted;
+  append_json_string(quoted, s);
+  std::fwrite(quoted.data(), 1, quoted.size(), out);
 }
 
 // Trace-event timestamps are microseconds; events carry nanoseconds.

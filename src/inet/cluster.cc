@@ -42,20 +42,10 @@ Cluster::Cluster(ClusterParams params) : params_(std::move(params)), rng_(params
   };
   for (auto& host : hosts_) host->set_mac_resolver(resolver);
 
-  if (params_.topology.has_value()) {
-    build_from_spec(*params_.topology);
+  if (params_.topology.kind == net::TopologyKind::kSharedBus) {
+    build_bus();
   } else {
-    switch (params_.wiring) {
-      case Wiring::kTwoSwitch:
-        build_from_spec(net::TopologySpec::figure7());
-        break;
-      case Wiring::kSingleSwitch:
-        build_from_spec(net::TopologySpec::single_switch());
-        break;
-      case Wiring::kSharedBus:
-        build_bus();
-        break;
-    }
+    build_from_spec(params_.topology);
   }
 }
 
@@ -88,9 +78,9 @@ bool Cluster::host_link_up(std::size_t i) const {
   return nics_.at(i)->link_up();
 }
 
-void Cluster::apply_fault_plan(const sim::FaultPlan& plan, std::size_t host_offset) {
+void Cluster::apply_fault_plan(const sim::FaultPlan& plan) {
   for (const sim::FaultEvent& event : plan.events) {
-    const std::size_t host = event.target + host_offset;
+    const std::size_t host = event.target + 1;
     RMC_ENSURE(host < hosts_.size(), "fault plan targets a host outside the cluster");
     sim_.schedule_at(event.at, [this, kind = event.kind, host] {
       switch (kind) {
@@ -136,8 +126,7 @@ void Cluster::attach_tracer(trace::Tracer* tracer) {
 void Cluster::build_from_spec(const net::TopologySpec& spec) {
   const std::size_t n = hosts_.size();
   wiring_ = net::build_wiring(spec, n);
-  net::SwitchParams sw_params{params_.link, params_.switch_forwarding_latency,
-                              params_.multicast_snooping};
+  net::SwitchParams sw_params{params_.link, params_.multicast_snooping};
 
   for (const net::SwitchPlan& plan : wiring_.switches) {
     switches_.push_back(
@@ -235,7 +224,7 @@ void Cluster::build_from_spec(const net::TopologySpec& spec) {
 }
 
 void Cluster::build_bus() {
-  bus_ = std::make_unique<net::SharedBus>(sim_, params_.bus, rng_);
+  bus_ = std::make_unique<net::SharedBus>(sim_, net::BusParams{}, rng_);
   for (auto& host : hosts_) {
     std::size_t id = bus_->add_station(host->frame_input());
     host->set_frame_output(bus_->station_tx(id));

@@ -2,9 +2,12 @@
 //
 // Reconstructs the paper's testbed (Figure 7): hosts P0..P15 on one
 // Ethernet switch, P16..P30 on a second, with an inter-switch uplink.
-// P0 is conventionally the multicast sender. Alternative wirings cover
-// the single-switch case and the shared-bus (CSMA/CD) case the paper's
-// §3 discussion raises.
+// P0 is conventionally the multicast sender. ClusterParams::topology, a
+// net::TopologySpec, is the one fabric selector: besides Figure 7 it
+// names the single switch, the shared bus (CSMA/CD) case the paper's §3
+// discussion raises, and the datacenter fabrics (spine-leaf, fat-tree).
+// Switches forward after net::kForwardingLatency; a bus runs with the
+// default net::BusParams.
 //
 // The Cluster owns the Simulator, the hosts, the switches/bus, every
 // TxPort, the Rng used for loss injection, and the ReassemblyCache its
@@ -13,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -26,29 +28,18 @@
 
 namespace rmc::inet {
 
-enum class Wiring {
-  kTwoSwitch,     // Figure 7: 16 hosts on switch A, the rest on switch B
-  kSingleSwitch,  // all hosts on one switch
-  kSharedBus,     // one CSMA/CD segment
-};
-
 struct ClusterParams {
   std::size_t n_hosts = 31;
-  Wiring wiring = Wiring::kTwoSwitch;
-  // Explicit fabric shape (spine-leaf, fat-tree, ...). When set it takes
-  // precedence over `wiring`; when empty, `wiring` selects the legacy
-  // shapes (kTwoSwitch compiles to TopologySpec::figure7(), kSingleSwitch
-  // to single_switch(), kSharedBus keeps the CSMA/CD segment).
-  std::optional<net::TopologySpec> topology;
+  // The fabric: Figure 7 by default (16 hosts on switch A, the rest on
+  // switch B).
+  net::TopologySpec topology = net::TopologySpec::figure7();
   HostParams host;
-  net::LinkParams link;          // host NICs and switch ports
-  sim::Time switch_forwarding_latency = sim::microseconds(15);
+  net::LinkParams link;  // host NICs and switch ports
   // IGMP-snooping-style multicast filtering at the switches: host joins
   // and leaves drive the switches' group-port tables, so group traffic
   // reaches only member ports (plus the inter-switch uplink when members
   // live on the far side). The reproduced testbed's switches flooded.
   bool multicast_snooping = false;
-  net::BusParams bus;
   std::uint64_t seed = 1;
   // Heterogeneity knob (the paper restricts itself to homogeneous
   // clusters; the straggler ablation probes what that assumption buys):
@@ -97,9 +88,9 @@ class Cluster {
   bool host_link_up(std::size_t i) const;
 
   // Schedules every event of `plan` on the simulator. Plan targets are
-  // receiver node ids; `host_offset` maps them to hosts (the Testbed
-  // convention: sender on host 0, receiver i on host i + 1).
-  void apply_fault_plan(const sim::FaultPlan& plan, std::size_t host_offset = 1);
+  // receiver node ids, on hosts by the Testbed convention: sender on host
+  // 0, receiver i on host i + 1.
+  void apply_fault_plan(const sim::FaultPlan& plan);
 
   // Causal tracing: attaches `tracer` to every network element — one track
   // per host ("net.P0"), host NIC ("net.P0.nic"), switch port

@@ -7,6 +7,13 @@
 
 namespace rmc::inet {
 
+namespace {
+
+// Incomplete IP reassemblies are discarded after this long.
+constexpr sim::Time kReassemblyTimeout = sim::milliseconds(200);
+
+}  // namespace
+
 void Socket::bind(std::uint16_t port) { port_ = port; }
 
 void Socket::join(net::Ipv4Addr group) {
@@ -35,7 +42,7 @@ Host::Host(sim::Simulator& simulator, std::string name, net::Ipv4Addr addr,
       addr_(addr),
       mac_(mac),
       params_(params),
-      reassembler_(simulator, params.reassembly_timeout,
+      reassembler_(simulator, kReassemblyTimeout,
                    [this](Datagram d, std::size_t n_fragments) {
                      deliver(std::move(d), n_fragments);
                    },

@@ -23,11 +23,6 @@ void EthernetSwitch::set_port_link_up(std::size_t port, bool up) {
   ports_[port]->set_link_up(up);
 }
 
-bool EthernetSwitch::port_link_up(std::size_t port) const {
-  RMC_ENSURE(port < ports_.size(), "switch port out of range");
-  return port_up_[port];
-}
-
 void EthernetSwitch::override_port_params(std::size_t port, LinkParams params,
                                           Rng* rng) {
   RMC_ENSURE(port < ports_.size(), "switch port out of range");
@@ -131,14 +126,6 @@ void EthernetSwitch::unregister_group_port(MacAddr group, std::size_t port) {
   if (it->second.empty()) group_ports_.erase(it);
 }
 
-std::size_t EthernetSwitch::max_port_queue_hwm() const {
-  std::size_t hwm = 0;
-  for (const auto& port : ports_) {
-    hwm = std::max(hwm, port->stats().peak_queue_frames);
-  }
-  return hwm;
-}
-
 std::size_t EthernetSwitch::max_port_queue_now() const {
   std::size_t depth = 0;
   for (const auto& port : ports_) {
@@ -150,7 +137,7 @@ std::size_t EthernetSwitch::max_port_queue_now() const {
 void EthernetSwitch::enqueue(std::size_t egress_port, const Frame& frame) {
   // The forwarding latency models table lookup and crossbar transfer; the
   // egress TxPort then charges queueing and serialization.
-  sim_.schedule_after(params_.forwarding_latency,
+  sim_.schedule_after(kForwardingLatency,
                       [this, egress_port, frame] { ports_[egress_port]->send(frame); });
 }
 

@@ -26,9 +26,12 @@
 
 namespace rmc::net {
 
+// Table lookup and crossbar transfer: every forwarded frame waits this
+// long before its egress port takes it.
+inline constexpr sim::Time kForwardingLatency = sim::microseconds(15);
+
 struct SwitchParams {
-  LinkParams port;                                     // per egress queue/wire
-  sim::Time forwarding_latency = sim::microseconds(15);  // lookup + crossbar
+  LinkParams port;  // per egress queue/wire
   // IGMP-snooping-style multicast filtering: group-addressed frames are
   // forwarded only to ports registered for the group (falling back to
   // flooding for unregistered groups). The baseline switches of the
@@ -73,7 +76,6 @@ class EthernetSwitch {
   // frames (via the port's TxPort) and ignores ingress frames, as a switch
   // that lost carrier on that port would.
   void set_port_link_up(std::size_t port, bool up);
-  bool port_link_up(std::size_t port) const;
 
   // Snooping registration (stands in for observed IGMP reports/leaves):
   // reference-counted per (group MAC, port). No-ops unless
@@ -96,10 +98,6 @@ class EthernetSwitch {
     std::uint64_t frames_link_down = 0;  // ingress on a downed port
   };
   const Stats& stats() const { return stats_; }
-
-  // Deepest any egress queue has been, in frames — the switch-level
-  // congestion signal the per-port TxPort stats aggregate to.
-  std::size_t max_port_queue_hwm() const;
 
   // Deepest egress queue right now (queued + transmitting), in frames —
   // what the timeline sampler snapshots.

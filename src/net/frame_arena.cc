@@ -44,12 +44,6 @@ FrameArena::~FrameArena() {
   }
 }
 
-std::size_t FrameArena::free_blocks() const {
-  std::size_t n = 0;
-  for (const auto& list : free_) n += list.size();
-  return n;
-}
-
 detail::PayloadBlock* FrameArena::acquire(std::size_t size) {
   RMC_ENSURE(size <= kMaxCapacity, "payload exceeds the largest arena block");
   std::vector<detail::PayloadBlock*>& list = free_[class_of(size)];

@@ -91,7 +91,6 @@ class FrameArena {
   ~FrameArena();
 
   const Stats& stats() const { return stats_; }
-  std::size_t free_blocks() const;
   std::size_t outstanding_blocks() const { return outstanding_; }
 
  private:

@@ -123,6 +123,8 @@ double TopologySpec::oversubscription() const {
       return static_cast<double>(leaf_radix) / static_cast<double>(spine_count);
     case TopologyKind::kFatTree:
       return static_cast<double>(leaf_radix) / static_cast<double>(agg_per_pod);
+    case TopologyKind::kSharedBus:
+      RMC_PANIC("a shared bus has no uplink tier");
   }
   RMC_PANIC("unknown topology kind");
 }
@@ -143,6 +145,8 @@ TopologyWiring build_wiring(const TopologySpec& spec, std::size_t n_hosts) {
     case TopologyKind::kFatTree:
       w = fat_tree_wiring(spec, n_hosts);
       break;
+    case TopologyKind::kSharedBus:
+      RMC_PANIC("a shared bus has no switch wiring");
   }
   RMC_ENSURE(w.trunks.size() + 1 == w.switches.size(),
              "trunk set must form a spanning tree over the switches");

@@ -1,12 +1,15 @@
-// Declarative multi-switch fabric builder.
+// Declarative fabric shapes, compiled into wiring plans.
 //
 // The paper's testbed is a fixed shape — 16 hosts on one switch, 15 on a
 // second, one uplink (Figure 7). Scaling past 31 receivers needs fabrics
 // the paper never had: multi-tier spine-leaf and fat-tree topologies with
-// configurable radix and oversubscription. A TopologySpec names the shape;
-// build_wiring() compiles it into a wiring plan (switches with port
+// configurable radix and oversubscription. A TopologySpec names the shape
+// and is the one fabric selector of inet::ClusterParams: for a switched
+// shape, build_wiring() compiles it into a wiring plan (switches with port
 // counts, host attachments, inter-switch trunks) that inet::Cluster turns
-// into live EthernetSwitch fabric.
+// into live EthernetSwitch fabric; kSharedBus has no switches, and the
+// Cluster puts every host on one CSMA/CD segment (the shared-medium case
+// of the paper's §3 discussion).
 //
 // Fabrics are modelled post-spanning-tree: the trunk set always forms a
 // tree, because the learning switch floods group traffic and a physical
@@ -35,6 +38,7 @@ enum class TopologyKind {
   kTwoSwitch,     // the paper's Figure-7 cluster: split across two switches
   kSpineLeaf,     // leaves of `leaf_radix` hosts under an aggregated spine
   kFatTree,       // edge -> per-pod aggregation -> core, three tiers
+  kSharedBus,     // one CSMA/CD segment, no switches
 };
 
 struct TopologySpec {
@@ -60,6 +64,11 @@ struct TopologySpec {
   static TopologySpec single_switch() {
     TopologySpec s;
     s.kind = TopologyKind::kSingleSwitch;
+    return s;
+  }
+  static TopologySpec shared_bus() {
+    TopologySpec s;
+    s.kind = TopologyKind::kSharedBus;
     return s;
   }
   // The paper's testbed shape (collapses to one switch when all hosts fit
@@ -90,6 +99,7 @@ struct TopologySpec {
 
   // Worst-case host-ports-to-uplink-capacity ratio at the access tier:
   // how many hosts contend for one cable's worth of upstream bandwidth.
+  // Switched shapes only (a bus has no uplink tier).
   double oversubscription() const;
 };
 
@@ -122,8 +132,9 @@ struct TopologyWiring {
   std::vector<TrunkPlan> trunks;      // always a tree over the switches
 };
 
-// Compiles `spec` for `n_hosts` hosts. Panics if the spec cannot hold
-// them (zero radix) — there is no upper host limit; tiers grow to fit.
+// Compiles a switched `spec` for `n_hosts` hosts. Panics on kSharedBus and
+// if the spec cannot hold them (zero radix) — there is no upper host
+// limit; tiers grow to fit.
 TopologyWiring build_wiring(const TopologySpec& spec, std::size_t n_hosts);
 
 // For every ordered switch pair (s, t != s): the egress port on s of the

@@ -6,6 +6,13 @@
 
 namespace rmc::net {
 
+namespace {
+
+// How long a reordered frame (LinkFaults::reorder_rate) is held back.
+constexpr sim::Time kReorderDelay = sim::microseconds(500);
+
+}  // namespace
+
 TxPort::TxPort(sim::Simulator& simulator, LinkParams params, Rng* rng)
     : sim_(simulator), params_(params), rng_(rng), burst_(params.faults.burst) {
   RMC_ENSURE(params_.rate_bps > 0, "link rate must be positive");
@@ -108,7 +115,7 @@ void TxPort::start_next() {
     if (params_.faults.reorder_rate > 0.0 && rng_ != nullptr &&
         rng_->chance(params_.faults.reorder_rate)) {
       ++stats_.reordered_frames;
-      delay += params_.faults.reorder_delay;
+      delay += kReorderDelay;
     }
     if (params_.faults.duplicate_rate > 0.0 && rng_ != nullptr &&
         rng_->chance(params_.faults.duplicate_rate)) {

@@ -41,12 +41,7 @@ std::string validate(const ProtocolConfig& config, std::size_t n_receivers) {
   std::string kind_error = traits.validate(config, n_receivers);
   if (!kind_error.empty()) return kind_error;
   if (config.rto <= 0 || config.alloc_rto <= 0) return "timeouts must be positive";
-  if (config.suppress_interval < 0 || config.nak_interval < 0) {
-    return "intervals must be non-negative";
-  }
-  if (config.multicast_nak_suppression && config.nak_suppress_delay <= 0) {
-    return "nak_suppress_delay must be positive when suppression is on";
-  }
+  if (config.suppress_interval < 0) return "suppress_interval must be non-negative";
   if (config.peer_repair) {
     if (!config.multicast_nak_suppression) {
       return "peer_repair requires multicast_nak_suppression: repairs are triggered "
@@ -60,16 +55,10 @@ std::string validate(const ProtocolConfig& config, std::size_t n_receivers) {
       return "peer_repair requires receiver_driven_timeouts: with NAKs diverted to "
              "the group, only a receiver timer can escalate a loss nobody repairs";
     }
-    if (config.repair_delay <= 0) return "repair_delay must be positive";
   }
   if (config.rate_limit_bps < 0) return "rate_limit_bps must be non-negative";
-  if (config.max_retransmit_rounds > 0) {
-    if (config.rto_backoff_factor < 1.0) {
-      return "rto_backoff_factor must be >= 1.0 when eviction is enabled";
-    }
-    if (config.max_rto < config.rto) {
-      return "max_rto must be >= rto when eviction is enabled";
-    }
+  if (config.max_retransmit_rounds > 0 && config.max_rto < config.rto) {
+    return "max_rto must be >= rto when eviction is enabled";
   }
   return "";
 }

@@ -1,4 +1,10 @@
 // Protocol selection and tuning parameters.
+//
+// Every field is a setting some program or test varies (docs/
+// ARCHITECTURE.md, "Options", names who sets each). Timing that no caller
+// varies is a named constant where it is used: the RTO backoff factor
+// (engine/core.cc), the NAK rate limit and the NAK and repair backoff
+// bounds (receiver.h), and the user-space copy rate (inet/host_params.h).
 #pragma once
 
 #include <cstddef>
@@ -96,19 +102,16 @@ struct ProtocolConfig {
   // forever; with max_retransmit_rounds > 0 the sender counts consecutive
   // retransmission timeouts during which a tracked unit's cumulative count
   // made no progress while others did not release it, backs its RTO off
-  // exponentially (rto * rto_backoff_factor^k, capped at max_rto), and
+  // exponentially (rto * 2^k, capped at max_rto), and
   // after max_retransmit_rounds such rounds EVICTS the unresponsive
   // receiver from the acknowledgment roster: survivors re-form the ring /
   // tree structure, the window drains over the live set, and send()
   // completes with a per-receiver DeliveryReport instead of hanging.
   // 0 keeps the paper's fault-free semantics (wait forever).
   std::size_t max_retransmit_rounds = 0;
-  double rto_backoff_factor = 2.0;
   sim::Time max_rto = sim::seconds(2);
   // Retransmission timeout for the buffer-allocation handshake.
   sim::Time alloc_rto = sim::milliseconds(10);
-  // Receivers rate-limit duplicate NAKs for the same gap to one per this.
-  sim::Time nak_interval = sim::milliseconds(2);
 
   // Extension (paper §4 discusses the trade-off): selective repeat instead
   // of Go-Back-N — receivers buffer out-of-order packets and the sender
@@ -119,9 +122,8 @@ struct ProtocolConfig {
   // alternative to its sender-side suppression): receivers delay NAKs by a
   // uniform random backoff and also multicast them to the group; a
   // receiver overhearing a NAK that covers its own gap suppresses its own.
+  // The backoff is uniform up to kNakSuppressDelay (receiver.h).
   bool multicast_nak_suppression = false;
-  // Upper bound of the random NAK backoff.
-  sim::Time nak_suppress_delay = sim::milliseconds(2);
 
   // Extension (paper §3: on LANs "sending a packet to one receiver costs
   // almost the same bandwidth as sending to the whole group" — but
@@ -145,12 +147,9 @@ struct ProtocolConfig {
   // selective_repeat (peers resupply single packets; a Go-Back-N receiver
   // that discarded everything behind a gap would need one repair round
   // per discarded packet — SRM presumes receivers keep out-of-order
-  // data, and so does this option).
+  // data, and so does this option). The repair backoff is uniform up to
+  // kRepairDelay (receiver.h).
   bool peer_repair = false;
-  // Uniform backoff bound before repairing. Must comfortably exceed the
-  // time a repair takes to become visible to the other holders (~1.5 ms
-  // here), or several holders answer the same NAK.
-  sim::Time repair_delay = sim::milliseconds(6);
 
   // Extension (paper §3: "retransmission can be either sender-driven,
   // where the retransmission timer is managed at the sender, or
@@ -161,19 +160,11 @@ struct ProtocolConfig {
   sim::Time receiver_timeout = sim::milliseconds(30);
 
   // Models the user-space copy from the application buffer into protocol
-  // packets (the dominant large-message overhead in the paper's Figure 9).
-  // Disabling reproduces the paper's "ACK-based without copy" curve, which
-  // the paper notes is not a correct protocol — data handed to send() must
-  // be copied for retransmission to be safe.
+  // packets (the dominant large-message overhead in the paper's Figure 9)
+  // at inet::kCopyNsPerByte. Disabling reproduces the paper's "ACK-based
+  // without copy" curve, which the paper notes is not a correct protocol —
+  // data handed to send() must be copied for retransmission to be safe.
   bool copy_user_data = true;
-  // Cost of that copy in ns/byte (~18 MB/s: a cold two-buffer memcpy plus
-  // per-byte protocol bookkeeping on the 650 MHz testbed machines).
-  // Calibrated jointly with HostParams so that at 50 KB packets the copy
-  // no longer hides inside the SO_SNDBUF drain window — which reproduces
-  // the ~68 Mbps large-packet ceiling the paper measures for both the ACK
-  // and ring protocols. Only meaningful on the simulated backend; on real
-  // sockets the copy is real.
-  double copy_ns_per_byte = 55.0;
 
   std::string describe() const;
 

@@ -4,6 +4,14 @@
 
 namespace rmc::rmcast {
 
+namespace {
+
+// Each consecutive unanswered retransmission round multiplies a tracked
+// unit's RTO by this, up to config.max_rto.
+constexpr double kRtoBackoffFactor = 2.0;
+
+}  // namespace
+
 ProtocolCore::ProtocolCore(const ProtocolEngine& engine, const ProtocolConfig& config)
     : engine_(engine), config_(config) {}
 
@@ -90,8 +98,7 @@ std::vector<std::size_t> ProtocolCore::charge_stall_rounds(
 void ProtocolCore::backoff_rto() {
   if (current_rto >= config_.max_rto) return;
   current_rto = std::min<sim::Time>(
-      static_cast<sim::Time>(static_cast<double>(current_rto) *
-                             config_.rto_backoff_factor),
+      static_cast<sim::Time>(static_cast<double>(current_rto) * kRtoBackoffFactor),
       config_.max_rto);
   ++stats.rto_backoffs;
 }

@@ -380,7 +380,7 @@ void MulticastReceiver::send_ack(std::uint32_t cum) {
 }
 
 bool MulticastReceiver::nak_rate_limited() {
-  if (last_nak_ < 0 || rt_.now() - last_nak_ >= config_.nak_interval) return false;
+  if (last_nak_ < 0 || rt_.now() - last_nak_ >= kNakInterval) return false;
   ++stats_.naks_suppressed;
   emit(trace::EventKind::kNakSuppressed, expected_,
        static_cast<std::uint32_t>(trace::NakSuppressReason::kRateLimited));
@@ -398,7 +398,7 @@ void MulticastReceiver::want_nak() {
   // the same (or an earlier) gap arrives first, ours is cancelled.
   if (nak_timer_ != rt::kInvalidTimerId) return;  // already backing off
   const sim::Time delay = static_cast<sim::Time>(
-      rng_.uniform(static_cast<std::uint64_t>(config_.nak_suppress_delay)) + 1);
+      rng_.uniform(static_cast<std::uint64_t>(kNakSuppressDelay)) + 1);
   const std::uint32_t gap_at = expected_;
   nak_timer_ = rt_.schedule_after(delay, [this, gap_at] {
     nak_timer_ = rt::kInvalidTimerId;
@@ -702,7 +702,7 @@ void MulticastReceiver::schedule_repair(std::uint32_t seq) {
   // flight to whoever NAKed it; further NAKs inside the window are echoes
   // of the same loss, not new ones. Without this, every re-NAK restarts a
   // repair round at every holder and the group storms itself.
-  const sim::Time holdoff = 5 * config_.repair_delay;
+  const sim::Time holdoff = 5 * kRepairDelay;
   if (auto it = repair_seen_at_.find(seq); it != repair_seen_at_.end()) {
     if (rt_.now() - it->second < holdoff) {
       ++stats_.repairs_suppressed;
@@ -711,7 +711,7 @@ void MulticastReceiver::schedule_repair(std::uint32_t seq) {
     }
   }
   const sim::Time delay = static_cast<sim::Time>(
-      rng_.uniform(static_cast<std::uint64_t>(config_.repair_delay)) + 1);
+      rng_.uniform(static_cast<std::uint64_t>(kRepairDelay)) + 1);
   repair_timers_[seq] = rt_.schedule_after(delay, [this, seq] {
     repair_timers_.erase(seq);
     if (!session_active_ || seq >= expected_) return;

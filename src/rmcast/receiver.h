@@ -58,6 +58,18 @@
 
 namespace rmc::rmcast {
 
+// NAK pacing: a receiver sends at most one NAK or GROUP_NAK per
+// kNakInterval.
+inline constexpr sim::Time kNakInterval = sim::milliseconds(2);
+// Upper bound of the uniform NAK backoff under multicast NAK suppression.
+inline constexpr sim::Time kNakSuppressDelay = sim::milliseconds(2);
+// Upper bound of the uniform peer-repair backoff. It must comfortably
+// exceed the time a repair takes to become visible to the other holders
+// (~1.5 ms on the Figure-7 testbed), or several holders answer the same
+// NAK. A repair seen for a packet holds further repairs of it off for
+// 5 x kRepairDelay.
+inline constexpr sim::Time kRepairDelay = sim::milliseconds(6);
+
 class MulticastReceiver : private ReceiverOps {
  public:
   // Invoked once per completed message with the assembled bytes.
@@ -149,7 +161,7 @@ class MulticastReceiver : private ReceiverOps {
   void on_duplicate(const Header& h);
   void send_ack(std::uint32_t cum);
   // The NAK and GROUP_NAK rate limit: true (and counted as suppressed)
-  // while the previous one is younger than nak_interval.
+  // while the previous one is younger than kNakInterval.
   bool nak_rate_limited();
   void want_nak();       // request a NAK, subject to rate limit / backoff
   void emit_nak();       // actually put the NAK on the wire

@@ -1,5 +1,7 @@
 #include "rmcast/recommend.h"
 
+#include <algorithm>
+
 #include "common/panic.h"
 #include "common/strings.h"
 #include "rmcast/engine/common.h"
@@ -26,6 +28,7 @@ Recommendation recommend_config(std::uint64_t message_bytes, std::size_t n_recei
         "round trip (Figure 10).",
         format_bytes(message_bytes).c_str(),
         format_bytes(rec.config.packet_size).c_str());
+    scale_timers_to_group(rec.config, n_receivers);
     return rec;
   }
 
@@ -40,6 +43,7 @@ Recommendation recommend_config(std::uint64_t message_bytes, std::size_t n_recei
       "is the Figure 12 optimum.",
       format_bytes(message_bytes).c_str(), n_receivers,
       format_bytes(rec.config.packet_size).c_str(), rec.config.window_size);
+  scale_timers_to_group(rec.config, n_receivers);
   return rec;
 }
 
@@ -66,7 +70,18 @@ Recommendation recommend_config(std::uint64_t message_bytes, std::size_t n_recei
       "protocol's retransmissions grow with the loss rate (abl_ec_crossover).",
       format_bytes(message_bytes).c_str(), n_receivers, expected_loss * 100.0,
       rec.config.fec.m, rec.config.fec.k);
+  scale_timers_to_group(rec.config, n_receivers);
   return rec;
+}
+
+void scale_timers_to_group(ProtocolConfig& config, std::size_t n_receivers) {
+  const auto n = static_cast<sim::Time>(n_receivers);
+  config.rto = std::max(config.rto, n * kTimerPerReceiver);
+  config.alloc_rto = std::max(config.alloc_rto, n * kTimerPerReceiver);
+  config.max_rto = std::max(config.max_rto, config.rto);
+  if (config.receiver_driven_timeouts) {
+    config.receiver_timeout = std::max(config.receiver_timeout, n * kSilencePerReceiver);
+  }
 }
 
 }  // namespace rmc::rmcast

@@ -270,7 +270,7 @@ void MulticastSender::transmit(std::uint32_t seq, bool retransmission, bool forc
   };
   if (config_.copy_user_data) {
     const auto copy_cost =
-        static_cast<sim::Time>(config_.copy_ns_per_byte * static_cast<double>(len));
+        static_cast<sim::Time>(inet::kCopyNsPerByte * static_cast<double>(len));
     rt_.run_cost(copy_cost, std::move(finish));
   } else {
     finish();

@@ -45,8 +45,8 @@ struct SessionParams {
   // n_receivers + 1 (host 0 is the sender).
   inet::ClusterParams cluster;
   // Scripted faults, applied against receiver node ids before traffic
-  // starts (receiver i lives on host i + 1; the plan's host_offset
-  // handles the mapping).
+  // starts (receiver i lives on host i + 1; Cluster::apply_fault_plan
+  // maps targets to hosts that way).
   sim::FaultPlan faults;
   // Optional metrics sink wired into the sender and every receiver; not
   // owned, must outlive the Session.

@@ -56,7 +56,6 @@ class GilbertElliottModel {
   // Advances one frame; returns true if the channel loses it.
   bool drop(Rng& rng);
 
-  bool in_bad_state() const { return bad_; }
   const GilbertElliottParams& params() const { return params_; }
 
  private:
@@ -70,8 +69,7 @@ class GilbertElliottModel {
 struct LinkFaults {
   GilbertElliottParams burst;
   double duplicate_rate = 0.0;  // P(delivered frame is delivered twice)
-  double reorder_rate = 0.0;    // P(delivery held back by reorder_delay)
-  Time reorder_delay = microseconds(500);
+  double reorder_rate = 0.0;    // P(delivery held back 500 us)
   // P(a delivered frame has one payload byte flipped) — corruption that
   // slips past the CRC, unlike frame_error_rate which models CRC-detected
   // loss. The tamper mutates only the copy on this link (payloads are

@@ -16,7 +16,7 @@ class TcpTest : public ::testing::Test {
 
   static harness::Testbed make_bed() {
     inet::ClusterParams params;
-    params.wiring = inet::Wiring::kSingleSwitch;
+    params.topology = net::TopologySpec::single_switch();
     return harness::Testbed(3, params);
   }
 
@@ -86,7 +86,7 @@ TEST_F(TcpTest, FanoutVisitsEveryReceiverInOrder) {
 
 TEST(TcpLoss, RecoversFromFrameErrors) {
   inet::ClusterParams params;
-  params.wiring = inet::Wiring::kSingleSwitch;
+  params.topology = net::TopologySpec::single_switch();
   params.link.frame_error_rate = 0.02;
   params.seed = 3;
   harness::Testbed bed(1, params);

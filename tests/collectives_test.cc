@@ -111,7 +111,7 @@ class AllgatherFixture : public ::testing::Test {
   static inet::ClusterParams make_params() {
     inet::ClusterParams p;
     p.n_hosts = kRanks;
-    p.wiring = inet::Wiring::kSingleSwitch;
+    p.topology = net::TopologySpec::single_switch();
     return p;
   }
 

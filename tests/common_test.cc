@@ -195,23 +195,6 @@ TEST(RunningStat, EmptyAndSingle) {
   EXPECT_EQ(stat.max(), 5.0);
 }
 
-TEST(Samples, PercentileInterpolates) {
-  Samples s;
-  for (double v : {10.0, 20.0, 30.0, 40.0}) s.add(v);
-  EXPECT_DOUBLE_EQ(s.percentile(0), 10.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 40.0);
-  EXPECT_DOUBLE_EQ(s.percentile(50), 25.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 25.0);
-  EXPECT_DOUBLE_EQ(s.min(), 10.0);
-  EXPECT_DOUBLE_EQ(s.max(), 40.0);
-}
-
-TEST(Samples, SingleValue) {
-  Samples s;
-  s.add(3.5);
-  EXPECT_DOUBLE_EQ(s.percentile(37.0), 3.5);
-}
-
 TEST(Counter, SaturatesAtMax) {
   Counter c;
   c.inc();
@@ -256,6 +239,15 @@ TEST(Strings, FormatRate) {
 TEST(Strings, StrFormat) {
   EXPECT_EQ(str_format("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(str_format("%s", ""), "");
+}
+
+TEST(Strings, AppendJsonStringEscapes) {
+  std::string out = "x";
+  append_json_string(out, "a\tb\x01" "c\"d\\e\nf\x1f");
+  EXPECT_EQ(out, R"(x"a\tb\u0001c\"d\\e\nf\u001f")");
+  out.clear();
+  append_json_string(out, "");
+  EXPECT_EQ(out, R"("")");
 }
 
 }  // namespace

@@ -240,7 +240,7 @@ class HostPairTest : public ::testing::Test {
   static ClusterParams make_params() {
     ClusterParams p;
     p.n_hosts = 2;
-    p.wiring = Wiring::kSingleSwitch;
+    p.topology = net::TopologySpec::single_switch();
     return p;
   }
 
@@ -305,7 +305,7 @@ TEST(HostOverflow, RcvbufOverflowDropsDatagrams) {
   // with a 10 KB buffer it must drop.
   ClusterParams params;
   params.n_hosts = 2;
-  params.wiring = Wiring::kSingleSwitch;
+  params.topology = net::TopologySpec::single_switch();
   params.host.recv_syscall = sim::milliseconds(2);
   Cluster cluster(params);
   Socket* tx = cluster.host(0).open_socket();
@@ -559,7 +559,7 @@ TEST_F(SharedReassembly, CacheEntriesPinTheirFragmentBlocks) {
 TEST(Cluster, TwoSwitchTopologyMatchesFigure7) {
   ClusterParams params;
   params.n_hosts = 31;
-  params.wiring = Wiring::kTwoSwitch;
+  params.topology = net::TopologySpec::figure7();
   Cluster cluster(params);
   ASSERT_EQ(cluster.switches().size(), 2u);
   // 16 hosts + uplink + spare on A; 15 hosts + uplink + spare on B.
@@ -572,7 +572,7 @@ TEST(Cluster, TwoSwitchTopologyMatchesFigure7) {
 TEST(Cluster, CrossSwitchDelivery) {
   ClusterParams params;
   params.n_hosts = 31;
-  params.wiring = Wiring::kTwoSwitch;
+  params.topology = net::TopologySpec::figure7();
   Cluster cluster(params);
   // Host 0 (switch A) to host 30 (switch B), across the uplink.
   Socket* tx = cluster.host(0).open_socket();
@@ -589,7 +589,7 @@ TEST(Cluster, CrossSwitchDelivery) {
 TEST(Cluster, MulticastReachesBothSwitches) {
   ClusterParams params;
   params.n_hosts = 20;
-  params.wiring = Wiring::kTwoSwitch;
+  params.topology = net::TopologySpec::figure7();
   Cluster cluster(params);
   net::Ipv4Addr group(239, 0, 0, 1);
   int got = 0;
@@ -609,7 +609,7 @@ TEST(Cluster, MulticastReachesBothSwitches) {
 TEST(Cluster, SnoopingFiltersNonMembersAcrossSwitches) {
   ClusterParams params;
   params.n_hosts = 20;
-  params.wiring = Wiring::kTwoSwitch;  // members end up on both switches
+  params.topology = net::TopologySpec::figure7();  // members end up on both switches
   params.multicast_snooping = true;
   Cluster cluster(params);
   net::Ipv4Addr group(239, 0, 0, 1);
@@ -637,7 +637,7 @@ TEST(Cluster, SnoopingFiltersNonMembersAcrossSwitches) {
 TEST(Cluster, SnoopingTracksLeaves) {
   ClusterParams params;
   params.n_hosts = 3;
-  params.wiring = Wiring::kSingleSwitch;
+  params.topology = net::TopologySpec::single_switch();
   params.multicast_snooping = true;
   Cluster cluster(params);
   net::Ipv4Addr group(239, 0, 0, 2);
@@ -821,7 +821,7 @@ TEST(Cluster, Figure7FloodsTheFirstUnicastOnEverySwitch) {
 TEST(Cluster, SharedBusWiringDelivers) {
   ClusterParams params;
   params.n_hosts = 5;
-  params.wiring = Wiring::kSharedBus;
+  params.topology = net::TopologySpec::shared_bus();
   Cluster cluster(params);
   net::Ipv4Addr group(239, 0, 0, 1);
   int got = 0;
@@ -842,7 +842,7 @@ TEST(Cluster, SharedBusWiringDelivers) {
 TEST(Cluster, FrameErrorsCauseLoss) {
   ClusterParams params;
   params.n_hosts = 2;
-  params.wiring = Wiring::kSingleSwitch;
+  params.topology = net::TopologySpec::single_switch();
   params.link.frame_error_rate = 0.5;
   params.seed = 9;
   Cluster cluster(params);

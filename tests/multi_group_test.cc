@@ -46,7 +46,7 @@ class TwoGroupFixture : public ::testing::Test {
   static inet::ClusterParams make_params() {
     inet::ClusterParams p;
     p.n_hosts = 6;
-    p.wiring = inet::Wiring::kSingleSwitch;
+    p.topology = net::TopologySpec::single_switch();
     return p;
   }
 

@@ -339,7 +339,7 @@ TEST_F(SwitchTest, ForwardingLatencyApplied) {
   sim_.run();
   // Forwarding latency + serialization + propagation.
   SwitchParams defaults;
-  sim::Time expected = defaults.forwarding_latency +
+  sim::Time expected = kForwardingLatency +
                        sim::transmission_time(1000 + 38, defaults.port.rate_bps) +
                        defaults.port.propagation;
   EXPECT_EQ(sim_.now(), expected);

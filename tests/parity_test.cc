@@ -73,5 +73,16 @@ TEST(ParityTest, InvalidConfigFailsClosed) {
   EXPECT_NE(report.failures[0].find("invalid protocol config"), std::string::npos);
 }
 
+// A failure message is free text: a tab or another control character in
+// it must be escaped, or to_json() stops being JSON.
+TEST(ParityTest, ReportJsonEscapesControlCharacters) {
+  harness::ParityReport report;
+  report.failures.push_back("a\tb\x01" "c\"d\\e");
+  const std::string json = report.to_json();
+  EXPECT_NE(json.find(R"("failures": ["a\tb\u0001c\"d\\e"])"), std::string::npos) << json;
+  EXPECT_EQ(json.find('\t'), std::string::npos) << json;
+  EXPECT_EQ(json.find('\x01'), std::string::npos) << json;
+}
+
 }  // namespace
 }  // namespace rmc

@@ -267,7 +267,6 @@ TEST(ProtocolRegistryTest, ValidateHooksCoverTheFecKnobs) {
   // ARQ-side options that conflict with the parity machinery.
   ec.window_size = 50;
   ec.multicast_nak_suppression = true;
-  ec.nak_suppress_delay = 0.001;
   EXPECT_FALSE(entry(ProtocolKind::kEcRs).traits.validate(ec, 10).empty());
   ec.multicast_nak_suppression = false;
   ec.unicast_nak_retransmissions = true;

@@ -170,7 +170,6 @@ TEST(NakSuppression, BackoffDelaysAndCancelsOnForeignNak) {
   config.window_size = 8;
   config.poll_interval = 4;
   config.multicast_nak_suppression = true;
-  config.nak_suppress_delay = sim::milliseconds(2);
   rmcast::MulticastReceiver receiver(runtime, data, control, m, 0, config);
 
   auto inject_data = [&](std::uint32_t seq) {
@@ -231,7 +230,7 @@ TEST(NakSuppression, BackoffExpiresIntoDualDestinationNak) {
   d.bytes(BytesView(body.data(), body.size()));
   data.inject(m.sender_control, d.take());
 
-  runtime.advance(config.nak_suppress_delay + 1);
+  runtime.advance(rmcast::kNakSuppressDelay + 1);
   // One NAK to the sender (unicast) and one to the group (multicast).
   ASSERT_EQ(control.sent().size(), 2u);
   EXPECT_EQ(control.sent()[0].dst, m.sender_control);
@@ -361,7 +360,6 @@ class PeerRepairUnit : public ::testing::Test {
     config_.selective_repeat = true;
     config_.receiver_driven_timeouts = true;
     config_.peer_repair = true;
-    config_.repair_delay = sim::milliseconds(2);
     receiver_ = std::make_unique<rmcast::MulticastReceiver>(runtime_, data_, control_,
                                                             membership_, 0, config_);
     // Session of 3 packets; this receiver holds packets 0 and 1.
@@ -396,7 +394,7 @@ class PeerRepairUnit : public ::testing::Test {
 TEST_F(PeerRepairUnit, RepairsHeldPacketAfterBackoff) {
   inject_foreign_nak(0);
   EXPECT_TRUE(control_.sent().empty());  // backoff first
-  runtime_.advance(config_.repair_delay + 1);
+  runtime_.advance(rmcast::kRepairDelay + 1);
   auto sent = control_.sent_headers();
   ASSERT_EQ(sent.size(), 1u);
   EXPECT_EQ(sent[0].type, PacketType::kData);
@@ -419,7 +417,7 @@ TEST_F(PeerRepairUnit, SomeoneElsesRepairCancelsOurs) {
   Buffer body(100, 1);
   d.bytes(BytesView(body.data(), body.size()));
   data_.inject(membership_.receiver_control[3], d.take());
-  runtime_.advance(config_.repair_delay + 1);
+  runtime_.advance(rmcast::kRepairDelay + 1);
   for (const auto& h : control_.sent_headers()) {
     EXPECT_NE(h.type, PacketType::kData);
   }
@@ -427,9 +425,34 @@ TEST_F(PeerRepairUnit, SomeoneElsesRepairCancelsOurs) {
   EXPECT_EQ(receiver_->stats().repairs_suppressed, 1u);
 }
 
+// A NAK echoing a loss this receiver just repaired is held off for
+// 5 x kRepairDelay (the repair is still in flight to whoever NAKed); a NAK
+// after the holdoff starts a new repair round.
+TEST_F(PeerRepairUnit, RepairHoldsOffEchoNaks) {
+  auto data_sent = [this] {
+    std::size_t n = 0;
+    for (const auto& h : control_.sent_headers()) n += h.type == PacketType::kData;
+    return n;
+  };
+  inject_foreign_nak(0);
+  runtime_.advance(rmcast::kRepairDelay + 1);
+  ASSERT_EQ(data_sent(), 1u);
+
+  inject_foreign_nak(0);
+  runtime_.advance(rmcast::kRepairDelay + 1);
+  EXPECT_EQ(data_sent(), 1u);
+  EXPECT_EQ(receiver_->stats().repairs_suppressed, 1u);
+
+  runtime_.advance(5 * rmcast::kRepairDelay);
+  inject_foreign_nak(0);
+  runtime_.advance(rmcast::kRepairDelay + 1);
+  EXPECT_EQ(data_sent(), 2u);
+  EXPECT_EQ(receiver_->stats().repairs_sent, 2u);
+}
+
 TEST_F(PeerRepairUnit, DoesNotRepairWhatItLacks) {
   inject_foreign_nak(2);  // we only hold 0 and 1
-  runtime_.advance(config_.repair_delay + 1);
+  runtime_.advance(rmcast::kRepairDelay + 1);
   for (const auto& h : control_.sent_headers()) {
     EXPECT_NE(h.type, PacketType::kData);
   }

@@ -54,7 +54,6 @@ class ReceiverUnit {
     config_.poll_interval = 3;
     config_.tree_height = height;
     config_.selective_repeat = selective_repeat;
-    config_.nak_interval = sim::milliseconds(2);
     receiver_ = std::make_unique<rmcast::MulticastReceiver>(
         runtime_, data_socket_, control_socket_, membership_, node_id, config_);
     receiver_->set_message_handler([this](const Buffer& message, std::uint32_t session) {

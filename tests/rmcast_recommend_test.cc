@@ -129,5 +129,49 @@ TEST(Recommend, RecommendedConfigActuallyTransfers) {
   }
 }
 
+// Group-size-scaled timers leave the paper's grid alone: at N <= 30 every
+// kind's recommended config keeps the default timers.
+TEST(ScaleTimers, PaperGroupSizesKeepTheDefaultTimers) {
+  const ProtocolConfig defaults;
+  for (const EngineEntry& e : ProtocolRegistry::instance().entries()) {
+    for (std::size_t receivers : {std::size_t{1}, std::size_t{16}, std::size_t{30}}) {
+      ProtocolConfig config;
+      config.kind = e.kind;
+      e.traits.apply_recommended_tuning(config, 2'000'000, receivers);
+      const ProtocolConfig tuned = config;
+      scale_timers_to_group(config, receivers);
+      EXPECT_EQ(config, tuned) << e.traits.display_name << ", " << receivers;
+      EXPECT_EQ(config.rto, defaults.rto) << e.traits.display_name;
+      EXPECT_EQ(config.alloc_rto, defaults.alloc_rto) << e.traits.display_name;
+      EXPECT_EQ(config.max_rto, defaults.max_rto) << e.traits.display_name;
+      EXPECT_EQ(config.receiver_timeout, defaults.receiver_timeout) << e.traits.display_name;
+    }
+  }
+  EXPECT_EQ(recommend_config(2'000'000, 30).config.rto, defaults.rto);
+}
+
+TEST(ScaleTimers, LargeGroupsGetTheFloors) {
+  constexpr std::size_t kN = 1023;
+  for (const EngineEntry& e : ProtocolRegistry::instance().entries()) {
+    ProtocolConfig config;
+    config.kind = e.kind;
+    e.traits.apply_recommended_tuning(config, 131'072, kN);
+    scale_timers_to_group(config, kN);
+    EXPECT_EQ(config.rto, sim::microseconds(102'300)) << e.traits.display_name;
+    EXPECT_EQ(config.alloc_rto, sim::microseconds(102'300)) << e.traits.display_name;
+    EXPECT_EQ(config.max_rto, sim::seconds(2)) << e.traits.display_name;
+    EXPECT_EQ(config.receiver_timeout, config.receiver_driven_timeouts
+                                           ? sim::milliseconds(1023)
+                                           : sim::milliseconds(30))
+        << e.traits.display_name;
+  }
+  // max_rto follows an rto raised past it.
+  ProtocolConfig config;
+  scale_timers_to_group(config, 30'000);
+  EXPECT_EQ(config.rto, sim::seconds(3));
+  EXPECT_EQ(config.max_rto, config.rto);
+  EXPECT_EQ(recommend_config(131'072, kN).config.alloc_rto, sim::microseconds(102'300));
+}
+
 }  // namespace
 }  // namespace rmc::rmcast

@@ -12,7 +12,7 @@ namespace {
 TEST(SimRuntime, ClockFollowsSimulator) {
   inet::ClusterParams params;
   params.n_hosts = 2;
-  params.wiring = inet::Wiring::kSingleSwitch;
+  params.topology = net::TopologySpec::single_switch();
   inet::Cluster cluster(params);
   SimRuntime runtime(cluster.host(0));
   EXPECT_EQ(runtime.now(), 0);
@@ -23,7 +23,7 @@ TEST(SimRuntime, ClockFollowsSimulator) {
 TEST(SimRuntime, TimerFiresAndCancels) {
   inet::ClusterParams params;
   params.n_hosts = 2;
-  params.wiring = inet::Wiring::kSingleSwitch;
+  params.topology = net::TopologySpec::single_switch();
   inet::Cluster cluster(params);
   SimRuntime runtime(cluster.host(0));
   int fired = 0;
@@ -37,7 +37,7 @@ TEST(SimRuntime, TimerFiresAndCancels) {
 TEST(SimRuntime, RunCostChargesHostCpu) {
   inet::ClusterParams params;
   params.n_hosts = 2;
-  params.wiring = inet::Wiring::kSingleSwitch;
+  params.topology = net::TopologySpec::single_switch();
   inet::Cluster cluster(params);
   SimRuntime runtime(cluster.host(0));
   sim::Time completed_at = -1;
@@ -50,7 +50,7 @@ TEST(SimRuntime, RunCostChargesHostCpu) {
 TEST(SimRuntime, WrappedSocketRoundTrip) {
   inet::ClusterParams params;
   params.n_hosts = 2;
-  params.wiring = inet::Wiring::kSingleSwitch;
+  params.topology = net::TopologySpec::single_switch();
   inet::Cluster cluster(params);
   SimRuntime rt0(cluster.host(0));
   SimRuntime rt1(cluster.host(1));

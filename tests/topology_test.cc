@@ -10,7 +10,7 @@
 #include <set>
 #include <utility>
 
-#include "harness/experiment.h"
+#include "inet/cluster.h"
 
 namespace rmc::net {
 namespace {
@@ -136,26 +136,20 @@ TEST(Topology, Figure7Golden) {
   EXPECT_TRUE(one.trunks.empty());
 }
 
-// The legacy two-switch cluster construction and the declarative
-// figure7() spec must produce indistinguishable simulations: same
-// communication time, same event count, packet for packet.
-TEST(Topology, DefaultMatchesExplicitFigure7) {
-  harness::MulticastRunSpec legacy;
-  legacy.n_receivers = 20;
-  legacy.message_bytes = 20'000;
-  legacy.protocol.packet_size = 4000;
-  legacy.protocol.window_size = 4;
+// The topology field is the only fabric selector: a default cluster is
+// the paper's Figure-7 testbed, and the shared bus is one of its shapes.
+TEST(Topology, ClusterDefaultsToFigure7) {
+  EXPECT_EQ(inet::ClusterParams{}.topology.kind, TopologyKind::kTwoSwitch);
+}
 
-  harness::MulticastRunSpec declared = legacy;
-  declared.cluster.topology = TopologySpec::figure7();
-
-  const harness::RunResult a = harness::run_multicast(legacy);
-  const harness::RunResult b = harness::run_multicast(declared);
-  ASSERT_TRUE(a.completed);
-  ASSERT_TRUE(b.completed);
-  EXPECT_EQ(a.seconds, b.seconds);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.sender.acks_received, b.sender.acks_received);
+TEST(Topology, SharedBusClusterBuildsABusAndNoSwitches) {
+  inet::ClusterParams params;
+  params.n_hosts = 4;
+  params.topology = TopologySpec::shared_bus();
+  inet::Cluster cluster(params);
+  EXPECT_NE(cluster.bus(), nullptr);
+  EXPECT_TRUE(cluster.switches().empty());
+  EXPECT_EQ(cluster.host_nic(0), nullptr);
 }
 
 }  // namespace
