@@ -388,6 +388,45 @@ def posix_io(g):
         raise Fail("1 KiB cell under 32 datagrams per TX syscall")
 
 
+# Peak resident memory of one tree transfer of 128 KiB to 1,023 receivers on
+# a spine-leaf fabric (debug_probe). While every receiver assembled a
+# private copy of the message it read 144.6 MB; with one message per group
+# it reads about 13 MB (4-vCPU VM). Unlike wall time, peak RSS repeats
+# within a few percent from run to run.
+PEAK_RSS_PROBE = ["--proto=tree", "--topo=spineleaf", "--n=1023", "--bytes=131072"]
+PEAK_RSS_LIMIT_MB = 48
+
+# Spawns argv[1:] with output discarded and prints its exit code and
+# ru_maxrss (KiB on Linux). It runs in a fresh interpreter because exec
+# carries the spawning process's high-water mark into the child's
+# ru_maxrss: spawned from this long-running process, whose own peak can
+# reach hundreds of MB, the child would report that peak instead of its
+# own. A fresh interpreter without site imports (-S) peaks at about 8.5 MB,
+# under the probe's own peak.
+MAXRSS_CHILD = (
+    "import os, sys\n"
+    "quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]\n"
+    "pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions=quiet)\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+
+
+def peak_rss(g):
+    """The 1,023-receiver probe peaks under PEAK_RSS_LIMIT_MB, measured
+    with os.wait4 on that one child."""
+    probe = g.bench / "debug_probe"
+    cmd = [sys.executable, "-S", "-c", MAXRSS_CHILD, str(probe)] + PEAK_RSS_PROBE
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.split()
+    code, kib = int(out[0]), int(out[1])
+    if code != 0:
+        raise Fail(f"debug_probe exited {code}")
+    mb = kib / 1024
+    print(f"peak-rss-gate: debug_probe {' '.join(PEAK_RSS_PROBE)} peaked at {mb:.1f} MB "
+          f"(limit {PEAK_RSS_LIMIT_MB} MB)")
+    if mb > PEAK_RSS_LIMIT_MB:
+        raise Fail(f"peak RSS {mb:.1f} MB over {PEAK_RSS_LIMIT_MB} MB")
+
+
 def smoke(g):
     for binary in sorted(g.bench.iterdir()):
         # micro_core is a Google Benchmark harness with no --metrics-out.
@@ -408,6 +447,8 @@ def smoke(g):
            g.bench / "fig_scalability_xl")
     g.gate("posix_loopback batched-I/O gate", lambda: posix_io(g),
            g.bench / "posix_loopback")
+    g.gate("debug_probe N=1023 peak-RSS gate", lambda: peak_rss(g),
+           g.bench / "debug_probe")
 
 
 # --- ci ---------------------------------------------------------------------

@@ -1,11 +1,11 @@
 // Per-thread recycler of message-sized buffers.
 //
-// A simulated transfer builds a fresh sender and fresh receivers, and each
-// needs a message-sized Buffer: the sender's copy_user_data snapshot and
-// every receiver's assembly buffer. Allocated anew per transfer, those
-// buffers fault in fresh pages on every transfer (about 60 MB for 30
-// receivers of a 2 MB message), and std::vector's value-initialization
-// zero-fills every byte besides. The recycler hands back buffers a
+// A simulated transfer builds a fresh sender and fresh receivers, and they
+// need message-sized Buffers: the sender's copy_user_data snapshot and the
+// group's message assembly (plus a private copy for any receiver whose
+// bytes differ from the group's). Allocated anew per transfer, those
+// buffers fault in fresh pages on every transfer, and std::vector's
+// value-initialization zero-fills every byte besides. The recycler hands back buffers a
 // previous user released, with whatever bytes that user left in them:
 // callers overwrite every byte they later read.
 //

@@ -206,9 +206,18 @@ std::uint64_t RunResult::total_naks_sent() const {
 }
 
 Buffer make_pattern(std::uint64_t n_bytes, std::uint64_t offset) {
+  // Byte i is i * 131 + 7 + offset mod 256, which repeats every 256 bytes:
+  // write one period, then double the written prefix until it is full.
+  constexpr std::uint64_t kPeriod = 256;
   Buffer data(n_bytes);
-  for (std::uint64_t i = 0; i < n_bytes; ++i) {
+  const std::uint64_t period = std::min(n_bytes, kPeriod);
+  for (std::uint64_t i = 0; i < period; ++i) {
     data[i] = static_cast<std::uint8_t>(i * 131 + 7 + offset);
+  }
+  for (std::uint64_t done = period; done < n_bytes;) {
+    const std::uint64_t chunk = std::min(done, n_bytes - done);
+    std::copy_n(data.begin(), chunk, data.begin() + static_cast<std::ptrdiff_t>(done));
+    done += chunk;
   }
   return data;
 }

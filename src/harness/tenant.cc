@@ -35,6 +35,9 @@ sim::Time churn_delay(Rng& rng, sim::Time max_delay) {
   return 1 + static_cast<sim::Time>(rng.uniform(bound));
 }
 
+// Latest a scripted host crash fires after its tenant's arrival.
+constexpr sim::Time kMaxCrashDelay = sim::milliseconds(80);
+
 struct TenantState {
   rmcast::ProtocolConfig config;
   rmcast::SessionPlacement placement;
@@ -300,7 +303,7 @@ TenantMixResult run_tenant_mix(const TenantMixSpec& spec) {
         ++state.n_leaves;
       } else if (rng.chance(spec.churn.crash_fraction)) {
         churn.push_back({ChurnEvent::Kind::kCrash, t, r, p.receiver_hosts[r],
-                         state.arrival + churn_delay(rng, spec.churn.max_crash_delay)});
+                         state.arrival + churn_delay(rng, kMaxCrashDelay)});
         ++state.n_crashes;
       }
     }

@@ -45,14 +45,14 @@ namespace rmc::harness {
 
 // Per-receiver churn probabilities. Each receiver of each tenant draws
 // once, in a fixed order: late-join first, else leave, else crash. Delays
-// are uniform in (0, max_*_delay] after the tenant's arrival.
+// are uniform in (0, max_*_delay] after the tenant's arrival; a crash's
+// in (0, 80 ms] (kMaxCrashDelay in tenant.cc).
 struct TenantChurnSpec {
   double late_join_fraction = 0.0;  // receiver joins after the transfer starts
   sim::Time max_join_delay = sim::milliseconds(40);
   double leave_fraction = 0.0;  // receiver departs the group mid-transfer
   sim::Time max_leave_delay = sim::milliseconds(80);
   double crash_fraction = 0.0;  // receiver's HOST fails-stop (blast radius!)
-  sim::Time max_crash_delay = sim::milliseconds(80);
 
   bool any() const {
     return late_join_fraction > 0.0 || leave_fraction > 0.0 || crash_fraction > 0.0;

@@ -73,6 +73,12 @@ void Cluster::set_host_link_up(std::size_t i, bool up) {
   sw.set_port_link_up(port, up);
 }
 
+void Cluster::set_host_link_faults(std::size_t i, const sim::LinkFaults& faults) {
+  std::size_t port = 0;
+  net::EthernetSwitch& sw = switch_of_host(i, &port);
+  sw.set_port_faults(port, faults);
+}
+
 bool Cluster::host_link_up(std::size_t i) const {
   if (switches_.empty()) return !hosts_.at(i)->is_down();
   return nics_.at(i)->link_up();

@@ -86,6 +86,10 @@ class Cluster {
   void set_host_down(std::size_t i, bool down);
   void set_host_link_up(std::size_t i, bool up);
   bool host_link_up(std::size_t i) const;
+  // Impairs what host i receives: the switch egress port facing it gets
+  // `faults` (switched wirings only). One host's link can then drop,
+  // duplicate, reorder or tamper with frames the others get intact.
+  void set_host_link_faults(std::size_t i, const sim::LinkFaults& faults);
 
   // Schedules every event of `plan` on the simulator. Plan targets are
   // receiver node ids, on hosts by the Testbed convention: sender on host

@@ -23,6 +23,11 @@ void EthernetSwitch::set_port_link_up(std::size_t port, bool up) {
   ports_[port]->set_link_up(up);
 }
 
+void EthernetSwitch::set_port_faults(std::size_t port, const sim::LinkFaults& faults) {
+  RMC_ENSURE(port < ports_.size(), "switch port out of range");
+  ports_[port]->set_faults(faults);
+}
+
 void EthernetSwitch::override_port_params(std::size_t port, LinkParams params,
                                           Rng* rng) {
   RMC_ENSURE(port < ports_.size(), "switch port out of range");

@@ -76,6 +76,8 @@ class EthernetSwitch {
   // frames (via the port's TxPort) and ignores ingress frames, as a switch
   // that lost carrier on that port would.
   void set_port_link_up(std::size_t port, bool up);
+  // Impairs the egress of `port` with `faults` (TxPort::set_faults).
+  void set_port_faults(std::size_t port, const sim::LinkFaults& faults);
 
   // Snooping registration (stands in for observed IGMP reports/leaves):
   // reference-counted per (group MAC, port). No-ops unless

@@ -21,6 +21,12 @@ TxPort::TxPort(sim::Simulator& simulator, LinkParams params, Rng* rng)
              "frame errors and link faults require an Rng");
 }
 
+void TxPort::set_faults(const sim::LinkFaults& faults) {
+  RMC_ENSURE(!faults.any() || rng_ != nullptr, "link faults require an Rng");
+  params_.faults = faults;
+  burst_ = sim::GilbertElliottModel(faults.burst);
+}
+
 void TxPort::send(Frame frame) {
   if (!link_up_) {
     ++stats_.link_down_drops;

@@ -91,6 +91,9 @@ class TxPort {
   // draining — a downed cable loses frames, it does not preserve them).
   void set_link_up(bool up) { link_up_ = up; }
   bool link_up() const { return link_up_; }
+  // Replaces the port's LinkFaults from the next frame on (needs an Rng
+  // when any fault is set).
+  void set_faults(const sim::LinkFaults& faults);
 
   std::size_t queue_length() const { return queue_.size() + (transmitting_ ? 1 : 0); }
   // Wire bytes waiting in the queue (excluding the frame on the wire).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/buffer_recycler.h"
 #include "common/flight_recorder.h"
 #include "common/log.h"
 #include "common/panic.h"
@@ -15,7 +14,8 @@ namespace rmc::rmcast {
 MulticastReceiver::MulticastReceiver(rt::Runtime& runtime, rt::UdpSocket& data_socket,
                                      rt::UdpSocket& control_socket,
                                      SharedMembership membership, std::size_t node_id,
-                                     ProtocolConfig config)
+                                     ProtocolConfig config,
+                                     std::shared_ptr<GroupAssembly> assembly)
     : rt_(runtime),
       data_socket_(data_socket),
       control_socket_(control_socket),
@@ -23,7 +23,9 @@ MulticastReceiver::MulticastReceiver(rt::Runtime& runtime, rt::UdpSocket& data_s
       node_id_(node_id),
       config_(config),
       engine_(ProtocolRegistry::instance().entry(config_.kind).engine()),
-      rng_(0x9E3779B9u ^ node_id) {
+      rng_(0x9E3779B9u ^ node_id),
+      group_assembly_(assembly != nullptr ? std::move(assembly)
+                                          : std::make_shared<GroupAssembly>()) {
   std::string config_error = validate(config_, membership_->n_receivers());
   RMC_ENSURE(config_error.empty(), config_error);
   RMC_ENSURE(node_id_ < membership_->n_receivers(), "node id out of range");
@@ -49,10 +51,7 @@ MulticastReceiver::MulticastReceiver(rt::Runtime& runtime, rt::UdpSocket& data_s
                         SharedMembership(std::move(membership)), node_id,
                         std::move(config)) {}
 
-MulticastReceiver::~MulticastReceiver() {
-  cancel_timers();
-  BufferRecycler::instance().release(std::move(buffer_));
-}
+MulticastReceiver::~MulticastReceiver() { cancel_timers(); }
 
 void MulticastReceiver::reset_full_structure() {
   alive_.assign(membership_->n_receivers(), true);
@@ -176,12 +175,10 @@ void MulticastReceiver::handle_alloc_request(const Header& h, Reader& r) {
   session_active_ = true;
   session_started_ = rt_.now();
   alloc_ = *req;
-  // Recycled, not zero-filled: every byte is overwritten by exactly one
-  // data packet (handle_data admits only bodies of the exact block length)
-  // before delivery.
-  BufferRecycler& recycler = BufferRecycler::instance();
-  recycler.release(std::exchange(buffer_, {}));
-  buffer_ = recycler.acquire(alloc_.message_bytes);
+  // Let go of the last session's assembly first: when no other receiver
+  // holds it, its buffer serves this session's.
+  assembly_.reset();
+  assembly_ = group_assembly_->join(session_, alloc_);
   expected_ = 0;
   delivered_ = false;
   last_nak_ = -1;
@@ -317,9 +314,7 @@ void MulticastReceiver::advance_in_order(std::uint8_t flags, BytesView body) {
   event.flags = flags;
   event.old_expected = expected_;
   auto consume = [this](BytesView data) {
-    const std::size_t offset = std::size_t{expected_} * alloc_.packet_bytes;
-    RMC_ENSURE(offset + data.size() <= buffer_.size(), "data packet overflows buffer");
-    std::copy(data.begin(), data.end(), buffer_.begin() + static_cast<std::ptrdiff_t>(offset));
+    store_in_order(assembly_, expected_, data);
     ++stats_.data_packets_received;
     ++expected_;
   };
@@ -579,7 +574,7 @@ void MulticastReceiver::finish_fec_decode(std::uint32_t group, sim::Time started
     }
     if (seq < expected_) {
       const std::size_t off = std::size_t{seq} * alloc_.packet_bytes;
-      std::copy_n(buffer_.begin() + static_cast<std::ptrdiff_t>(off),
+      std::copy_n(assembly_->bytes.begin() + static_cast<std::ptrdiff_t>(off),
                   alloc_.block_len(seq), staging[i].begin());
     } else {
       const Buffer& held = reorder_.at(seq).second;
@@ -672,10 +667,11 @@ void MulticastReceiver::deliver_if_complete() {
   if (delivery_latency_ != nullptr) {
     delivery_latency_->record_seconds(sim::to_seconds(rt_.now() - session_started_));
   }
-  emit(trace::EventKind::kDeliver, session_, static_cast<std::uint32_t>(buffer_.size()));
+  const Buffer& message = assembly_->bytes;
+  emit(trace::EventKind::kDeliver, session_, static_cast<std::uint32_t>(message.size()));
   RMC_DEBUG("receiver %zu: delivered session %u (%zu bytes)", node_id_, session_,
-            buffer_.size());
-  if (handler_) handler_(buffer_, session_);
+            message.size());
+  if (handler_) handler_(message, session_);
 }
 
 void MulticastReceiver::arm_inactivity_timer() {
@@ -733,7 +729,7 @@ void MulticastReceiver::cancel_repair(std::uint32_t seq) {
 }
 
 void MulticastReceiver::emit_repair(std::uint32_t seq) {
-  // Reconstruct the data packet from the assembled message buffer and
+  // Reconstruct the data packet from the message assembly and
   // multicast it: every receiver missing it is healed at once, and other
   // would-be repairers cancel on seeing it.
   std::uint8_t flags = kFlagRetrans;
@@ -744,7 +740,7 @@ void MulticastReceiver::emit_repair(std::uint32_t seq) {
   // while the sender times out.
   flags |= engine_->data_flags(seq, /*force_poll=*/false, config_);
   Header h{PacketType::kData, flags, static_cast<std::uint16_t>(node_id_), session_, seq};
-  const BytesView body(buffer_.data() + std::size_t{seq} * alloc_.packet_bytes,
+  const BytesView body(assembly_->bytes.data() + std::size_t{seq} * alloc_.packet_bytes,
                        alloc_.block_len(seq));
   ++stats_.repairs_sent;
   emit(trace::EventKind::kRepairTx, seq);

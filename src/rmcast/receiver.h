@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -48,6 +49,7 @@
 #include "common/rng.h"
 #include "common/serial.h"
 #include "common/trace.h"
+#include "rmcast/assembly.h"
 #include "rmcast/config.h"
 #include "rmcast/engine/engine.h"
 #include "rmcast/fec/codec.h"
@@ -72,7 +74,9 @@ inline constexpr sim::Time kRepairDelay = sim::milliseconds(6);
 
 class MulticastReceiver : private ReceiverOps {
  public:
-  // Invoked once per completed message with the assembled bytes.
+  // Invoked once per completed message with the assembled bytes. The
+  // Buffer may be shared by the group's receivers and is valid for the
+  // call only.
   using MessageHandler = std::function<void(const Buffer& message, std::uint32_t session)>;
 
   // `data_socket` must be bound to the group port and joined to the group;
@@ -81,10 +85,13 @@ class MulticastReceiver : private ReceiverOps {
   // The receiver shares `membership` with the rest of its group (Session
   // validates the roster once and hands every endpoint the same one, so
   // N receivers hold one roster, not N copies); the by-value form
-  // validates its own copy, for endpoints built by hand.
+  // validates its own copy, for endpoints built by hand. Likewise the
+  // receivers of one group share `assembly`, the message they assemble
+  // (assembly.h); null gives this receiver a group of its own.
   MulticastReceiver(rt::Runtime& runtime, rt::UdpSocket& data_socket,
                     rt::UdpSocket& control_socket, SharedMembership membership,
-                    std::size_t node_id, ProtocolConfig config);
+                    std::size_t node_id, ProtocolConfig config,
+                    std::shared_ptr<GroupAssembly> assembly = nullptr);
   MulticastReceiver(rt::Runtime& runtime, rt::UdpSocket& data_socket,
                     rt::UdpSocket& control_socket, GroupMembership membership,
                     std::size_t node_id, ProtocolConfig config);
@@ -153,7 +160,7 @@ class MulticastReceiver : private ReceiverOps {
   void handle_evict(const Header& h);            // sender evicted a node
   void handle_parity(const Header& h, BytesView body);  // hybrid FEC
 
-  // Copies the packet at the in-order point into the message buffer,
+  // Stores the packet at the in-order point into the message assembly,
   // drains the reorder buffer under selective repeat, then reports the
   // advance (flags accumulated over everything consumed) to the engine,
   // acknowledges each FEC group it closed, and delivers a complete message.
@@ -180,7 +187,7 @@ class MulticastReceiver : private ReceiverOps {
   void emit_repair(std::uint32_t seq);
 
   // Hybrid FEC (config_.fec.is_set()). Data blocks of the group live in
-  // buffer_/reorder_ as usual; only parity needs dedicated storage.
+  // assembly_/reorder_ as usual; only parity needs dedicated storage.
   // Data packets of the oldest incomplete group count as erased once the
   // group's repair window provably closed (parity tail seen, or anything
   // from a later group); a group whose erasures exceed its held parity
@@ -244,7 +251,10 @@ class MulticastReceiver : private ReceiverOps {
   bool session_active_ = false;
   sim::Time session_started_ = 0;  // when this session's ALLOC_REQ was accepted
   AllocRequest alloc_;
-  Buffer buffer_;  // the message, from BufferRecycler
+  // This receiver's group, and the message it assembles this session:
+  // shared with the group while the bytes agree, else its own copy.
+  std::shared_ptr<GroupAssembly> group_assembly_;
+  std::shared_ptr<MessageAssembly> assembly_;
   std::uint32_t expected_ = 0;  // in-order point: holds all seq < expected_
   bool delivered_ = false;
   sim::Time last_nak_ = -1;

@@ -159,7 +159,8 @@ void Session::join_receiver(std::size_t i) {
   if (data == nullptr || control == nullptr) return;
 
   receivers_[i] = std::make_unique<MulticastReceiver>(
-      endpoint_runtime(i + 1), *data, *control, *membership_, i, params_.protocol);
+      endpoint_runtime(i + 1), *data, *control, *membership_, i, params_.protocol,
+      assembly_);
   if (params_.metrics != nullptr) receivers_[i]->set_metrics(params_.metrics);
   if (tracer_ != nullptr) trace_receiver(i);
   receivers_[i]->set_message_handler(

@@ -3,8 +3,9 @@
 // Every sender-plus-receivers group in the codebase is wired here: the
 // sender's control socket and MulticastSender, one data socket (joined to
 // the group) plus one control socket and a MulticastReceiver per
-// receiver, deliveries forwarded with their node index, and metrics and
-// tracer attached. A backend supplies only how one endpoint's socket is
+// receiver, one message assembly the receivers share (assembly.h),
+// deliveries forwarded with their node index, and metrics and tracer
+// attached. A backend supplies only how one endpoint's socket is
 // opened and how to run until completion or a limit: on the simulator
 // that is Host::open_socket + SimRuntime::wrap and Simulator::step (the
 // Session owns the cluster, or sits on a shared one), on real UDP
@@ -91,6 +92,8 @@ struct PosixSessionOptions {
 class Session {
  public:
   // Delivery callback: `node` is the receiver that completed `message`.
+  // The Buffer may be shared by the group's receivers and is valid for the
+  // call only.
   using MessageHandler =
       std::function<void(std::size_t node, const Buffer& message, std::uint32_t session)>;
 
@@ -205,6 +208,8 @@ class Session {
   std::vector<inet::Socket*> data_raw_;
   std::vector<std::unique_ptr<rt::UdpSocket>> sockets_;
   std::unique_ptr<MulticastSender> sender_;
+  // The message the receivers assemble, one per session for the group.
+  std::shared_ptr<GroupAssembly> assembly_ = std::make_shared<GroupAssembly>();
   std::vector<std::unique_ptr<MulticastReceiver>> receivers_;
   trace::Tracer* tracer_ = nullptr;
   bool ok_ = false;

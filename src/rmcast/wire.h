@@ -122,6 +122,8 @@ struct AllocRequest {
   // Data blocks in FEC group `group` of `k`-block groups: k, except a
   // short tail group (0 past the message end).
   std::size_t group_blocks(std::uint32_t group, std::size_t k) const;
+
+  bool operator==(const AllocRequest&) const = default;
 };
 
 inline constexpr std::size_t kAllocRequestBytes = 16;

@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <string_view>
 
 #include "common/buffer_recycler.h"
+#include "common/strings.h"
 #include "common/trace.h"
 #include "harness/experiment.h"
 #include "harness/table.h"
@@ -118,13 +120,84 @@ TEST(RunMulticast, RepeatedTransferAllocatesNoPayloadMemory) {
   ASSERT_TRUE(r.completed) << r.error;
   EXPECT_EQ(arena.stats().blocks_created, created);
   EXPECT_EQ(arena.outstanding_blocks(), 0u);
-  // Eight receivers' messages and the sender's snapshot, nothing more.
+  // The eight receivers' one shared message and the sender's snapshot,
+  // nothing more.
   EXPECT_EQ(recycler.outstanding(), 0u);
-  EXPECT_EQ(recycler.pooled(), 9u);
-  // A smaller transfer afterwards leaves only what it held.
+  EXPECT_EQ(recycler.pooled(), 2u);
+  // A smaller group afterwards holds the same two: the message is stored
+  // once per group, not once per receiver.
   spec.n_receivers = 3;
   ASSERT_TRUE(run_multicast(spec).completed);
-  EXPECT_EQ(recycler.pooled(), 4u);
+  EXPECT_EQ(recycler.outstanding(), 0u);
+  EXPECT_EQ(recycler.pooled(), 2u);
+}
+
+TEST(MakePattern, EveryByteFollowsTheFormula) {
+  const std::uint64_t offset = 17;
+  for (std::uint64_t n : {0ull, 1ull, 255ull, 256ull, 257ull, 2'000'000ull}) {
+    const Buffer data = make_pattern(n, offset);
+    ASSERT_EQ(data.size(), n);
+    std::uint64_t wrong = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      if (data[i] != static_cast<std::uint8_t>(i * 131 + 7 + offset)) ++wrong;
+    }
+    EXPECT_EQ(wrong, 0u) << "size " << n;
+  }
+}
+
+// A 200 KB NAK-polling transfer to four receivers. With a victim, the
+// switch port facing that receiver flips one payload byte in about one
+// frame in 50; every other receiver gets intact frames.
+RunResult run_with_tampered_link(std::optional<std::size_t> victim) {
+  rmcast::SessionParams params;
+  params.n_receivers = 4;
+  params.protocol.kind = rmcast::ProtocolKind::kNakPolling;
+  params.protocol.window_size = 16;
+  params.protocol.poll_interval = 12;
+  rmcast::Session session(std::move(params));
+  inet::Cluster& cluster = session.cluster();
+  if (victim) {
+    sim::LinkFaults faults;
+    faults.tamper_rate = 0.02;
+    cluster.set_host_link_faults(*victim + 1, faults);
+  }
+  SessionTransfer transfer(session, make_pattern(200'000));
+  transfer.start();
+  transfer.run(sim::seconds(10.0));
+  EXPECT_TRUE(transfer.done());
+  if (victim) {
+    const net::HostAttachment& at = cluster.wiring().hosts.at(*victim + 1);
+    EXPECT_GT(cluster.switches()[at.sw]->port_tx(at.port).stats().tampered_frames, 0u);
+  }
+  return transfer.result();
+}
+
+TEST(SessionTransfer, ATamperedLinkFailsTheDeliveryCheckOfItsReceiverOnly) {
+  EXPECT_TRUE(run_with_tampered_link(std::nullopt).completed);
+  // The check names the first receiver that fails, so every receiver
+  // before the victim passed it; the last receiver as victim shows that
+  // all the others did.
+  for (std::size_t victim : {std::size_t{1}, std::size_t{3}}) {
+    RunResult r = run_with_tampered_link(victim);
+    EXPECT_FALSE(r.completed) << "victim " << victim;
+    EXPECT_EQ(r.error, str_format("receiver %zu did not deliver a correct copy", victim));
+  }
+}
+
+TEST(Session, ReceiversOfAGroupDeliverOneSharedMessage) {
+  rmcast::SessionParams params;
+  params.n_receivers = 6;
+  rmcast::Session session(std::move(params));
+  const Buffer message = make_pattern(100'000, 3);
+  std::vector<const Buffer*> delivered;
+  session.set_message_handler(
+      [&](std::size_t, const Buffer& received, std::uint32_t) {
+        EXPECT_EQ(received, message);
+        delivered.push_back(&received);
+      });
+  ASSERT_TRUE(session.send_and_wait(BytesView(message.data(), message.size())));
+  ASSERT_EQ(delivered.size(), 6u);
+  for (const Buffer* d : delivered) EXPECT_EQ(d, delivered[0]);
 }
 
 TEST(RunMulticast, CountsReceiveBufferDrops) {

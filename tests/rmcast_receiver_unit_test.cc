@@ -43,8 +43,11 @@ Buffer alloc_packet(std::uint32_t session, std::uint64_t bytes, std::uint32_t pk
 
 class ReceiverUnit {
  public:
+  // Receivers given the same `assembly` are one group's (as a Session
+  // wires them); null gives this receiver a group of its own.
   ReceiverUnit(ProtocolKind kind, std::size_t node_id, std::size_t height = 2,
-               bool selective_repeat = false)
+               bool selective_repeat = false,
+               std::shared_ptr<rmcast::GroupAssembly> assembly = nullptr)
       : membership_(fake_membership(kN)),
         data_socket_(membership_.group),
         control_socket_(membership_.receiver_control[node_id]) {
@@ -55,7 +58,8 @@ class ReceiverUnit {
     config_.tree_height = height;
     config_.selective_repeat = selective_repeat;
     receiver_ = std::make_unique<rmcast::MulticastReceiver>(
-        runtime_, data_socket_, control_socket_, membership_, node_id, config_);
+        runtime_, data_socket_, control_socket_, rmcast::SharedMembership(membership_),
+        node_id, config_, std::move(assembly));
     receiver_->set_message_handler([this](const Buffer& message, std::uint32_t session) {
       delivered_.push_back({session, message});
     });
@@ -401,22 +405,39 @@ Buffer session_message(std::uint32_t s, std::size_t bytes) {
   return m;
 }
 
+std::uint32_t packet_count(const Buffer& message, std::uint32_t packet) {
+  return static_cast<std::uint32_t>(
+      std::max<std::size_t>(1, (message.size() + packet - 1) / packet));
+}
+
+// Opens session `s` of `message` in `packet`-byte packets.
+void open_session(ReceiverUnit& u, std::uint32_t s, const Buffer& message,
+                  std::uint32_t packet) {
+  u.data_socket_.inject(u.membership_.sender_control,
+                        alloc_packet(s, message.size(), packet,
+                                     packet_count(message, packet)));
+}
+
+// Data packet `seq` of session `s` of `message`.
+void inject_block(ReceiverUnit& u, std::uint32_t s, const Buffer& message,
+                  std::uint32_t packet, std::uint32_t seq) {
+  const std::uint32_t total = packet_count(message, packet);
+  const std::size_t off = std::size_t{seq} * packet;
+  const std::size_t len = std::min<std::size_t>(packet, message.size() - off);
+  Writer w;
+  rmcast::write_header(w, Header{PacketType::kData,
+                                 seq + 1 == total ? rmcast::kFlagLast : std::uint8_t{0},
+                                 rmcast::kSenderNodeId, s, seq});
+  w.bytes(BytesView(message.data() + off, len));
+  u.data_socket_.inject(u.membership_.sender_control, w.take());
+}
+
 // Runs one complete session of `message` in `packet`-byte packets.
 void deliver_session(ReceiverUnit& u, std::uint32_t s, const Buffer& message,
                      std::uint32_t packet) {
-  const auto total = static_cast<std::uint32_t>(
-      std::max<std::size_t>(1, (message.size() + packet - 1) / packet));
-  u.data_socket_.inject(u.membership_.sender_control,
-                        alloc_packet(s, message.size(), packet, total));
-  for (std::uint32_t seq = 0; seq < total; ++seq) {
-    const std::size_t off = std::size_t{seq} * packet;
-    const std::size_t len = std::min<std::size_t>(packet, message.size() - off);
-    Writer w;
-    rmcast::write_header(w, Header{PacketType::kData,
-                                   seq + 1 == total ? rmcast::kFlagLast : std::uint8_t{0},
-                                   rmcast::kSenderNodeId, s, seq});
-    w.bytes(BytesView(message.data() + off, len));
-    u.data_socket_.inject(u.membership_.sender_control, w.take());
+  open_session(u, s, message, packet);
+  for (std::uint32_t seq = 0; seq < packet_count(message, packet); ++seq) {
+    inject_block(u, s, message, packet, seq);
   }
 }
 
@@ -456,6 +477,69 @@ TEST(ReceiverRecycling, FreshReceiversAfterALargerTransferDeliverExactBytes) {
     ASSERT_EQ(u->delivered_.size(), 1u);
     EXPECT_EQ(u->delivered_[0].message, message);
   }
+}
+
+// --- one message per group --------------------------------------------------
+
+TEST(ReceiverGroupAssembly, ADivergentReceiverDeliversItsOwnBytesInEitherFeedOrder) {
+  // Two receivers of one group accept the same session, except that one
+  // block reaches `tampered` with one byte flipped. Whichever receiver
+  // stores that block first, each must deliver exactly what it accepted.
+  const Buffer message = session_message(1, 1'050);  // 11 blocks of 100
+  const std::size_t flipped = 437;                    // in block 4
+  Buffer altered = message;
+  altered[flipped] ^= 0x80;
+  const std::uint32_t total = packet_count(message, 100);
+  for (const bool tampered_first : {false, true}) {
+    auto group = std::make_shared<rmcast::GroupAssembly>();
+    ReceiverUnit clean(ProtocolKind::kAck, 0, 2, false, group);
+    ReceiverUnit tampered(ProtocolKind::kAck, 1, 2, false, group);
+    open_session(clean, 1, message, 100);
+    open_session(tampered, 1, altered, 100);
+    for (std::uint32_t seq = 0; seq < total; ++seq) {
+      if (tampered_first) inject_block(tampered, 1, altered, 100, seq);
+      inject_block(clean, 1, message, 100, seq);
+      if (!tampered_first) inject_block(tampered, 1, altered, 100, seq);
+    }
+    ASSERT_EQ(clean.delivered_.size(), 1u);
+    ASSERT_EQ(tampered.delivered_.size(), 1u);
+    EXPECT_EQ(clean.delivered_[0].message, message) << "tampered first: " << tampered_first;
+    const Buffer& own = tampered.delivered_[0].message;
+    ASSERT_EQ(own.size(), message.size());
+    std::vector<std::size_t> differ;
+    for (std::size_t i = 0; i < own.size(); ++i) {
+      if (own[i] != message[i]) differ.push_back(i);
+    }
+    EXPECT_EQ(differ, std::vector<std::size_t>{flipped})
+        << "tampered first: " << tampered_first;
+  }
+}
+
+TEST(ReceiverGroupAssembly, AStragglerKeepsItsSessionsBytes) {
+  // `fast` finishes session 1 and fills most of session 2 before `slow`
+  // has seen the second half of session 1; a receiver joining the group
+  // late compares session 2 from its first block.
+  auto group = std::make_shared<rmcast::GroupAssembly>();
+  ReceiverUnit fast(ProtocolKind::kAck, 0, 2, false, group);
+  ReceiverUnit slow(ProtocolKind::kAck, 1, 2, false, group);
+  const Buffer first = session_message(1, 1'000);
+  const Buffer second = session_message(2, 1'000);
+  open_session(slow, 1, first, 100);
+  for (std::uint32_t seq = 0; seq < 5; ++seq) inject_block(slow, 1, first, 100, seq);
+  deliver_session(fast, 1, first, 100);
+  open_session(fast, 2, second, 100);
+  for (std::uint32_t seq = 0; seq < 8; ++seq) inject_block(fast, 2, second, 100, seq);
+  for (std::uint32_t seq = 5; seq < 10; ++seq) inject_block(slow, 1, first, 100, seq);
+  ReceiverUnit late(ProtocolKind::kAck, 2, 2, false, group);
+  deliver_session(late, 2, second, 100);
+  for (std::uint32_t seq = 8; seq < 10; ++seq) inject_block(fast, 2, second, 100, seq);
+  ASSERT_EQ(slow.delivered_.size(), 1u);
+  EXPECT_EQ(slow.delivered_[0].message, first);
+  ASSERT_EQ(fast.delivered_.size(), 2u);
+  EXPECT_EQ(fast.delivered_[0].message, first);
+  EXPECT_EQ(fast.delivered_[1].message, second);
+  ASSERT_EQ(late.delivered_.size(), 1u);
+  EXPECT_EQ(late.delivered_[0].message, second);
 }
 
 // --- flat-tree chain behaviour ---------------------------------------------
