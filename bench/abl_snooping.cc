@@ -28,7 +28,6 @@ Outcome run_once(bool snooping, std::uint64_t seed) {
 
   rmcast::SessionPlacement placement;
   for (std::size_t i = 0; i < kReceivers; ++i) placement.receiver_hosts.push_back(i + 1);
-  placement.group = {net::Ipv4Addr(239, 0, 0, 1), 5000};
 
   rmcast::ProtocolConfig config;
   config.kind = rmcast::ProtocolKind::kNakPolling;

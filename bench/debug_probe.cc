@@ -29,7 +29,7 @@ int run(int argc, char** argv) {
                               {"sr", "selective repeat"},
                               {"mnak", "multicast nak suppression"},
                               {"peer", "peer repair"},
-                              {"topo", "fabric: single|figure7|spineleaf|fattree"},
+                              {"topo", "fabric: single|figure7|spineleaf|fattree|bus"},
                               {"radix", "host ports per leaf/edge switch (default 16)"},
                               {"spine", "spine planes / agg per pod (default 4)"},
                               {"queue", "port queue depth in frames (default 512)"},
@@ -103,6 +103,8 @@ int run(int argc, char** argv) {
       spec.cluster.topology = net::TopologySpec::spine_leaf(radix, spine);
     } else if (topo == "fattree") {
       spec.cluster.topology = net::TopologySpec::fat_tree(radix, 4, spine, 4);
+    } else if (topo == "bus") {
+      spec.cluster.topology = net::TopologySpec::shared_bus();
     } else {
       std::fprintf(stderr, "unknown --topo=%s\n", topo.c_str());
       return 1;

@@ -534,10 +534,11 @@ GOLDEN_SKIP = {"micro_core", "posix_loopback"}
 # peer repair, and bursty loss with a short receiver timeout (the NAK,
 # GROUP_NAK and decode paths), all on the Figure-7 testbed; then 255
 # receivers on a spine-leaf fabric, which pins the datacenter forwarding
-# path.
+# path, and 15 on the CSMA/CD bus, which pins collisions and backoff.
 PROBE_SCENARIOS = [[], ["--loss=0.02", "--peer"],
                    ["--loss=0.02", "--burst=0.01", "--rtimeout=5"],
-                   ["--topo=spineleaf", "--n=255", "--bytes=131072"]]
+                   ["--topo=spineleaf", "--n=255", "--bytes=131072"],
+                   ["--topo=bus", "--n=15"]]
 
 
 def digest(path, keep=None):

@@ -196,7 +196,7 @@ void BM_ReassembleDatagram(benchmark::State& state) {
                           [&](net::PayloadRef f) { fragments.push_back(std::move(f)); });
   sim::Simulator sim;
   std::int64_t delivered = 0;
-  inet::Reassembler reassembler(sim, sim::seconds(1.0), [&](inet::Datagram d, std::size_t) {
+  inet::Reassembler reassembler(sim, [&](inet::Datagram d, std::size_t) {
     benchmark::DoNotOptimize(d.payload.data());
     ++delivered;
   });

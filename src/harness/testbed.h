@@ -2,7 +2,9 @@
 //
 // Builds the paper's Figure-7 cluster (host 0 = sender P0, hosts 1..N =
 // receivers), opens the conventional sockets on every node and exposes
-// them through the backend-neutral runtime interface:
+// them through the backend-neutral runtime interface. The roster is that
+// of a default rmcast::SessionPlacement, the one Session(SessionParams)
+// uses:
 //
 //   * group data address 239.0.0.1:5000 — every receiver's data socket is
 //     bound to the port and joined to the group;
@@ -18,10 +20,6 @@
 #include "runtime/sim_runtime.h"
 
 namespace rmc::harness {
-
-inline net::Endpoint default_group_endpoint() {
-  return {net::Ipv4Addr(239, 0, 0, 1), 5000};
-}
 
 class Testbed {
  public:
@@ -42,17 +40,11 @@ class Testbed {
   rt::UdpSocket& receiver_data_socket(std::size_t i) { return *data_sockets_[i]; }
   rt::UdpSocket& receiver_control_socket(std::size_t i) { return *control_sockets_[i]; }
 
-  // Sum of rcvbuf drops across every socket in the testbed.
-  std::uint64_t total_rcvbuf_drops() const;
-
  private:
   std::size_t n_receivers_;
   inet::Cluster cluster_;
   rmcast::GroupMembership membership_;
   std::vector<std::unique_ptr<rt::SimRuntime>> runtimes_;
-  inet::Socket* raw_sender_socket_ = nullptr;
-  std::vector<inet::Socket*> raw_data_sockets_;
-  std::vector<inet::Socket*> raw_control_sockets_;
   std::unique_ptr<rt::UdpSocket> sender_socket_;
   std::vector<std::unique_ptr<rt::UdpSocket>> data_sockets_;
   std::vector<std::unique_ptr<rt::UdpSocket>> control_sockets_;

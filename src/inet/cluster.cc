@@ -17,22 +17,11 @@ Cluster::Cluster(ClusterParams params) : params_(std::move(params)), rng_(params
     auto addr = host_addr(i);
     auto mac = net::MacAddr::host(static_cast<std::uint32_t>(i));
     arp->emplace(addr.bits(), mac);
-    HostParams host_params = params_.host;
-    if (static_cast<int>(i) == params_.straggler_index) {
-      const double f = params_.straggler_cpu_factor;
-      host_params.send_syscall = static_cast<sim::Time>(host_params.send_syscall * f);
-      host_params.send_per_byte_ns *= f;
-      host_params.send_per_fragment =
-          static_cast<sim::Time>(host_params.send_per_fragment * f);
-      host_params.recv_syscall = static_cast<sim::Time>(host_params.recv_syscall * f);
-      host_params.recv_per_byte_ns *= f;
-      host_params.recv_per_fragment =
-          static_cast<sim::Time>(host_params.recv_per_fragment * f);
-      host_params.interrupt_per_frame =
-          static_cast<sim::Time>(host_params.interrupt_per_frame * f);
-    }
+    const double cpu_factor = static_cast<int>(i) == params_.straggler_index
+                                  ? params_.straggler_cpu_factor
+                                  : 1.0;
     hosts_.push_back(std::make_unique<Host>(sim_, str_format("P%zu", i), addr, mac,
-                                            host_params, reassembly_));
+                                            params_.host, cpu_factor, reassembly_));
   }
   // Shared static ARP table: cluster membership never changes mid-run.
   auto resolver = [arp](net::Ipv4Addr addr) {
@@ -230,7 +219,7 @@ void Cluster::build_from_spec(const net::TopologySpec& spec) {
 }
 
 void Cluster::build_bus() {
-  bus_ = std::make_unique<net::SharedBus>(sim_, net::BusParams{}, rng_);
+  bus_ = std::make_unique<net::SharedBus>(sim_, rng_);
   for (auto& host : hosts_) {
     std::size_t id = bus_->add_station(host->frame_input());
     host->set_frame_output(bus_->station_tx(id));

@@ -6,8 +6,8 @@
 // net::TopologySpec, is the one fabric selector: besides Figure 7 it
 // names the single switch, the shared bus (CSMA/CD) case the paper's §3
 // discussion raises, and the datacenter fabrics (spine-leaf, fat-tree).
-// Switches forward after net::kForwardingLatency; a bus runs with the
-// default net::BusParams.
+// Switches forward after net::kForwardingLatency; the bus is an 802.3
+// segment (net/shared_bus.h).
 //
 // The Cluster owns the Simulator, the hosts, the switches/bus, every
 // TxPort, the Rng used for loss injection, and the ReassemblyCache its

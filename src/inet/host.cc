@@ -7,13 +7,6 @@
 
 namespace rmc::inet {
 
-namespace {
-
-// Incomplete IP reassemblies are discarded after this long.
-constexpr sim::Time kReassemblyTimeout = sim::milliseconds(200);
-
-}  // namespace
-
 void Socket::bind(std::uint16_t port) { port_ = port; }
 
 void Socket::join(net::Ipv4Addr group) {
@@ -36,13 +29,21 @@ void Socket::send_ref(const net::Endpoint& dst, net::PayloadRef payload) {
 net::Endpoint Socket::local_endpoint() const { return {host_->addr(), port_}; }
 
 Host::Host(sim::Simulator& simulator, std::string name, net::Ipv4Addr addr,
-           net::MacAddr mac, HostParams params, ReassemblyCache& reassembly)
+           net::MacAddr mac, HostParams params, double cpu_factor,
+           ReassemblyCache& reassembly)
     : sim_(simulator),
       name_(std::move(name)),
       addr_(addr),
       mac_(mac),
       params_(params),
-      reassembler_(simulator, kReassemblyTimeout,
+      send_cost_{static_cast<sim::Time>(kSendSyscall * cpu_factor),
+                 kSendPerByteNs * cpu_factor,
+                 static_cast<sim::Time>(kSendPerFragment * cpu_factor)},
+      recv_cost_{static_cast<sim::Time>(kRecvSyscall * cpu_factor),
+                 kRecvPerByteNs * cpu_factor,
+                 static_cast<sim::Time>(kRecvPerFragment * cpu_factor)},
+      interrupt_cost_(static_cast<sim::Time>(kInterruptPerFrame * cpu_factor)),
+      reassembler_(simulator,
                    [this](Datagram d, std::size_t n_fragments) {
                      deliver(std::move(d), n_fragments);
                    },
@@ -142,10 +143,7 @@ void Host::send_datagram(Socket& socket, const net::Endpoint& dst,
   if (socket.port_ == 0) socket.port_ = ephemeral_port();
 
   const std::size_t n_fragments = fragment_count(payload.size());
-  const sim::Time cost =
-      params_.send_syscall +
-      static_cast<sim::Time>(params_.send_per_byte_ns * static_cast<double>(payload.size())) +
-      static_cast<sim::Time>(n_fragments) * params_.send_per_fragment;
+  const sim::Time cost = send_cost_.of(payload.size(), n_fragments);
   ++socket.stats_.datagrams_sent;
   const std::size_t wire_bytes = datagram_wire_bytes(payload.size());
 
@@ -203,8 +201,8 @@ void Host::handle_frame(const net::Frame& frame) {
   ++stats_.frames_in;
   // Interrupt service: steals CPU from future work without delaying work
   // already in flight (interrupts preempt).
-  cpu_horizon_ = std::max(cpu_horizon_, sim_.now()) + params_.interrupt_per_frame;
-  stats_.cpu_busy += params_.interrupt_per_frame;
+  cpu_horizon_ = std::max(cpu_horizon_, sim_.now()) + interrupt_cost_;
+  stats_.cpu_busy += interrupt_cost_;
 
   reassembler_.accept(frame.payload);
 }
@@ -247,11 +245,7 @@ void Host::enqueue_datagram(Socket& s, Datagram datagram, std::size_t n_fragment
   s.pending_bytes_ += bytes;
   s.queue_.push_back(Socket::Queued{std::move(datagram), n_fragments});
 
-  const sim::Time cost =
-      params_.recv_syscall +
-      static_cast<sim::Time>(params_.recv_per_byte_ns * static_cast<double>(bytes)) +
-      static_cast<sim::Time>(n_fragments) * params_.recv_per_fragment;
-  run_on_cpu(cost, [this, sp = &s] {
+  run_on_cpu(recv_cost_.of(bytes, n_fragments), [this, sp = &s] {
     RMC_ENSURE(!sp->queue_.empty(), "socket delivery with empty queue");
     Socket::Queued item = std::move(sp->queue_.front());
     sp->queue_.pop_front();

@@ -94,10 +94,12 @@ class Host {
     sim::Time cpu_busy = 0;
   };
 
-  // `reassembly` is the cluster's cache of finished reassemblies, shared
-  // by all its hosts (see ReassemblyCache); it must outlive the host.
+  // `cpu_factor` scales every CPU cost of host_params.h for this host (a
+  // straggler's is above 1). `reassembly` is the cluster's cache of
+  // finished reassemblies, shared by all its hosts (see ReassemblyCache);
+  // it must outlive the host.
   Host(sim::Simulator& simulator, std::string name, net::Ipv4Addr addr, net::MacAddr mac,
-       HostParams params, ReassemblyCache& reassembly);
+       HostParams params, double cpu_factor, ReassemblyCache& reassembly);
   Host(const Host&) = delete;
   Host& operator=(const Host&) = delete;
 
@@ -159,13 +161,24 @@ class Host {
   const std::string& name() const { return name_; }
   net::Ipv4Addr addr() const { return addr_; }
   net::MacAddr mac() const { return mac_; }
-  const HostParams& params() const { return params_; }
   sim::Simulator& simulator() { return sim_; }
   const Stats& stats() const { return stats_; }
   std::uint64_t reassembly_timeouts() const { return reassembler_.timeouts(); }
 
  private:
   friend class Socket;
+
+  // CPU cost of one datagram on the send or receive path.
+  struct PathCost {
+    sim::Time syscall;
+    double per_byte_ns;
+    sim::Time per_fragment;
+
+    sim::Time of(std::size_t bytes, std::size_t n_fragments) const {
+      return syscall + static_cast<sim::Time>(per_byte_ns * static_cast<double>(bytes)) +
+             static_cast<sim::Time>(n_fragments) * per_fragment;
+    }
+  };
 
   struct CpuTask {
     sim::Time cost;
@@ -195,6 +208,10 @@ class Host {
   net::Ipv4Addr addr_;
   net::MacAddr mac_;
   HostParams params_;
+  // The host_params.h costs scaled by this host's CPU factor.
+  PathCost send_cost_;
+  PathCost recv_cost_;
+  sim::Time interrupt_cost_;
   net::FrameSink frame_output_;
   trace::Tracer* tracer_ = nullptr;
   std::uint16_t trace_track_ = 0;

@@ -17,27 +17,27 @@
 
 namespace rmc::inet {
 
+// Per-datagram cost of the send path (syscall, UDP/IP encapsulation).
+inline constexpr sim::Time kSendSyscall = sim::microseconds(30);
+// Kernel copy + checksum on send, ns per payload byte (~125 MB/s).
+inline constexpr double kSendPerByteNs = 8.0;
+// NIC queueing work per transmitted fragment (frame).
+inline constexpr sim::Time kSendPerFragment = sim::microseconds(8);
+
+// Per-datagram cost of delivering to the application: recvfrom() plus the
+// user-level protocol loop's per-packet work (header parse, state walk,
+// gettimeofday — the paper's implementation runs entirely in user space).
+inline constexpr sim::Time kRecvSyscall = sim::microseconds(40);
+// Kernel copy on receive, ns per payload byte.
+inline constexpr double kRecvPerByteNs = 8.0;
+// IP and NIC work per received fragment.
+inline constexpr sim::Time kRecvPerFragment = sim::microseconds(6);
+// Interrupt service per accepted frame; charged even if the datagram is
+// later dropped at the socket buffer.
+inline constexpr sim::Time kInterruptPerFrame = sim::microseconds(8);
+
+// The socket buffer defaults: the two host settings that benches vary.
 struct HostParams {
-  // Per-datagram cost of the send path (syscall, UDP/IP encapsulation).
-  sim::Time send_syscall = sim::microseconds(30);
-  // Kernel copy + checksum on send, ns per payload byte (~125 MB/s).
-  double send_per_byte_ns = 8.0;
-  // Driver/queueing work per transmitted fragment (frame).
-  sim::Time send_per_fragment = sim::microseconds(8);
-
-  // Per-datagram cost of delivering to the application: recvfrom() plus
-  // the user-level protocol loop's per-packet work (header parse, state
-  // walk, gettimeofday — the paper's implementation runs entirely in user
-  // space).
-  sim::Time recv_syscall = sim::microseconds(40);
-  // Kernel copy on receive, ns per payload byte.
-  double recv_per_byte_ns = 8.0;
-  // IP/driver work per received fragment.
-  sim::Time recv_per_fragment = sim::microseconds(6);
-  // Interrupt service per accepted frame; charged even if the datagram is
-  // later dropped at the socket buffer.
-  sim::Time interrupt_per_frame = sim::microseconds(8);
-
   // Default SO_RCVBUF: datagrams beyond this are dropped, the paper's
   // dominant loss mechanism on an otherwise error-free wired LAN.
   std::size_t default_rcvbuf_bytes = 64 * 1024;
@@ -53,8 +53,8 @@ struct HostParams {
 // User-space copy of application data into protocol packets, ns per byte
 // (~18 MB/s: a cold two-buffer memcpy plus per-byte protocol bookkeeping
 // on the 650 MHz testbed machines), charged by the sender when
-// ProtocolConfig::copy_user_data is on. Calibrated jointly with
-// HostParams so that at 50 KB packets the copy no longer hides inside the
+// ProtocolConfig::copy_user_data is on. Calibrated jointly with the host
+// costs above so that at 50 KB packets the copy no longer hides inside the
 // SO_SNDBUF drain window — which reproduces the ~68 Mbps large-packet
 // ceiling the paper measures for both the ACK and ring protocols. Only the
 // simulated backend charges it; on real sockets the copy is real.

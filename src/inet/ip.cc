@@ -144,10 +144,9 @@ net::PayloadRef ReassemblyCache::assemble(std::span<const net::PayloadRef> fragm
   return e.payload;
 }
 
-Reassembler::Reassembler(sim::Simulator& simulator, sim::Time timeout,
-                         DatagramHandler on_datagram, ReassemblyCache* shared)
-    : sim_(simulator), timeout_(timeout), on_datagram_(std::move(on_datagram)),
-      shared_(shared) {}
+Reassembler::Reassembler(sim::Simulator& simulator, DatagramHandler on_datagram,
+                         ReassemblyCache* shared)
+    : sim_(simulator), on_datagram_(std::move(on_datagram)), shared_(shared) {}
 
 void Reassembler::accept(const net::PayloadRef& frame_payload) {
   const std::optional<IpFragment> parsed = IpFragment::parse(frame_payload.view());
@@ -211,14 +210,14 @@ void Reassembler::accept(const net::PayloadRef& frame_payload) {
 void Reassembler::arm_sweep() {
   if (sweep_scheduled_) return;
   sweep_scheduled_ = true;
-  sim_.schedule_after(timeout_, [this] { expire_stale(); });
+  sim_.schedule_after(kReassemblyTimeout, [this] { expire_stale(); });
 }
 
 void Reassembler::expire_stale() {
   sweep_scheduled_ = false;
   const sim::Time now = sim_.now();
   const auto stale = std::remove_if(pending_.begin(), pending_.end(), [&](const Pending& p) {
-    return now - p.first_seen >= timeout_;
+    return now - p.first_seen >= kReassemblyTimeout;
   });
   timeouts_ += static_cast<std::uint64_t>(pending_.end() - stale);
   pending_.erase(stale, pending_.end());

@@ -35,6 +35,8 @@ inline constexpr std::size_t kIpPayloadPerFrame = 1500 - kIpHeaderBytes;  // 148
 // Fragments of the largest UDP datagram.
 inline constexpr std::size_t kMaxFragments =
     (kUdpHeaderBytes + kMaxUdpPayload + kIpPayloadPerFrame - 1) / kIpPayloadPerFrame;  // 45
+// Incomplete IP reassemblies are discarded after this long.
+inline constexpr sim::Time kReassemblyTimeout = sim::milliseconds(200);
 
 // A UDP datagram as sockets receive it. `payload` views the UDP payload
 // inside `block`, which keeps those bytes alive: the sender's own block
@@ -123,13 +125,13 @@ class ReassemblyCache {
 // joined into one block — through `shared`, when given, so the hosts of
 // one cluster copy a multicast datagram once between them. A datagram
 // that fits one frame skips reassembly and is delivered as a view of the
-// frame. Incomplete reassemblies are discarded `timeout` after their
-// first fragment.
+// frame. Incomplete reassemblies are discarded kReassemblyTimeout after
+// their first fragment.
 class Reassembler {
  public:
   using DatagramHandler = std::function<void(Datagram, std::size_t n_fragments)>;
 
-  Reassembler(sim::Simulator& simulator, sim::Time timeout, DatagramHandler on_datagram,
+  Reassembler(sim::Simulator& simulator, DatagramHandler on_datagram,
               ReassemblyCache* shared = nullptr);
 
   // Takes one frame payload. Malformed fragments are dropped: truncated
@@ -156,7 +158,6 @@ class Reassembler {
   void expire_stale();
 
   sim::Simulator& sim_;
-  sim::Time timeout_;
   DatagramHandler on_datagram_;
   ReassemblyCache* shared_;
   // A handful at most (only fragmented datagrams wait here), so a vector

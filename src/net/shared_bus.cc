@@ -6,8 +6,21 @@
 
 namespace rmc::net {
 
-SharedBus::SharedBus(sim::Simulator& simulator, BusParams params, Rng& rng)
-    : sim_(simulator), params_(params), rng_(rng) {}
+namespace {
+
+// 100 Mbps, like the testbed's switched links.
+constexpr double kBusRateBps = 100e6;
+// IEEE 802.3: a 512-bit-time slot, 16 attempts per frame, backoff drawn
+// from at most 2^10 slots.
+constexpr sim::Time kSlotTime = sim::transmission_time(64, kBusRateBps);
+constexpr int kMaxAttempts = 16;
+constexpr int kBackoffCapExponent = 10;
+// Per-station transmit queue, in frames.
+constexpr std::size_t kStationQueueFrames = 512;
+
+}  // namespace
+
+SharedBus::SharedBus(sim::Simulator& simulator, Rng& rng) : sim_(simulator), rng_(rng) {}
 
 std::size_t SharedBus::add_station(FrameSink deliver) {
   Station station;
@@ -42,7 +55,7 @@ void SharedBus::set_tracer(trace::Tracer* tracer, const std::string& prefix) {
 void SharedBus::send(std::size_t id, Frame frame) {
   RMC_ENSURE(id < stations_.size(), "unknown bus station");
   Station& station = stations_[id];
-  if (station.queue.size() >= params_.queue_frames) {
+  if (station.queue.size() >= kStationQueueFrames) {
     ++stats_.queue_drops;
     if (tracer_) {
       tracer_->drop(sim_.now(), station.trace_track, frame.trace_tag,
@@ -69,10 +82,10 @@ sim::Time SharedBus::sensed_busy_until(sim::Time at) const {
   sim::Time busy_until = 0;
   for (const ActiveTx& tx : active_) {
     // A transmission is *sensed* only once its signal has propagated; a
-    // station checking within `propagation` of the start sees an idle
+    // station checking within kBusPropagation of the start sees an idle
     // medium — that window is precisely where collisions come from.
-    if (tx.start + params_.propagation <= at) {
-      busy_until = std::max(busy_until, tx.end + params_.propagation);
+    if (tx.start + kBusPropagation <= at) {
+      busy_until = std::max(busy_until, tx.end + kBusPropagation);
     }
   }
   return busy_until;
@@ -92,17 +105,17 @@ void SharedBus::attempt(std::size_t id) {
   }
 
   const Frame& frame = station.queue.front();
-  const sim::Time tx_time = sim::transmission_time(frame.wire_bytes(), params_.rate_bps);
+  const sim::Time tx_time = sim::transmission_time(frame.wire_bytes(), kBusRateBps);
   ActiveTx tx{id, now, now + tx_time, false, sim::kInvalidEventId};
 
   // Any transmission already on the wire but not yet sensed collides with
   // this one.
   bool collided_on_start = false;
   for (ActiveTx& other : active_) {
-    if (other.start + params_.propagation > now) {
+    if (other.start + kBusPropagation > now) {
       collided_on_start = true;
       if (!other.collided) collide(other, now);
-    } else if (other.end + params_.propagation > now) {
+    } else if (other.end + kBusPropagation > now) {
       // Sensed-busy was checked above; reaching here would be a model bug.
       RMC_PANIC("started transmission on a sensed-busy medium");
     }
@@ -113,7 +126,7 @@ void SharedBus::attempt(std::size_t id) {
   if (collided_on_start) {
     collide(self, now);
   } else {
-    self.completion = sim_.schedule_at(self.end + params_.propagation,
+    self.completion = sim_.schedule_at(self.end + kBusPropagation,
                                        [this, id] { complete(id); });
   }
 }
@@ -127,7 +140,7 @@ void SharedBus::collide(ActiveTx& tx, sim::Time detect_time) {
   }
   // The colliding station jams for one slot time from detection, then the
   // transmission ends.
-  const sim::Time abort_time = detect_time + params_.slot_time();
+  const sim::Time abort_time = detect_time + kSlotTime;
   tx.end = std::min(tx.end, abort_time);
   const std::size_t id = tx.station;
   sim_.schedule_at(abort_time, [this, id, abort_time] {
@@ -140,7 +153,7 @@ void SharedBus::collide(ActiveTx& tx, sim::Time detect_time) {
 void SharedBus::schedule_backoff(std::size_t id, sim::Time from) {
   Station& station = stations_[id];
   ++station.attempts;
-  if (station.attempts > params_.max_attempts) {
+  if (station.attempts > kMaxAttempts) {
     ++stats_.excessive_collision_drops;
     station.attempts = 0;
     if (!station.queue.empty()) {
@@ -160,10 +173,10 @@ void SharedBus::schedule_backoff(std::size_t id, sim::Time from) {
     }
     return;
   }
-  const int exponent = std::min(station.attempts, params_.backoff_cap_exponent);
+  const int exponent = std::min(station.attempts, kBackoffCapExponent);
   const std::uint64_t slots = rng_.uniform(1ULL << exponent);
   station.backoff_pending = true;
-  sim_.schedule_at(from + static_cast<sim::Time>(slots) * params_.slot_time(),
+  sim_.schedule_at(from + static_cast<sim::Time>(slots) * kSlotTime,
                    [this, id] { attempt(id); });
 }
 
@@ -185,7 +198,7 @@ void SharedBus::complete(std::size_t id) {
   ++stats_.frames_delivered;
   stats_.busy_time += serialization;
   if (tracer_) {
-    tracer_->record(sim_.now() - serialization - params_.propagation,
+    tracer_->record(sim_.now() - serialization - kBusPropagation,
                     trace::EventKind::kWireTx, station.trace_track,
                     frame.trace_tag, static_cast<std::uint32_t>(serialization));
   }

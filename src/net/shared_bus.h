@@ -26,21 +26,12 @@
 
 namespace rmc::net {
 
-struct BusParams {
-  double rate_bps = 100e6;
-  sim::Time propagation = sim::microseconds(2);  // end-to-end segment delay
-  std::size_t queue_frames = 512;                // per-station transmit queue
-  int max_attempts = 16;
-  int backoff_cap_exponent = 10;
-
-  sim::Time slot_time() const {
-    return sim::transmission_time(64, rate_bps);  // 512 bit times
-  }
-};
+// End-to-end propagation delay of the segment.
+inline constexpr sim::Time kBusPropagation = sim::microseconds(2);
 
 class SharedBus {
  public:
-  SharedBus(sim::Simulator& simulator, BusParams params, Rng& rng);
+  SharedBus(sim::Simulator& simulator, Rng& rng);
 
   // Registers a station; `deliver` is invoked for every frame successfully
   // transmitted by any other station. Returns the station id.
@@ -105,7 +96,6 @@ class SharedBus {
   sim::Time sensed_busy_until(sim::Time at) const;
 
   sim::Simulator& sim_;
-  BusParams params_;
   Rng& rng_;
   trace::Tracer* tracer_ = nullptr;
   std::vector<Station> stations_;

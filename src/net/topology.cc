@@ -112,23 +112,6 @@ TopologyWiring fat_tree_wiring(const TopologySpec& spec, std::size_t n_hosts) {
 
 }  // namespace
 
-double TopologySpec::oversubscription() const {
-  switch (kind) {
-    case TopologyKind::kSingleSwitch:
-      return 1.0;
-    case TopologyKind::kTwoSwitch:
-      // Switch A's hosts share one inter-switch cable.
-      return static_cast<double>(switch_a_hosts);
-    case TopologyKind::kSpineLeaf:
-      return static_cast<double>(leaf_radix) / static_cast<double>(spine_count);
-    case TopologyKind::kFatTree:
-      return static_cast<double>(leaf_radix) / static_cast<double>(agg_per_pod);
-    case TopologyKind::kSharedBus:
-      RMC_PANIC("a shared bus has no uplink tier");
-  }
-  RMC_PANIC("unknown topology kind");
-}
-
 TopologyWiring build_wiring(const TopologySpec& spec, std::size_t n_hosts) {
   RMC_ENSURE(n_hosts >= 1, "topology needs at least one host");
   TopologyWiring w;

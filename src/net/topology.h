@@ -3,7 +3,7 @@
 // The paper's testbed is a fixed shape — 16 hosts on one switch, 15 on a
 // second, one uplink (Figure 7). Scaling past 31 receivers needs fabrics
 // the paper never had: multi-tier spine-leaf and fat-tree topologies with
-// configurable radix and oversubscription. A TopologySpec names the shape
+// configurable radix and uplink count. A TopologySpec names the shape
 // and is the one fabric selector of inet::ClusterParams: for a switched
 // shape, build_wiring() compiles it into a wiring plan (switches with port
 // counts, host attachments, inter-switch trunks) that inet::Cluster turns
@@ -96,11 +96,6 @@ struct TopologySpec {
     s.core_count = core_count;
     return s;
   }
-
-  // Worst-case host-ports-to-uplink-capacity ratio at the access tier:
-  // how many hosts contend for one cable's worth of upstream bandwidth.
-  // Switched shapes only (a bus has no uplink tier).
-  double oversubscription() const;
 };
 
 // One switch to instantiate. Ports are laid out host ports first, then

@@ -35,10 +35,10 @@ struct Recommendation {
 Recommendation recommend_config(std::uint64_t message_bytes, std::size_t n_receivers);
 
 // Sender timer budget per receiver. Every receiver's ACK costs the sender
-// about 54 us of modelled CPU (inet::HostParams: recv_syscall 40 +
-// recv_per_fragment 6 + interrupt_per_frame 8), so one N-wide
+// about 54 us of modelled CPU (inet/host_params.h: kRecvSyscall 40 +
+// kRecvPerFragment 6 + kInterruptPerFrame 8), so one N-wide
 // acknowledgment wave takes ~N x 54 us to drain; this is that with about
-// 2x margin. It is a literal, not computed from HostParams, because the
+// 2x margin. It is a literal, not computed from those constants, because the
 // ledger's sim_scale workload applies the same N x 100 us by hand and the
 // two must match.
 inline constexpr sim::Time kTimerPerReceiver = sim::microseconds(100);

@@ -14,19 +14,27 @@ inet::ClusterParams with_n_hosts(inet::ClusterParams params, std::size_t n_hosts
 
 }  // namespace
 
+GroupMembership placement_membership(const SessionPlacement& placement) {
+  GroupMembership membership;
+  membership.group = placement.group;
+  membership.sender_control = {inet::Cluster::host_addr(placement.sender_host),
+                               placement.sender_control_port};
+  for (std::size_t host : placement.receiver_hosts) {
+    membership.receiver_control.push_back(
+        {inet::Cluster::host_addr(host), placement.receiver_control_port});
+  }
+  return membership;
+}
+
 Session::Session(SessionParams params)
     : params_(std::move(params)),
       owned_cluster_(std::make_unique<inet::Cluster>(
           with_n_hosts(params_.cluster, params_.n_receivers + 1))) {
   // The classic single-tenant placement: host 0 sends, hosts 1..N receive,
-  // the well-known group and control ports.
-  placement_.sender_host = 0;
+  // the default group and control ports.
   for (std::size_t i = 0; i < params_.n_receivers; ++i) {
     placement_.receiver_hosts.push_back(i + 1);
   }
-  placement_.group = {net::Ipv4Addr(239, 0, 0, 1), 5000};
-  placement_.sender_control_port = 5001;
-  placement_.receiver_control_port = 5002;
 
   place(*owned_cluster_);
 
@@ -62,21 +70,12 @@ void Session::place(inet::Cluster& fabric) {
   const std::size_t n = placement_.receiver_hosts.size();
   RMC_ENSURE(n > 0, "session needs at least one receiver");
 
-  GroupMembership membership;
-  membership.group = placement_.group;
-  membership.sender_control = {inet::Cluster::host_addr(placement_.sender_host),
-                               placement_.sender_control_port};
-  for (std::size_t i = 0; i < n; ++i) {
-    RMC_ENSURE(placement_.receiver_hosts[i] < cluster_->size(),
-               "receiver host out of range");
-    RMC_ENSURE(placement_.receiver_hosts[i] != placement_.sender_host,
-               "receiver host collides with the sender's");
-    membership.receiver_control.push_back(
-        {inet::Cluster::host_addr(placement_.receiver_hosts[i]),
-         placement_.receiver_control_port});
+  for (std::size_t host : placement_.receiver_hosts) {
+    RMC_ENSURE(host < cluster_->size(), "receiver host out of range");
+    RMC_ENSURE(host != placement_.sender_host, "receiver host collides with the sender's");
   }
   // Validated once here; the sender and every receiver share the result.
-  membership_.emplace(std::move(membership));
+  membership_.emplace(placement_membership(placement_));
   if (directory_ != nullptr) {
     // The data endpoint is unique among registered groups (the directory
     // rejects collisions), so it doubles as the registration key.

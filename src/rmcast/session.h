@@ -65,7 +65,8 @@ struct SessionParams {
 struct SessionPlacement {
   std::size_t sender_host = 0;
   std::vector<std::size_t> receiver_hosts;  // distinct; none may equal sender_host
-  net::Endpoint group;                      // multicast data endpoint, unique per session
+  // Multicast data endpoint, unique per session.
+  net::Endpoint group{net::Ipv4Addr(239, 0, 0, 1), 5000};
   std::uint16_t sender_control_port = 5001;
   std::uint16_t receiver_control_port = 5002;
   std::uint32_t session_base = 0;
@@ -77,6 +78,10 @@ struct SessionPlacement {
   // normally; a too-late joiner is evicted like any silent node.
   std::vector<std::size_t> deferred;
 };
+
+// The roster `placement` describes: its group, the sender's control port
+// on the sender host and each receiver's on that receiver's host.
+GroupMembership placement_membership(const SessionPlacement& placement);
 
 // Socket-backend settings for PosixSession.
 struct PosixSessionOptions {

@@ -533,7 +533,9 @@ std::unique_ptr<UdpSocket> PosixRuntime::open_socket(const PosixSocketOptions& o
   if (::setsockopt(fd, IPPROTO_IP, IP_MULTICAST_IF, &mcast_if, sizeof mcast_if) != 0) {
     return fail("IP_MULTICAST_IF");
   }
-  unsigned char loop = options.multicast_loop ? 1 : 0;
+  // This host receives its own multicast transmissions: a sender and its
+  // receivers may share one host (every loopback session does).
+  unsigned char loop = 1;
   if (::setsockopt(fd, IPPROTO_IP, IP_MULTICAST_LOOP, &loop, sizeof loop) != 0) {
     return fail("IP_MULTICAST_LOOP");
   }

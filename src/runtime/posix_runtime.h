@@ -57,8 +57,6 @@ struct PosixSocketOptions {
   // loopback so that single-machine demos and tests work out of the box;
   // set to a NIC address for a real LAN.
   net::Ipv4Addr multicast_if = net::Ipv4Addr(127, 0, 0, 1);
-  // Whether this host receives its own multicast transmissions.
-  bool multicast_loop = true;
   int rcvbuf_bytes = 0;  // 0 = system default
   int sndbuf_bytes = 0;  // 0 = system default
   // Largest datagram the receive slab accepts; bigger ones are truncated

@@ -31,7 +31,23 @@ TEST(Testbed, WiresSocketsAndMembership) {
   EXPECT_EQ(m.receiver_control[3].addr, inet::Cluster::host_addr(4));
   EXPECT_EQ(bed.sender_socket().local_endpoint(), m.sender_control);
   EXPECT_EQ(bed.receiver_control_socket(2).local_endpoint(), m.receiver_control[2]);
-  EXPECT_EQ(bed.total_rcvbuf_drops(), 0u);
+}
+
+// A Testbed and a Session over the same N name the same roster, so a
+// transfer rebuilt on a Testbed (the ledger's traced replica) runs the
+// Session's wire traffic.
+TEST(Testbed, MembershipMatchesTheSessions) {
+  for (std::size_t n : {1u, 4u, 30u}) {
+    Testbed bed(n);
+    rmcast::SessionParams params;
+    params.n_receivers = n;
+    rmcast::Session session(params);
+    const rmcast::GroupMembership& a = bed.membership();
+    const rmcast::GroupMembership& b = session.membership();
+    EXPECT_EQ(a.group, b.group) << "N = " << n;
+    EXPECT_EQ(a.sender_control, b.sender_control) << "N = " << n;
+    EXPECT_EQ(a.receiver_control, b.receiver_control) << "N = " << n;
+  }
 }
 
 // One validated roster per group: the sender and every receiver of a

@@ -60,7 +60,7 @@ TEST_P(FragmentationTest, RoundTripsThroughReassembly) {
 
   std::vector<Datagram> out;
   std::size_t out_fragments = 0;
-  Reassembler reassembler(sim, sim::milliseconds(100), [&](Datagram d, std::size_t nf) {
+  Reassembler reassembler(sim, [&](Datagram d, std::size_t nf) {
     out.push_back(std::move(d));
     out_fragments = nf;
   });
@@ -108,8 +108,7 @@ TEST(Fragmentation, SingleFragmentDatagramIsAViewOfItsFrame) {
   sim::Simulator sim;
   const Buffer in = pattern(1000);
   std::vector<Datagram> out;
-  Reassembler reassembler(sim, sim::milliseconds(100),
-                          [&](Datagram d, std::size_t) { out.push_back(std::move(d)); });
+  Reassembler reassembler(sim, [&](Datagram d, std::size_t) { out.push_back(std::move(d)); });
   auto fragments = fragments_of(in, 5);
   ASSERT_EQ(fragments.size(), 1u);
   reassembler.accept(fragments[0]);
@@ -130,7 +129,7 @@ TEST(Fragmentation, OutOfOrderFragmentsStillReassemble) {
   sim::Simulator sim;
   const Buffer in = pattern(5000);
   int delivered = 0;
-  Reassembler reassembler(sim, sim::milliseconds(100), [&](Datagram d, std::size_t) {
+  Reassembler reassembler(sim, [&](Datagram d, std::size_t) {
     ++delivered;
     EXPECT_EQ(bytes_of(d), in);
   });
@@ -145,8 +144,7 @@ TEST(Fragmentation, DuplicateFragmentIgnored) {
   sim::Simulator sim;
   const Buffer in = pattern(3000);
   int delivered = 0;
-  Reassembler reassembler(sim, sim::milliseconds(100),
-                          [&](Datagram, std::size_t) { ++delivered; });
+  Reassembler reassembler(sim, [&](Datagram, std::size_t) { ++delivered; });
   auto fragments = fragments_of(in, 9);
   reassembler.accept(fragments[0]);
   reassembler.accept(fragments[0]);  // duplicate must not double-count
@@ -158,12 +156,12 @@ TEST(Fragmentation, IncompleteReassemblyTimesOut) {
   sim::Simulator sim;
   const Buffer in = pattern(5000);
   int delivered = 0;
-  Reassembler reassembler(sim, sim::milliseconds(50),
-                          [&](Datagram, std::size_t) { ++delivered; });
+  Reassembler reassembler(sim, [&](Datagram, std::size_t) { ++delivered; });
   auto fragments = fragments_of(in, 11);
   reassembler.accept(fragments[0]);  // lose the rest
   EXPECT_EQ(reassembler.pending(), 1u);
   sim.run();
+  EXPECT_EQ(sim.now(), kReassemblyTimeout);
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(reassembler.timeouts(), 1u);
   EXPECT_EQ(reassembler.pending(), 0u);
@@ -182,8 +180,7 @@ class ReassemblyValidation : public ::testing::Test {
   ReassemblyValidation()
       : in_(pattern(3000)),
         genuine_(fragments_of(in_, 21)),
-        reassembler_(sim_, sim::milliseconds(100),
-                     [this](Datagram d, std::size_t) { out_.push_back(bytes_of(d)); }) {}
+        reassembler_(sim_, [this](Datagram d, std::size_t) { out_.push_back(bytes_of(d)); }) {}
 
   sim::Simulator sim_;
   Buffer in_;
@@ -300,13 +297,15 @@ TEST_F(HostPairTest, MulticastRequiresJoin) {
 }
 
 TEST(HostOverflow, RcvbufOverflowDropsDatagrams) {
-  // A receiver whose per-datagram processing (2 ms) is slower than the
-  // wire delivers (~0.7 ms per 8 KB datagram) builds a socket backlog;
-  // with a 10 KB buffer it must drop.
+  // A receiver whose CPU costs run 50x the calibrated ones (~9.4 ms per
+  // 8 KB datagram) is slower than the wire delivers (~0.7 ms per
+  // datagram) and builds a socket backlog; with a 10 KB buffer it must
+  // drop.
   ClusterParams params;
   params.n_hosts = 2;
   params.topology = net::TopologySpec::single_switch();
-  params.host.recv_syscall = sim::milliseconds(2);
+  params.straggler_index = 1;
+  params.straggler_cpu_factor = 50;
   Cluster cluster(params);
   Socket* tx = cluster.host(0).open_socket();
   Socket* rx = cluster.host(1).open_socket();
@@ -323,6 +322,32 @@ TEST(HostOverflow, RcvbufOverflowDropsDatagrams) {
   EXPECT_GT(rx->stats().rcvbuf_drops, 0u);
   EXPECT_LT(got, 10);
   EXPECT_EQ(static_cast<std::uint64_t>(got), rx->stats().datagrams_delivered);
+}
+
+TEST(Straggler, NonIntegerCpuFactorScalesEveryReceiveCost) {
+  ClusterParams params;
+  params.n_hosts = 2;
+  params.topology = net::TopologySpec::single_switch();
+  params.straggler_index = 1;
+  params.straggler_cpu_factor = 1.3;
+  Cluster cluster(params);
+  Socket* tx = cluster.host(0).open_socket();
+  Socket* rx = cluster.host(1).open_socket();
+  rx->bind(7000);
+  int got = 0;
+  rx->set_handler([&](const Datagram&) { ++got; });
+
+  Buffer payload = pattern(8000);  // 8,008 UDP bytes: 6 fragments
+  tx->send_to({Cluster::host_addr(1), 7000}, BytesView(payload.data(), payload.size()));
+  cluster.simulator().run();
+  ASSERT_EQ(got, 1);
+  // Each cost is scaled once and truncated to whole ns, per-byte rates
+  // before they multiply the byte count: 6 interrupts x 10,400 + syscall
+  // 52,000 + 8,000 B x 10.4 ns + 6 fragments x 7,800.
+  EXPECT_EQ(cluster.host(1).stats().cpu_busy, 6 * 10'400 + 52'000 + 83'200 + 6 * 7'800);
+  // The sender is not the straggler: syscall 30,000 + 8,000 B x 8 ns +
+  // 6 fragments x 8,000.
+  EXPECT_EQ(cluster.host(0).stats().cpu_busy, 30'000 + 64'000 + 6 * 8'000);
 }
 
 TEST_F(HostPairTest, SelfSendDeliversLocally) {
@@ -452,8 +477,7 @@ TEST(Reassembly, InterleavedDatagramsDoNotCorrupt) {
   const Buffer first = pattern(4000);
   const Buffer second = pattern(6000);
   std::vector<Buffer> out;
-  Reassembler reassembler(sim, sim::milliseconds(100),
-                          [&](Datagram d, std::size_t) { out.push_back(bytes_of(d)); });
+  Reassembler reassembler(sim, [&](Datagram d, std::size_t) { out.push_back(bytes_of(d)); });
   auto f1 = fragments_of(first, 1);
   auto f2 = fragments_of(second, 2);
   // Interleave the two fragment streams.
@@ -475,8 +499,7 @@ class SharedReassembly : public ::testing::Test {
   SharedReassembly() : in_(pattern(4000)) {  // 4008 B segment: 3 fragments
     for (std::size_t h = 0; h < kHosts; ++h) {
       hosts_.push_back(std::make_unique<Reassembler>(
-          sim_, sim::milliseconds(100),
-          [this, h](Datagram d, std::size_t) { out_[h].push_back(std::move(d)); }, &cache_));
+          sim_, [this, h](Datagram d, std::size_t) { out_[h].push_back(std::move(d)); }, &cache_));
     }
   }
 

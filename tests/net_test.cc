@@ -418,7 +418,7 @@ TEST_F(SnoopingSwitchTest, RegistrationIsReferenceCounted) {
 TEST(SharedBus, SingleStationDeliversToAllOthers) {
   sim::Simulator sim;
   Rng rng(1);
-  SharedBus bus(sim, BusParams{}, rng);
+  SharedBus bus(sim, rng);
   int received[3] = {0, 0, 0};
   for (int s = 0; s < 3; ++s) {
     bus.add_station([&received, s](const Frame&) { ++received[s]; });
@@ -435,7 +435,7 @@ TEST(SharedBus, SingleStationDeliversToAllOthers) {
 TEST(SharedBus, SimultaneousStartsCollideThenRecover) {
   sim::Simulator sim;
   Rng rng(7);
-  SharedBus bus(sim, BusParams{}, rng);
+  SharedBus bus(sim, rng);
   int received[2] = {0, 0};
   for (int s = 0; s < 2; ++s) {
     bus.add_station([&received, s](const Frame&) { ++received[s]; });
@@ -454,14 +454,13 @@ TEST(SharedBus, SimultaneousStartsCollideThenRecover) {
 TEST(SharedBus, CarrierSenseDefersInsteadOfColliding) {
   sim::Simulator sim;
   Rng rng(7);
-  BusParams params;
-  SharedBus bus(sim, params, rng);
+  SharedBus bus(sim, rng);
   int received = 0;
   bus.add_station([](const Frame&) {});
   bus.add_station([&](const Frame&) { ++received; });
   bus.send(0, test_frame(MacAddr::broadcast(), MacAddr::host(0), 1000));
   // Second transmission starts well after the first is sensed: no collision.
-  sim.schedule_at(params.propagation + sim::microseconds(10), [&] {
+  sim.schedule_at(kBusPropagation + sim::microseconds(10), [&] {
     bus.send(0, test_frame(MacAddr::broadcast(), MacAddr::host(0), 1000));
   });
   sim.run();
@@ -472,7 +471,7 @@ TEST(SharedBus, CarrierSenseDefersInsteadOfColliding) {
 TEST(SharedBus, ManyStationsAllEventuallyDeliver) {
   sim::Simulator sim;
   Rng rng(3);
-  SharedBus bus(sim, BusParams{}, rng);
+  SharedBus bus(sim, rng);
   const int n = 8;
   std::vector<int> received(n, 0);
   for (int s = 0; s < n; ++s) {
@@ -493,7 +492,7 @@ TEST(SharedBus, ManyStationsAllEventuallyDeliver) {
 TEST(SharedBus, BacklogAccountingAndHook) {
   sim::Simulator sim;
   Rng rng(1);
-  SharedBus bus(sim, BusParams{}, rng);
+  SharedBus bus(sim, rng);
   bus.add_station([](const Frame&) {});
   bus.add_station([](const Frame&) {});
   std::size_t drained = 0;

@@ -81,14 +81,6 @@ TEST(Topology, AllShapesProduceValidWiring) {
   check_wiring(TopologySpec::fat_tree(8, 3, 2, 2), 1000);
 }
 
-TEST(Topology, Oversubscription) {
-  EXPECT_DOUBLE_EQ(TopologySpec::single_switch().oversubscription(), 1.0);
-  EXPECT_DOUBLE_EQ(TopologySpec::figure7(16).oversubscription(), 16.0);
-  EXPECT_DOUBLE_EQ(TopologySpec::spine_leaf(16, 4).oversubscription(), 4.0);
-  EXPECT_DOUBLE_EQ(TopologySpec::spine_leaf(16, 16).oversubscription(), 1.0);
-  EXPECT_DOUBLE_EQ(TopologySpec::fat_tree(16, 4, 2, 4).oversubscription(), 8.0);
-}
-
 TEST(Topology, DeterministicWiring) {
   const TopologySpec spec = TopologySpec::fat_tree(16, 4, 2, 4);
   const TopologyWiring a = build_wiring(spec, 500);
